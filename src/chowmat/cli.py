@@ -2,7 +2,10 @@
 
 All output is JSON with deterministic key order and no floating point;
 rationals appear as {"num": ..., "den": ...}.  Exit codes: 0 ok, 1
-verification failure, 2 input error.
+verification failure, 2 input error, 3 internal error.  Errors go to stderr
+as {"error": <exception type>, "message": ...}; an internal error is any
+other exception raised while computing, so a crash never reads as a verdict,
+and its document also carries the traceback.
 """
 
 from __future__ import annotations
@@ -10,6 +13,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+import traceback
 from fractions import Fraction
 
 import click
@@ -114,6 +118,10 @@ def _run(command: str, spec_file: str, max_ground: int | None, pretty: bool, wor
     except ChowmatError as exc:
         click.echo(json.dumps({"error": type(exc).__name__, "message": str(exc)}), err=True)
         sys.exit(2)
+    except Exception as exc:
+        report = {"error": type(exc).__name__, "message": str(exc), "traceback": traceback.format_exception(exc)}
+        click.echo(json.dumps(report), err=True)
+        sys.exit(3)
     doc = {"command": command, "matroid": matroid_summary(m), "result": payload}
     emit(doc, pretty)
     sys.exit(0 if ok else 1)
@@ -154,7 +162,7 @@ def degree(spec_file: str, flats_arg: str, pretty: bool, max_ground: int | None)
         except ValueError as exc:
             raise ParseError(f"cannot parse --flats: {exc}") from exc
         for f in masks:
-            if not m.is_flat(f):
+            if f & ~m.full_mask or not m.is_flat(f):
                 raise NotAFlat(f"{_subset(f)} is not a flat")
         dhr = hodge.dhr_degree(m, masks)
         ring = ring_for(m)

@@ -508,13 +508,6 @@ class TripleScanReport:
         return self.agree and self.live_leaves + self.dead_counted == self.total_multisets
 
 
-def _rank_table(m: Matroid) -> np.ndarray:
-    table = np.zeros(1 << m.n_elements, dtype=np.uint8)
-    for s in range(1 << m.n_elements):
-        table[s] = m.rank(s)
-    return table
-
-
 def _basis_bitmap(m: Matroid) -> int:
     bm = 0
     for b in m.bases:
@@ -594,7 +587,7 @@ def _triple_scan_batched(m: Matroid) -> TripleScanReport:
     if d == 0 or nvars == 0:
         ok = d == 0
         return TripleScanReport(m, 1 if d == 0 else 0, 1 if d == 0 else 0, 0, 1, ok)
-    rank_table = _rank_table(m)
+    rank_table = m.rank_table().astype(np.uint8)
     # Chain-route tables over the 2^n subset positions of a uint64 bitmap.
     hi = [np.uint64(sum(1 << s for s in range(1 << n) if s & (1 << f))) for f in range(n)]
     pairs_mask = [
@@ -854,7 +847,7 @@ def _support_packed_batched(m: Matroid, size: int) -> np.ndarray:
     nvars = len(flats)
     if size == 0:
         return np.zeros(1, dtype=np.uint64)
-    rank_table = _rank_table(m)
+    rank_table = m.rank_table().astype(np.uint8)
     flat_arr = [np.uint8(f) for f in flats]
     last = np.zeros(1, dtype=np.int16)
     unions = np.zeros((1, 1), dtype=np.uint8)

@@ -1,9 +1,9 @@
 """Matroids on small ground sets, with rank/closure oracles and the lattice of flats.
 
 Ground sets are ``{0, 1, ..., n}`` and subsets are machine-word bitmasks, so
-everything here is exact and exhaustive.  The hard cap on the ground set size
-(:data:`MAX_GROUND`) keeps the ``2^|E|`` enumerations that back the flat
-lattice at desk scale.
+everything here is exact and exhaustive.  Closure, flatness and the lattice of
+flats are read off one numpy rank table over all ``2^|E|`` subsets; the hard
+cap on the ground set size (:data:`MAX_GROUND`) bounds that table.
 """
 
 from __future__ import annotations
@@ -11,6 +11,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from typing import Iterable
+
+import numpy as np
 
 from .errors import (
     EmptyBases,
@@ -21,13 +23,13 @@ from .errors import (
     NotComparable,
 )
 
-#: Largest supported ground set.  Flat enumeration is 2^|E|, so this is a
-#: cost guard, not a correctness limit.
+#: Largest supported ground set.  The rank table has 2^|E| entries (64 KiB of
+#: int8 at 16), so this is a memory and cost guard, not a correctness limit.
 MAX_GROUND = 16
 
 
 def popcount(x: int) -> int:
-    return bin(x).count("1")
+    return x.bit_count()
 
 
 def bits(x: int) -> Iterable[int]:
@@ -52,11 +54,11 @@ def set_of(mask: int) -> frozenset[int]:
 class Matroid:
     """A matroid given by its set of bases over ``E = {0, ..., n}``.
 
-    Immutable after construction; the rank memo fills in lazily but reads and
-    writes of a CPython dict are atomic, so instances are safe to share.
+    Immutable after construction; the rank table and the lattice fill in
+    lazily, and building either twice gives the same result.
     """
 
-    __slots__ = ("n_elements", "full_mask", "bases", "rank_full", "_rank_cache", "_closure_cache", "_lattice")
+    __slots__ = ("n_elements", "full_mask", "bases", "rank_full", "_table", "_ranks", "_lattice")
 
     def __init__(self, n_elements: int, bases: Iterable[int], *, validate: bool = True):
         if not 1 <= n_elements <= MAX_GROUND:
@@ -71,8 +73,8 @@ class Matroid:
                 raise ExchangeAxiomViolation(f"basis {b:b} not contained in the ground set")
         self.bases: tuple[int, ...] = tuple(basis_list)
         self.rank_full = popcount(basis_list[0])
-        self._rank_cache: dict[int, int] = {}
-        self._closure_cache: dict[int, int] = {}
+        self._table: np.ndarray | None = None
+        self._ranks: list[int] | None = None
         self._lattice: FlatLattice | None = None
         if validate:
             self._check_exchange()
@@ -93,28 +95,40 @@ class Matroid:
 
     # -- oracles -----------------------------------------------------------
 
+    def rank_table(self) -> np.ndarray:
+        """Ranks of all ``2^n`` subsets as a read-only int8 array indexed by bitmask."""
+        if self._table is None:
+            n = self.n_elements
+            # Push the bases' rank down one bit-plane at a time, losing 1 per
+            # element dropped: a subset S of a basis B gets rk - |B \ S| = |S|,
+            # and the dependent sets stay negative.
+            table = np.full(1 << n, -n, dtype=np.int8)
+            table[list(self.bases)] = self.rank_full
+            for e in range(n):
+                planes = table.reshape(-1, 2, 1 << e)
+                np.maximum(planes[:, 0], planes[:, 1] - 1, out=planes[:, 0])
+            np.maximum(table, 0, out=table)
+            for e in range(n):  # rank(S) is the largest independent subset of S
+                planes = table.reshape(-1, 2, 1 << e)
+                np.maximum(planes[:, 1], planes[:, 0], out=planes[:, 1])
+            table.setflags(write=False)
+            self._ranks = table.tolist()
+            self._table = table
+        return self._table
+
     def rank(self, subset: int) -> int:
         """Rank of a subset: the largest intersection with a basis."""
-        cached = self._rank_cache.get(subset)
-        if cached is not None:
-            return cached
-        r = max(popcount(b & subset) for b in self.bases)
-        self._rank_cache[subset] = r
-        return r
+        # Without a table, scan the bases: a chain's one-question truncations never build one.
+        ranks = self._ranks
+        if ranks is not None:
+            return ranks[subset]
+        return max((b & subset).bit_count() for b in self.bases)
 
     def closure(self, subset: int) -> int:
         """The largest superset of ``subset`` with the same rank."""
-        cached = self._closure_cache.get(subset)
-        if cached is not None:
-            return cached
-        r = self.rank(subset)
-        cl = subset
-        rest = self.full_mask & ~subset
-        for e in bits(rest):
-            if self.rank(subset | (1 << e)) == r:
-                cl |= 1 << e
-        self._closure_cache[subset] = cl
-        return cl
+        self.rank_table()
+        ranks, r = self._ranks, self._ranks[subset]
+        return subset | sum(1 << e for e in bits(self.full_mask & ~subset) if ranks[subset | 1 << e] == r)
 
     def is_flat(self, subset: int) -> bool:
         return self.closure(subset) == subset
@@ -126,15 +140,9 @@ class Matroid:
             covered |= b
         return covered == self.full_mask
 
-    def is_independent(self, subset: int) -> bool:
-        return self.rank(subset) == popcount(subset)
-
-    def is_spanning(self, subset: int) -> bool:
-        return self.rank(subset) == self.rank_full
-
     def spanning_sets(self) -> list[int]:
-        """All spanning subsets of the ground set."""
-        return [s for s in range(1 << self.n_elements) if self.is_spanning(s)]
+        """All spanning subsets of the ground set, in increasing bitmask order."""
+        return np.flatnonzero(self.rank_table() == self.rank_full).tolist()
 
     def lattice(self) -> "FlatLattice":
         if self._lattice is None:
@@ -162,31 +170,32 @@ class Matroid:
 class FlatLattice:
     """All flats of a matroid, graded by rank, with covers and Möbius values.
 
-    Flats are enumerated by closing every subset of the ground set and
-    deduplicating, which is the simplest correct method at ``2^|E|`` scale.
+    Read off the rank table: ``S`` is a flat iff adding any element outside
+    it raises the rank, one vector comparison per element.
     """
 
     def __init__(self, matroid: Matroid):
         self.matroid = matroid
-        seen: set[int] = set()
-        for s in range(1 << matroid.n_elements):
-            seen.add(matroid.closure(s))
+        table = matroid.rank_table()
+        flat = np.ones(table.shape, dtype=bool)
+        for e in range(matroid.n_elements):
+            planes = table.reshape(-1, 2, 1 << e)
+            flat.reshape(-1, 2, 1 << e)[:, 0] &= planes[:, 1] > planes[:, 0]
+        masks = np.flatnonzero(flat)
+        ranks = table[masks]
         # Order flats by (rank, bitmask); this is the canonical order used
         # everywhere downstream.
-        self.flats: tuple[int, ...] = tuple(sorted(seen, key=lambda f: (matroid.rank(f), f)))
+        order = np.lexsort((masks, ranks))
+        self.flats: tuple[int, ...] = tuple(masks[order].tolist())
         self.index: dict[int, int] = {f: i for i, f in enumerate(self.flats)}
-        self.rank_of: tuple[int, ...] = tuple(matroid.rank(f) for f in self.flats)
+        self.rank_of: tuple[int, ...] = tuple(ranks[order].tolist())
         self.by_rank: list[list[int]] = [[] for _ in range(matroid.rank_full + 1)]
-        for f in self.flats:
-            self.by_rank[matroid.rank(f)].append(f)
+        for f, r in zip(self.flats, self.rank_of):
+            self.by_rank[r].append(f)
         self.covers: dict[int, list[int]] = {
-            f: [
-                g
-                for g in self.by_rank[self.matroid.rank(f) + 1]
-                if f & ~g == 0
-            ]
-            for f in self.flats
-            if self.matroid.rank(f) < matroid.rank_full
+            f: [g for g in self.by_rank[r + 1] if f & ~g == 0]
+            for f, r in zip(self.flats, self.rank_of)
+            if r < matroid.rank_full
         }
         self._moebius: dict[tuple[int, int], int] = {}
 
@@ -305,17 +314,23 @@ class RelabeledMatroid:
         return mask_of(self.relabel[e] for e in bits(subset) if e in self.relabel)
 
 
+def _minor(m: Matroid, elements: list[int], contracted: int) -> RelabeledMatroid:
+    """(M / C) restricted to ``elements`` (disjoint from C), relabeled onto
+    {0, ..., len(elements)-1}: its bases are the sets B with B | C spanning
+    ``elements | C`` and |B| = rk(elements | C) - rk(C)."""
+    relabel = {e: i for i, e in enumerate(elements)}
+    target = m.rank(mask_of(elements) | contracted)
+    bases = [
+        mask_of(relabel[e] for e in c)
+        for c in itertools.combinations(elements, target - m.rank(contracted))
+        if m.rank(mask_of(c) | contracted) == target
+    ]
+    return RelabeledMatroid(Matroid(max(len(elements), 1), bases, validate=False), relabel)
+
+
 def restrict(m: Matroid, subset: int) -> RelabeledMatroid:
     """Restriction M|S, relabeled onto {0, ..., |S|-1}."""
-    elements = list(bits(subset))
-    relabel = {e: i for i, e in enumerate(elements)}
-    r = m.rank(subset)
-    bases = []
-    for c in itertools.combinations(elements, r):
-        cand = mask_of(c)
-        if m.rank(cand) == r:
-            bases.append(mask_of(relabel[e] for e in c))
-    return RelabeledMatroid(Matroid(max(len(elements), 1), bases, validate=False), relabel)
+    return _minor(m, list(bits(subset)), 0)
 
 
 def contract(m: Matroid, subset: int) -> RelabeledMatroid:
@@ -323,16 +338,7 @@ def contract(m: Matroid, subset: int) -> RelabeledMatroid:
 
     The result is loopless whenever ``subset`` is a flat.
     """
-    elements = [e for e in range(m.n_elements) if not subset & (1 << e)]
-    relabel = {e: i for i, e in enumerate(elements)}
-    r_s = m.rank(subset)
-    r = m.rank_full - r_s
-    bases = []
-    for c in itertools.combinations(elements, r):
-        cand = mask_of(c)
-        if m.rank(cand | subset) == m.rank_full:
-            bases.append(mask_of(relabel[e] for e in c))
-    return RelabeledMatroid(Matroid(max(len(elements), 1), bases, validate=False), relabel)
+    return _minor(m, list(bits(m.full_mask & ~subset)), subset)
 
 
 # -- thin functional wrappers (operation names from the public surface) -----

@@ -12,8 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import EmptyFlat, GroundSetMismatch, InvalidRank, NotAFlat
-from .matroid import Matroid, bits, popcount
+from .matroid import Matroid, bits, popcount, uniform
 
 
 @dataclass
@@ -140,14 +142,11 @@ def higgs_factorization(w: QuotientWitness) -> HiggsChain:
     """
     corank = w.corank
     lower, upper = w.lower, w.upper
+    sizes = uniform(upper.n_elements, upper.n_elements).rank_table()  # |S| for every S
+    candidates = (lower.rank_table() == lower.rank_full) & (upper.rank_table() == sizes)
     stages = [lower]
     for i in range(1, corank):
-        size = lower.rank_full + i
-        bases = [
-            s
-            for s in range(1 << upper.n_elements)
-            if popcount(s) == size and lower.is_spanning(s) and upper.is_independent(s)
-        ]
+        bases = np.flatnonzero(candidates & (sizes == lower.rank_full + i)).tolist()
         stages.append(Matroid(upper.n_elements, bases, validate=False))
     if corank > 0:
         stages.append(upper)

@@ -110,6 +110,10 @@ def test_degree_examples(runner, u33_spec):
 def test_degree_rejects_non_flat(runner, u34_spec):
     result = runner.invoke(cli.main, ["degree", u34_spec, "--flats", "0,1,2;0,1"])
     assert result.exit_code == 2
+    # An element outside the ground set is an input error, not a crash.
+    result = runner.invoke(cli.main, ["degree", u34_spec, "--flats", "0,1;0,7"])
+    assert result.exit_code == 2
+    assert json.loads(result.stderr)["error"] == "NotAFlat"
 
 
 def test_degree_wrong_arity(runner, u33_spec):
@@ -212,6 +216,19 @@ def test_verify_failure_exits_1(runner, u34_spec, monkeypatch):
     assert result.exit_code == 1
     doc = json.loads(result.output)
     assert doc["result"]["passed"] is False
+
+
+def test_internal_error_exits_3(runner, u34_spec, monkeypatch):
+    def crash(m, seed):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli._SUITE_RUNNERS, "balance", crash)
+    result = runner.invoke(cli.main, ["verify", u34_spec, "--suite", "balance"])
+    assert result.exit_code == 3
+    assert result.stdout == ""
+    err = json.loads(result.stderr)
+    assert (err["error"], err["message"]) == ("RuntimeError", "boom")
+    assert "crash" in "".join(err["traceback"])
 
 
 def test_verify_seed_changes_nothing_on_valid_input(runner, u33_spec):

@@ -1,0 +1,96 @@
+"""The rank table against the brute-force definitions, and the hard ground-set cap."""
+
+import json
+import math
+
+from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from chowmat import Matroid, direct_sum, graphic, uniform
+from chowmat import cli
+from chowmat.matroid import MAX_GROUND
+from chowmat.quotients import principal_truncation
+
+
+@st.composite
+def truncated_booleans(draw):
+    """Iterated principal truncations of a Boolean matroid, as in the test corpus."""
+    n = draw(st.integers(3, 7))
+    m = uniform(n, n)
+    for _ in range(draw(st.integers(0, n - 2))):
+        flats = [f for f in m.lattice().flats if m.rank(f) >= 2]
+        m = principal_truncation(m, draw(st.sampled_from(flats)))
+    return m
+
+
+@st.composite
+def graphic_matroids(draw):
+    """Cycle matroids of random multigraphs; self-loops give loops of the matroid."""
+    vertices = draw(st.integers(2, 5))
+    vertex = st.integers(0, vertices - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex), min_size=1, max_size=7))
+    return graphic(vertices, edges)
+
+
+@st.composite
+def loopy_matroids(draw):
+    base = draw(st.one_of(truncated_booleans(), graphic_matroids()))
+    loops = draw(st.integers(1, 2))
+    return direct_sum(base, uniform(0, loops))
+
+
+matroids = st.one_of(truncated_booleans(), graphic_matroids(), loopy_matroids())
+
+
+def brute_rank(m: Matroid, subset: int) -> int:
+    return max(bin(b & subset).count("1") for b in m.bases)
+
+
+def brute_closure(m: Matroid, subset: int) -> int:
+    r = brute_rank(m, subset)
+    return subset | sum(
+        1 << e for e in range(m.n_elements) if brute_rank(m, subset | (1 << e)) == r
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(matroids)
+def test_oracles_match_definitions(m):
+    subsets = range(1 << m.n_elements)
+    expected_rank = [brute_rank(m, s) for s in subsets]
+    expected_closure = [brute_closure(m, s) for s in subsets]
+
+    # Point queries on a fresh copy scan the bases and build no table.
+    fresh = Matroid(m.n_elements, m.bases, validate=False)
+    assert [fresh.rank(s) for s in subsets] == expected_rank
+    assert fresh._table is None
+
+    # Table lookups, for every subset.
+    assert fresh.rank_table().tolist() == expected_rank
+    assert [fresh.rank(s) for s in subsets] == expected_rank
+    assert [fresh.closure(s) for s in subsets] == expected_closure
+    assert [fresh.is_flat(s) for s in subsets] == [c == s for s, c in zip(subsets, expected_closure)]
+    assert fresh.spanning_sets() == [s for s in subsets if expected_rank[s] == m.rank_full]
+
+    closed = sorted(set(expected_closure), key=lambda f: (expected_rank[f], f))
+    lattice = Matroid(m.n_elements, m.bases, validate=False).lattice()
+    assert list(lattice.flats) == closed
+    assert list(lattice.rank_of) == [expected_rank[f] for f in closed]
+
+
+def test_hard_cap_lattices():
+    for r, n in [(2, MAX_GROUND), (3, 14)]:
+        m = uniform(r, n)
+        summary = cli.matroid_summary(m)
+        assert summary["flats_by_rank"] == [math.comb(n, k) for k in range(r)] + [1]
+
+
+def test_info_at_hard_cap(tmp_path):
+    spec = tmp_path / "u216.json"
+    spec.write_text(json.dumps({"type": "uniform", "r": 2, "n": MAX_GROUND}))
+    result = CliRunner().invoke(cli.main, ["info", str(spec), "--max-ground", str(MAX_GROUND)])
+    assert result.exit_code == 0
+    doc = json.loads(result.stdout)
+    assert doc["matroid"]["flats_by_rank"] == [1, MAX_GROUND, 1]
+    assert doc["result"]["hilbert"] == [1, 1]
