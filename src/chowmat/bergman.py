@@ -2,15 +2,20 @@
 
 Cones of the braid fan are chains of nonempty proper subsets of the ground
 set; a k-dimensional Minkowski weight assigns integers to k-chains subject to
-the balancing condition at every (k-1)-chain.  Balancing is verified by exact
-rational linear algebra in the lattice Z^E / Z*e_E.
+the balancing condition at every (k-1)-chain.  For a flag tau = S_1 < ... <
+S_k the span of e_E and the e_S with S in tau is exactly the set of vectors
+constant on each block S_1, S_2 - S_1, ..., E - S_k, so balancing at tau is a
+block-constancy test on the weighted sum of the inserted rays: integer
+arithmetic, no elimination.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
+import numpy as np
+
+from . import _linalg
 from .errors import LoopyMatroid, NotAFlat, WrongDimension
 from .matroid import Matroid, bits
 from .quotients import principal_truncation
@@ -89,52 +94,42 @@ def bergman_class(m: Matroid) -> MinkowskiWeight:
     return MinkowskiWeight(m.n_elements, d, {c: 1 for c in chains})
 
 
-def _solve_in_span(vectors: list[list[Fraction]], target: list[Fraction]) -> bool:
-    """Exact membership of ``target`` in the rational span of ``vectors``."""
-    cols = len(vectors)
-    rows = len(target)
-    # Augmented elimination over the columns.
-    mat = [[vectors[c][r] for c in range(cols)] + [target[r]] for r in range(rows)]
-    pivot_row = 0
-    for col in range(cols):
-        sel = next((r for r in range(pivot_row, rows) if mat[r][col]), None)
-        if sel is None:
-            continue
-        mat[pivot_row], mat[sel] = mat[sel], mat[pivot_row]
-        inv = mat[pivot_row][col]
-        for r in range(rows):
-            if r != pivot_row and mat[r][col]:
-                factor = mat[r][col] / inv
-                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[pivot_row])]
-        pivot_row += 1
-    return all(mat[r][cols] == 0 for r in range(pivot_row, rows))
+def _facets(weights: dict[ChainCone, int], dim: int) -> dict[ChainCone, list[tuple[int, int]]]:
+    """Each (dim-1)-chain tau with the (inserted set, value) of the cones through it."""
+    facets: dict[ChainCone, list[tuple[int, int]]] = {}
+    for cone, value in weights.items():
+        for i in range(dim):
+            facets.setdefault(cone[:i] + cone[i + 1 :], []).append((cone[i], value))
+    return facets
+
+
+def _flag_blocks(tau: ChainCone, full_mask: int) -> list[list[int]]:
+    """The blocks S_1, S_2 - S_1, ..., E - S_k of the flag tau, as element lists."""
+    blocks, prev = [], 0
+    for s in tau + (full_mask,):
+        blocks.append(list(bits(s & ~prev)))
+        prev = s
+    return blocks
 
 
 def check_balanced(w: MinkowskiWeight) -> bool:
     """Verify the balancing condition at every (dim-1)-chain.
 
     For each facet chain tau, the weighted sum of the inserted rays must lie
-    in span{e_S : S in tau} + span{e_E}, checked exactly over the rationals.
+    in span{e_S : S in tau} + span{e_E}, that is, be constant on every block
+    of the flag tau.
     """
     if w.dim == 0:
         return True
-    n = w.n_elements
-    facets: dict[ChainCone, list[tuple[int, int]]] = {}
-    for cone, value in w.weights.items():
-        for i in range(w.dim):
-            tau = cone[:i] + cone[i + 1 :]
-            facets.setdefault(tau, []).append((cone[i], value))
-    e_full = [Fraction(1)] * n
-    for tau, contributions in facets.items():
-        total = [Fraction(0)] * n
+    full = (1 << w.n_elements) - 1
+    for tau, contributions in _facets(w.weights, w.dim).items():
+        total = [0] * w.n_elements
         for inserted, value in contributions:
             for e in bits(inserted):
                 total[e] += value
-        span = [e_full] + [
-            [Fraction(1) if s & (1 << e) else Fraction(0) for e in range(n)] for s in tau
-        ]
-        if not _solve_in_span(span, total):
-            return False
+        for block in _flag_blocks(tau, full):
+            if any(total[e] != total[block[0]] for e in block):
+                return False
     return True
 
 
@@ -187,8 +182,10 @@ def weight_vector(w: MinkowskiWeight, cones: list[ChainCone]) -> list[int]:
 def bergman_weight_space_dimension(m: Matroid) -> int:
     """dim MW_d(Sigma_M): weights on top chains of flats of m, balanced inside m.
 
-    Solves the balancing conditions of the Bergman fan as one exact linear
-    system; the Bergman class spans it, so the answer should be 1.
+    Each facet tau and each element e of a block B of its flag give the
+    balancing equation t_e = t_rep(B) on the weighted sum t of the inserted
+    rays; the dimension is the nullity of that integer system.  The Bergman
+    class spans it, so the answer should be 1.
     """
     if not m.is_loopless():
         raise LoopyMatroid("Bergman fans exist for loopless matroids only")
@@ -197,77 +194,15 @@ def bergman_weight_space_dimension(m: Matroid) -> int:
     if d == 0:
         return 1
     index = {cone: i for i, cone in enumerate(top)}
-    # Facet chains of the Bergman fan and their extensions within the fan.
-    facets: dict[ChainCone, list[tuple[int, int]]] = {}
-    for cone in top:
-        for i in range(d):
-            tau = cone[:i] + cone[i + 1 :]
-            facets.setdefault(tau, []).append((cone[i], index[cone]))
-    n = m.n_elements
-    rows: list[list[Fraction]] = []
-    for tau, contributions in facets.items():
-        # Balancing modulo span{e_S : S in tau} + e_E: eliminate the span by
-        # projecting onto coordinates of a complement, via elimination on the
-        # stacked system per facet.
-        span = [[Fraction(1)] * n] + [
-            [Fraction(1) if s & (1 << e) else Fraction(0) for e in range(n)] for s in tau
-        ]
-        # Build the coefficient matrix of the linear map (weights) -> N_R /
-        # span(tau): columns are inserted-ray vectors; then quotient by span.
-        cols = {}
-        for inserted, wi in contributions:
-            vec = [Fraction(1) if inserted & (1 << e) else Fraction(0) for e in range(n)]
-            cols[wi] = [a + b for a, b in zip(cols.get(wi, [Fraction(0)] * n), vec)]
-        # Eliminate span vectors from each column, tracking the residual.
-        basis: list[list[Fraction]] = []
-        for v in span:
-            v = v[:]
-            for b in basis:
-                lead = next((i for i, x in enumerate(b) if x), None)
-                if lead is not None and v[lead]:
-                    f = v[lead] / b[lead]
-                    v = [a - f * c for a, c in zip(v, b)]
-            if any(v):
-                basis.append(v)
-        residuals = {}
-        for wi, vec in cols.items():
-            v = vec[:]
-            for b in basis:
-                lead = next((i for i, x in enumerate(b) if x), None)
-                if lead is not None and v[lead]:
-                    f = v[lead] / b[lead]
-                    v = [a - f * c for a, c in zip(v, b)]
-            residuals[wi] = v
-        for coord in range(n):
-            row = [Fraction(0)] * len(top)
-            nonzero = False
-            for wi, v in residuals.items():
-                if v[coord]:
-                    row[wi] = v[coord]
-                    nonzero = True
-            if nonzero:
-                rows.append(row)
+    rows: set[tuple[int, ...]] = set()
+    for tau, contributions in _facets(index, d).items():
+        for rep, *others in _flag_blocks(tau, m.full_mask):
+            for e in others:
+                row = [0] * len(top)
+                for inserted, wi in contributions:
+                    row[wi] = (inserted >> e & 1) - (inserted >> rep & 1)
+                if any(row):
+                    rows.add(tuple(row))
     if not rows:
         return len(top)
-    rank = _row_rank(rows)
-    return len(top) - rank
-
-
-def _row_rank(rows: list[list[Fraction]]) -> int:
-    mat = [row[:] for row in rows]
-    cols = len(mat[0])
-    rank = 0
-    for col in range(cols):
-        sel = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
-        if sel is None:
-            continue
-        mat[rank], mat[sel] = mat[sel], mat[rank]
-        inv = mat[rank][col]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col]:
-                f = mat[r][col] / inv
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[rank])]
-        rank += 1
-        if rank == len(mat):
-            break
-    return rank
+    return len(top) - _linalg.rank_int(np.array(sorted(rows), dtype=np.int64))

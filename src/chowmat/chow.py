@@ -29,6 +29,7 @@ import numpy as np
 
 from .errors import (
     InhomogeneousElement,
+    InvariantViolation,
     LoopyMatroid,
     NotAFlat,
     WrongGrade,
@@ -295,7 +296,8 @@ class ChowRing:
         top = self.nested[self.d]
         full = self.matroid.full_mask
         expected = [((full, self.d),)] if self.d else [()]
-        assert top == expected, "top nested basis is not the power of z_E"
+        if top != expected:
+            raise InvariantViolation("top nested basis is not the power of z_E")
         chain = []
         current = 0
         for r in range(1, self.d + 1):
@@ -304,7 +306,8 @@ class ChowRing:
             )
             chain.append(current)
         nf = self._nf(_canon((f, 1) for f in chain))
-        assert nf == {0: (-1) ** self.d}, "degree normalization failed"
+        if nf != {0: (-1) ** self.d}:
+            raise InvariantViolation("degree normalization failed")
 
     # -- matrices -------------------------------------------------------------
 
@@ -317,7 +320,8 @@ class ChowRing:
             mat = np.zeros((rows, cols), dtype=np.int64)
             for col, mono in enumerate(self.nested[deg]):
                 for idx, v in self._nf(_canon(itertools.chain(mono, ((flat, 1),)))).items():
-                    assert abs(v) < _INT64_SAFE
+                    if abs(v) >= _INT64_SAFE:
+                        raise InvariantViolation(f"z-matrix entry {v} does not fit in int64")
                     mat[idx, col] = v
             cached = mat
             self._zmat[key] = cached
@@ -388,12 +392,14 @@ class ChowRing:
                         int(tobj[j, k]) * sol[k] for k in order[:p] if sol[k]
                     )
                     diag = int(tobj[j, j])
-                    assert diag in (1, -1), "basis change is not unitriangular"
+                    if diag not in (1, -1):
+                        raise InvariantViolation("basis change is not unitriangular")
                     sol[j] = residual * diag
                 inv[:, c] = sol
             check = imatmul(t, inv)
             ident = np.eye(n, dtype=object)
-            assert (check == ident).all(), "triangular inverse failed"
+            if not (check == ident).all():
+                raise InvariantViolation("triangular inverse failed")
             cached = inv
             self._tinv[deg] = cached
         return cached

@@ -3,9 +3,10 @@
 All output is JSON with deterministic key order and no floating point;
 rationals appear as {"num": ..., "den": ...}.  Exit codes: 0 ok, 1
 verification failure, 2 input error, 3 internal error.  Errors go to stderr
-as {"error": <exception type>, "message": ...}; an internal error is any
-other exception raised while computing, so a crash never reads as a verdict,
-and its document also carries the traceback.
+as {"error": <exception type>, "message": ...}; an internal error is an
+``InvariantViolation`` (a failed consistency check of a result) or any
+exception other than a ``ChowmatError`` raised while computing, so a crash
+never reads as a verdict, and its document also carries the traceback.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import _linalg, bergman, hodge, quotients
 from .chow import ring_for
-from .errors import ChowmatError, NotAFlat, ParseError
+from .errors import ChowmatError, InvariantViolation, NotAFlat, ParseError
 from .matroid import Matroid, bits, graphic, mask_of, matroid_from_bases, uniform
 
 DEFAULT_MAX_GROUND = 12
@@ -115,13 +116,13 @@ def _run(command: str, spec_file: str, max_ground: int | None, pretty: bool, wor
         sys.exit(2)
     try:
         payload, ok = worker(m)
-    except ChowmatError as exc:
-        click.echo(json.dumps({"error": type(exc).__name__, "message": str(exc)}), err=True)
-        sys.exit(2)
     except Exception as exc:
-        report = {"error": type(exc).__name__, "message": str(exc), "traceback": traceback.format_exception(exc)}
+        report = {"error": type(exc).__name__, "message": str(exc)}
+        internal = isinstance(exc, InvariantViolation) or not isinstance(exc, ChowmatError)
+        if internal:
+            report["traceback"] = traceback.format_exception(exc)
         click.echo(json.dumps(report), err=True)
-        sys.exit(3)
+        sys.exit(3 if internal else 2)
     doc = {"command": command, "matroid": matroid_summary(m), "result": payload}
     emit(doc, pretty)
     sys.exit(0 if ok else 1)

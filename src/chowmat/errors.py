@@ -75,3 +75,7 @@ class NonexactDivision(ChowmatError):
 
 class ParseError(ChowmatError):
     pass
+
+
+class InvariantViolation(ChowmatError):
+    """A result failed an internal consistency check: a defect, not bad input."""

@@ -32,6 +32,7 @@ from . import _linalg
 from .chow import ChowElement, ChowRing, convert_element, imatmul, ring_for
 from .errors import (
     EmptySetMember,
+    InvariantViolation,
     LoopyMatroid,
     NonexactDivision,
     NotAProperFlat,
@@ -350,12 +351,12 @@ def hr_form(m: Matroid, ell: ChowElement, i: int) -> SymmetricFormReport:
                 cur -= 1
         rows.append(w[0])
     q_int = imatmul(np.stack(rows, axis=0), cols)
+    if not (q_int == q_int.T).all():
+        raise InvariantViolation("Q must be symmetric")
     denom = Fraction(scale) ** (d - 2 * i)
     matrix = [[Fraction(int(v)) / denom for v in row] for row in q_int]
-    for r in range(len(basis)):
-        for c in range(r):
-            assert matrix[r][c] == matrix[c][r], "Q must be symmetric"
-    return SymmetricFormReport(list(basis), matrix, _linalg.signature(matrix))
+    # Q = q_int / scale^(d-2i) with a positive scale: the same inertia.
+    return SymmetricFormReport(list(basis), matrix, _linalg.signature(q_int))
 
 
 @dataclass
@@ -941,7 +942,7 @@ def _hessian_signature_ok(current: Matroid, memo: dict[bytes, tuple[int, int, in
     key = hess.tobytes()
     sig = memo.get(key)
     if sig is None:
-        sig = _linalg.signature([[Fraction(int(v)) for v in row] for row in hess])
+        sig = _linalg.signature(hess)
         memo[key] = sig
     return sig == (1, size - 1, 0)
 

@@ -1,11 +1,14 @@
 """Bergman classes, balancing, cap products, Minkowski-weight spaces."""
 
+import random
+
 import numpy as np
 import pytest
 
-from chowmat import bergman_class, cap_with_h, check_balanced, degree_of_point, uniform
+from chowmat import bergman_class, cap_with_h, check_balanced, degree_of_point, graphic, uniform
 from chowmat._linalg import rank_int
 from chowmat.bergman import (
+    ChainCone,
     MinkowskiWeight,
     bergman_weight_space_dimension,
     cap_weight_with_monomial,
@@ -15,6 +18,7 @@ from chowmat.errors import LoopyMatroid, NotAFlat, WrongDimension
 from chowmat.matroid import mask_of
 from chowmat.quotients import apply_exponent_chain, nested_exponent_chains, principal_truncation
 
+import _fraction_oracle as oracle
 from conftest import k4, small_corpus
 
 
@@ -81,6 +85,33 @@ def test_balancing_detects_dropped_cone():
     first = sorted(broken)[0]
     del broken[first]
     assert not check_balanced(MinkowskiWeight(4, 2, broken))
+
+
+def _perturbations(w: MinkowskiWeight, cone: ChainCone) -> list[MinkowskiWeight]:
+    """w with the sign at ``cone`` flipped, with ``cone`` dropped, and with +-1 there."""
+    out = []
+    for change in (lambda v: -v, lambda v: 0, lambda v: v + 1, lambda v: v - 1):
+        weights = dict(w.weights)
+        weights[cone] = change(weights[cone])
+        out.append(MinkowskiWeight(w.n_elements, w.dim, weights))
+    return out
+
+
+def test_balancing_matches_span_membership_oracle():
+    """Block constancy agrees with the Fraction span-membership test."""
+    k6_minus_triangle = graphic(
+        6, [(a, b) for a in range(6) for b in range(a + 1, 6) if not {a, b} <= {0, 1, 2}]
+    )
+    cases = [(name, m) for name, m in small_corpus(6) if m.is_loopless()]
+    cases.append(("K6 minus a triangle", k6_minus_triangle))
+    rng = random.Random(7)
+    for name, m in cases:
+        w = bergman_class(m)
+        assert check_balanced(w) and oracle.check_balanced(w), name
+        if w.dim == 0:
+            continue
+        for perturbed in _perturbations(w, rng.choice(sorted(w.weights))):
+            assert check_balanced(perturbed) == oracle.check_balanced(perturbed), name
 
 
 def test_cap_with_h_top():

@@ -8,7 +8,8 @@ import sys
 import pytest
 from click.testing import CliRunner
 
-from chowmat import cli
+import chowmat
+from chowmat import chow, cli
 
 
 @pytest.fixture()
@@ -229,6 +230,57 @@ def test_internal_error_exits_3(runner, u34_spec, monkeypatch):
     err = json.loads(result.stderr)
     assert (err["error"], err["message"]) == ("RuntimeError", "boom")
     assert "crash" in "".join(err["traceback"])
+
+
+def drop_top_nested(enumerate_nested):
+    """Break the nested basis in its top degree, which the ring's degree
+    normalization check must catch."""
+
+    def broken(self):
+        levels = enumerate_nested(self)
+        levels[-1] = []
+        return levels
+
+    return broken
+
+
+def test_invariant_violation_exits_3(runner, u34_spec, monkeypatch):
+    broken = drop_top_nested(chow.ChowRing._enumerate_nested)
+    monkeypatch.setattr(chow.ChowRing, "_enumerate_nested", broken)
+    chow.ring_for.cache_clear()
+    try:
+        result = runner.invoke(cli.main, ["info", u34_spec])
+    finally:
+        chow.ring_for.cache_clear()
+    assert result.exit_code == 3
+    assert result.stdout == ""
+    err = json.loads(result.stderr)
+    assert (err["error"], err["message"]) == (
+        "InvariantViolation",
+        "top nested basis is not the power of z_E",
+    )
+    assert "_check_degree_normalization" in "".join(err["traceback"])
+
+
+def test_invariant_check_survives_python_O(u34_spec):
+    """Invariant checks raise, so ``python -O``, which strips asserts, keeps them."""
+    code = (
+        "import sys\n"
+        "if not sys.flags.optimize:\n"
+        "    sys.exit(99)\n"
+        "from chowmat import chow, cli\n"
+        f"sys.path.insert(0, {os.path.dirname(__file__)!r})\n"
+        "from test_cli import drop_top_nested\n"
+        "chow.ChowRing._enumerate_nested = drop_top_nested(chow.ChowRing._enumerate_nested)\n"
+        "cli.main(sys.argv[1:])\n"
+    )
+    src = os.path.dirname(os.path.dirname(chowmat.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code, "info", u34_spec], capture_output=True, env=env, timeout=120
+    )
+    assert proc.returncode == 3, proc.stderr.decode()
+    assert json.loads(proc.stderr)["error"] == "InvariantViolation"
 
 
 def test_verify_seed_changes_nothing_on_valid_input(runner, u33_spec):

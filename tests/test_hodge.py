@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from chowmat import ChowElement, sample_ample, uniform
-from chowmat._linalg import rank_exact_fraction, signature
+from chowmat._linalg import signature
 from chowmat.chow import normal_form, ring_for
 from chowmat.errors import (
     EmptySetMember,
@@ -38,6 +38,7 @@ from chowmat.hodge import (
     volume_polynomial,
 )
 
+from _fraction_oracle import rank_exact_fraction
 from conftest import fano, k4, random_truncation_corpus, small_corpus
 
 U33 = uniform(3, 3)
