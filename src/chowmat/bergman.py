@@ -78,17 +78,17 @@ def bergman_class(m: Matroid) -> MinkowskiWeight:
     if not m.is_loopless():
         raise LoopyMatroid("Bergman classes exist for loopless matroids only")
     d = m.rank_full - 1
-    lattice = m.lattice()
-    proper = [f for f in lattice.flats if f != 0 and f != m.full_mask]
+    covers = m.lattice().covers
     chains: list[ChainCone] = []
 
+    # d strictly increasing proper flats have ranks 1, ..., d, so each one
+    # covers the one before it.
     def grow(prefix: tuple[int, ...], last: int) -> None:
         if len(prefix) == d:
             chains.append(prefix)
             return
-        for f in proper:
-            if f != last and last & ~f == 0:
-                grow(prefix + (f,), f)
+        for f in covers[last]:
+            grow(prefix + (f,), f)
 
     grow((), 0)
     return MinkowskiWeight(m.n_elements, d, {c: 1 for c in chains})
