@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chowmat import _linalg
 from chowmat._linalg import (
     is_full_rank,
     nullity_int,
@@ -155,8 +156,6 @@ def test_rank_and_nullity_match_oracle(a):
 
 def test_rank_invariant_violation_is_typed(monkeypatch):
     """A modular rank above the exact one is a defect and raises a ChowmatError."""
-    from chowmat import _linalg
-
     monkeypatch.setattr(_linalg, "rank_mod_p", lambda matrix, p=_linalg._P: 2)
     with pytest.raises(InvariantViolation):
         rank_int(np.array([[1, 2, 3], [2, 4, 6], [0, 0, 0]], dtype=np.int64))
