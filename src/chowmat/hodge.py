@@ -16,6 +16,15 @@ prefix dies in all three routes at once, every extension dies in all three
 for route-internal reasons (a failing subfamily stays failing, loops persist
 under further intersections, and zero stays zero under multiplication), so
 dead subtrees are counted instead of walked.
+
+The support S of the volume polynomial - every DHR multiset - comes from one
+level-batched enumerator, :func:`dhr_levels`: lexicographically sorted uint16
+rows of flat indices, with the link table N(T) = {j : T + e_j in S} of the
+(d-1)-multisets T.  :func:`volume_polynomial`, :func:`mconvex_support` and
+:func:`lorentzian_check` read everything off these arrays (Brändén-Huh,
+arXiv 1902.03719): the M-convex exchange check runs once per T, and every
+Hessian of a derivative quadratic is a gather of link rows, so no truncated
+matroid is built outside the cross-check.
 """
 
 from __future__ import annotations
@@ -32,6 +41,7 @@ from . import _linalg
 from .chow import ChowElement, ChowRing, convert_element, imatmul, ring_for
 from .errors import (
     EmptySetMember,
+    InvalidRank,
     InvariantViolation,
     LoopyMatroid,
     NonexactDivision,
@@ -81,6 +91,107 @@ def chain_terminates_loopless(m: Matroid, multiset: list[int]) -> bool:
     return list(current.bases) == singles
 
 
+# -- the DHR support --------------------------------------------------------------
+
+#: Rows (or sampled pairs) per block in the support layer, which bounds its temporaries.
+_BLOCK = 2048
+
+
+def _flats_rank2(m: Matroid) -> list[int]:
+    return [f for f in m.lattice().flats if m.rank(f) >= 2]
+
+
+def dhr_levels(m: Matroid, size: int) -> tuple[list[np.ndarray], np.ndarray | None]:
+    """Every DHR multiset of rank >= 2 flats with at most ``size`` members.
+
+    Returns ``(levels, link)``.  ``levels[k]`` is the lexicographically sorted
+    ``(N_k, k)`` uint16 array of the k-multisets, one nondecreasing row of
+    indices into :func:`_flats_rank2` each.  ``link`` is the boolean
+    ``(N_{size-1}, nvars)`` table N(T) = {j : T + e_j is DHR} over the rows T
+    of ``levels[size - 1]`` (None when ``size`` is 0).
+
+    Each row T carries the unions U_J of its 2^k subfamilies as uint16 masks.
+    As T is DHR, T + e_v fails only on a subfamily J + v with
+    rk(U_J | F_v) = rk(U_J) = |J| + 1: J is tight and F_v lies in cl(U_J).
+    So N(T) is every v outside the union, over the tight J, of the flats
+    below cl(U_J), gathered as bit rows in blocks of rows.  Level k + 1
+    prepends each v to the rows of its link column whose first index is
+    >= v, a suffix of the sorted rows, so the children come out sorted.  The
+    top level keeps no union table.
+    """
+    n = m.n_elements
+    flats = np.array(_flats_rank2(m), dtype=np.uint16)
+    nvars = len(flats)
+    rank = m.rank_table()
+    everything = np.arange(1 << n, dtype=np.uint16)
+    closure = everything.copy()
+    for e in range(n):
+        closure[rank[everything | (1 << e)] == rank] |= 1 << e
+    # Bit rows of the flats below each flat of the lattice; row 0 for "not tight".
+    lattice = np.array(m.lattice().flats, dtype=np.uint16)
+    position = np.zeros(1 << n, dtype=np.intp)
+    position[lattice] = np.arange(1, len(lattice) + 1)
+    below = np.packbits((flats & ~lattice[:, None]) == 0, axis=1)
+    below = np.concatenate([np.zeros((1, below.shape[1]), dtype=np.uint8), below])
+    rows = np.zeros((1, 0), dtype=np.uint16)
+    unions = np.zeros((1, 1), dtype=np.uint16)
+    levels = [rows]
+    for k in range(size):
+        tight_rank = np.array([popcount(s) + 1 for s in range(1 << k)], dtype=np.int8)
+        link = np.empty((len(rows), nvars), dtype=bool)
+        for lo in range(0, len(rows), _BLOCK):
+            un = unions[lo : lo + _BLOCK]
+            hits = np.where(rank[un] == tight_rank, position[closure[un]], 0)
+            dead = np.bitwise_or.reduce(below[hits], axis=1)
+            link[lo : lo + _BLOCK] = np.unpackbits(dead, axis=1, count=nvars) == 0
+        starts = np.searchsorted(rows[:, 0], np.arange(nvars)) if k else np.zeros(nvars, dtype=int)
+        ends = np.cumsum([np.count_nonzero(link[starts[v] :, v]) for v in range(nvars)], dtype=int)
+        children = np.empty((ends[-1] if nvars else 0, k + 1), dtype=np.uint16)
+        more = k + 1 < size
+        if more:
+            child_unions = np.empty((len(children), 2 << k), dtype=np.uint16)
+        for v, end in enumerate(ends):
+            x = np.flatnonzero(link[starts[v] :, v]) + starts[v]
+            block = slice(end - len(x), end)
+            children[block, 0] = v
+            children[block, 1:] = rows[x]
+            if more:
+                child_unions[block, : 1 << k] = unions[x]
+                child_unions[block, 1 << k :] = unions[x] | flats[v]
+        rows = children
+        levels.append(rows)
+        if more:
+            unions = child_unions
+    return levels, (link if size else None)
+
+
+def _keys(rows: np.ndarray) -> np.ndarray:
+    """One sortable key per index row: the row as big-endian uint16 bytes in a
+    fixed-width byte string, so byte order is row order and no width overflows."""
+    if rows.shape[1] == 0:
+        return np.zeros(len(rows), dtype="S1")
+    return np.ascontiguousarray(rows, dtype=">u2").view(f"S{2 * rows.shape[1]}").ravel()
+
+
+def _index(keys: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Positions of ``rows`` among the sorted ``keys``; every row must be there."""
+    queries = _keys(rows)
+    pos = np.searchsorted(keys, queries)
+    found = pos < len(keys)
+    found[found] = keys[pos[found]] == queries[found]
+    if not found.all():
+        raise InvariantViolation("a sub-multiset of the support is missing from the level below it")
+    return pos
+
+
+def _copy_index(rows: np.ndarray) -> np.ndarray:
+    """For each entry of the nondecreasing rows, how many equal entries precede it."""
+    occ = np.zeros(rows.shape, dtype=np.intp)
+    for p in range(1, rows.shape[1]):
+        occ[:, p] = np.where(rows[:, p] == rows[:, p - 1], occ[:, p - 1] + 1, 0)
+    return occ
+
+
 # -- volume polynomial ----------------------------------------------------------
 
 
@@ -106,117 +217,51 @@ class VolumePolynomial:
         ]
 
 
-def _multinomial_of_counts(counts: list[int]) -> int:
-    total = sum(counts)
-    result = 1
-    for c in counts:
-        result *= math.comb(total, c)
-        total -= c
-    return result
-
-
 def volume_polynomial(m: Matroid) -> VolumePolynomial:
-    """Enumerate the DHR multisets of rank >= 2 flats with multinomial weights."""
+    """The DHR multisets of rank >= 2 flats with multinomial weights d! / prod c_F!."""
     if not m.is_loopless():
         raise LoopyMatroid("volume polynomials are defined for loopless matroids")
     d = m.rank_full - 1
-    flats = [f for f in m.lattice().flats if m.rank(f) >= 2]
-    terms: dict[tuple[int, ...], int] = {}
-
-    def extend(prefix: tuple[int, ...], start: int, unions: list[tuple[int, int]]) -> None:
-        if len(prefix) == d:
-            counts: dict[int, int] = {}
-            for f in prefix:
-                counts[f] = counts.get(f, 0) + 1
-            terms[tuple(sorted(prefix))] = _multinomial_of_counts(list(counts.values()))
-            return
-        for idx in range(start, len(flats)):
-            f = flats[idx]
-            new_unions = []
-            ok = True
-            for size, u in unions:
-                nu = u | f
-                if m.rank(nu) < size + 2:
-                    ok = False
-                    break
-                new_unions.append((size + 1, nu))
-            if ok:
-                extend(prefix + (f,), idx, unions + new_unions)
-
-    extend((), 0, [(0, 0)])
+    support = dhr_levels(m, d)[0][d]
+    # prod c_F! is the product over the entries of (number of equal entries before it + 1).
+    coeffs = math.factorial(d) // (_copy_index(support) + 1).prod(axis=1)
+    flats = _flats_rank2(m)
+    order = np.argsort(flats)
+    place = np.empty_like(order)
+    place[order] = np.arange(len(flats))
+    by_mask = np.array(flats, dtype=object)[order]
+    # Keys hold the flats' own int objects in mask order, built a block at a time.
+    terms = {}
+    for lo in range(0, len(support), _BLOCK):
+        keys = by_mask[np.sort(place[support[lo : lo + _BLOCK]], axis=1)]
+        terms.update(zip(map(tuple, keys.tolist()), coeffs[lo : lo + _BLOCK].tolist()))
     return VolumePolynomial(m, d, terms)
 
 
 def mconvex_support(v: VolumePolynomial) -> bool:
-    """Pairwise exchange over the exponent vectors of the support.
+    """M-convexity of the exponent vectors of any term dict.
 
-    Exhaustive for supports up to :data:`MCONVEX_EXHAUSTIVE_CAP` points; a
-    seeded pair sample beyond that (the pairwise scan is quadratic).
+    The exchange check of :func:`lorentzian_check`, with the link table read
+    off the terms themselves: exhaustive up to :data:`MCONVEX_EXHAUSTIVE_CAP`
+    points, a seeded pair sample beyond that.
     """
-    flats = [f for f in v.matroid.lattice().flats if v.matroid.rank(f) >= 2]
-    index = {f: i for i, f in enumerate(flats)}
-    vecs = np.zeros((len(v.terms), len(flats)), dtype=np.int16)
-    for row, mono in enumerate(sorted(v.terms)):
-        for f in mono:
-            vecs[row, index[f]] += 1
-    if len(vecs) <= MCONVEX_EXHAUSTIVE_CAP:
-        return _mconvex_exhaustive(vecs)
-    return _mconvex_sampled(vecs, MCONVEX_SAMPLED_PAIRS, 0)
-
-
-def _mconvex_exhaustive(vecs: np.ndarray) -> bool:
-    """Exchange for every ordered support pair, vectorized over the second point."""
-    if len(vecs) == 0:
+    index = {f: i for i, f in enumerate(_flats_rank2(v.matroid))}
+    rows = sorted(sorted(index[f] for f in mono) for mono in v.terms)
+    if v.degree == 0:
         return True
-    n_points, nvars = vecs.shape
-    key_set = {row.tobytes() for row in vecs}
-    pow2 = 1 << np.arange(nvars, dtype=np.int64)
-    for a in range(n_points):
-        alpha = vecs[a]
-        excess = (vecs > alpha) @ pow2
-        for i in np.nonzero(alpha)[0]:
-            moved = alpha.copy()
-            moved[i] -= 1
-            w = 0
-            for j in range(nvars):
-                if j == i:
-                    continue
-                moved[j] += 1
-                if moved.tobytes() in key_set:
-                    w |= 1 << j
-                moved[j] -= 1
-            violations = (vecs[:, int(i)] < alpha[i]) & ((excess & w) == 0)
-            if violations.any():
-                return False
-    return True
+    support = np.array(rows, dtype=np.uint16).reshape(len(rows), v.degree)
+    return _mconvex(support, *_support_link(support, len(index)), 0)[0]
 
 
-def _mconvex_sampled(vecs: np.ndarray, pairs: int, seed: int) -> bool:
-    """Exchange on a seeded sample of ordered support pairs."""
-    if len(vecs) == 0:
-        return True
-    n_points, nvars = vecs.shape
-    key_set = {row.tobytes() for row in vecs}
-    rng = random.Random(seed)
-    for _ in range(pairs):
-        alpha = vecs[rng.randrange(n_points)]
-        beta = vecs[rng.randrange(n_points)]
-        for i in range(nvars):
-            if alpha[i] > beta[i]:
-                moved = alpha.copy()
-                moved[i] -= 1
-                found = False
-                for j in range(nvars):
-                    if alpha[j] < beta[j]:
-                        moved[j] += 1
-                        if moved.tobytes() in key_set:
-                            found = True
-                        moved[j] -= 1
-                        if found:
-                            break
-                if not found:
-                    return False
-    return True
+def _support_link(support: np.ndarray, nvars: int) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted (d-1)-multisets T below a sorted support and their link table."""
+    drops = [np.delete(support, p, axis=1) for p in range(support.shape[1])]
+    tees = np.unique(np.concatenate(drops), axis=0)
+    keys = _keys(tees)
+    link = np.zeros((len(tees), nvars), dtype=bool)
+    for p, drop in enumerate(drops):
+        link[_index(keys, drop), support[:, p]] = True
+    return tees, link
 
 
 def ultra_log_concave(seq: list[int]) -> bool:
@@ -535,10 +580,6 @@ def dhr_triple_report(m: Matroid, spot_checks: int = 50, seed: int = 0) -> Tripl
     return report
 
 
-def _flats_rank2(m: Matroid) -> list[int]:
-    return [f for f in m.lattice().flats if m.rank(f) >= 2]
-
-
 def _triple_scan_plain(m: Matroid) -> TripleScanReport:
     ring = ring_for(m)
     d = ring.d
@@ -698,7 +739,8 @@ def _spot_check_dead(m: Matroid, count: int, seed: int) -> int:
             continue
         nf = ring.h_monomial_degree(multiset)
         chain = chain_terminates_loopless(m, multiset)
-        assert nf == 0 and not chain, f"dead multiset {multiset} disagrees"
+        if nf != 0 or chain:
+            raise InvariantViolation(f"dead multiset {multiset} disagrees")
         checked += 1
     return checked
 
@@ -721,201 +763,161 @@ class LorentzianReport:
         return self.mconvex and self.signatures_ok
 
 
-#: Supports larger than this get the seeded sampled exchange check; the
-#: exhaustive pairwise scan is quadratic in the support size.
+#: Supports larger than this get the seeded sampled exchange check.
 MCONVEX_EXHAUSTIVE_CAP = 17_000
 MCONVEX_SAMPLED_PAIRS = 20_000
 
 
 def lorentzian_check(m: Matroid, seed: int = 0, crosscheck: bool | None = None) -> LorentzianReport:
-    """Verify the two Lorentzian conditions for the volume polynomial.
+    """Verify the Brändén-Huh conditions for the volume polynomial.
 
-    (a) The support (all DHR multisets of rank >= 2 flats) is M-convex;
-    exhaustively pairwise up to :data:`MCONVEX_EXHAUSTIVE_CAP` support points,
-    by a seeded pair sample beyond that.
+    Everything is read off the sorted DHR support S of :func:`dhr_levels` and
+    its link table N(T) = {j : T + e_j in S} over the (d-1)-multisets T.
 
-    (b) For every (d-2)-multiset with nonvanishing derivative, the derivative
-    quadratic computed on the truncated matroid (a loopless rank-3 matroid)
-    has Hessian of exact signature (1, m-1, 0) where m = dim A^1 of the
-    truncation.
+    (a) S is M-convex: for all alpha, beta in S and i with alpha_i > beta_i
+    some j with alpha_j < beta_j has alpha - e_i + e_j in S.  With
+    T = alpha - e_i the candidates are T + e_j, and i is in N(T) because
+    T + e_i = alpha.  So (alpha, beta, i) violates exchange iff
+    beta_j <= T_j for every j in N(T) (for j = i that is alpha_i > beta_i),
+    and conversely any T and beta with beta <= T on a nonempty N(T) give a
+    violation through any i in N(T).  The check therefore runs once per T:
+    no beta may stay below T on all of N(T).  It is exhaustive up to
+    :data:`MCONVEX_EXHAUSTIVE_CAP` support points, and beyond that runs on a
+    seeded sample of :data:`MCONVEX_SAMPLED_PAIRS` pairs.
 
-    With ``crosscheck`` (default: on for |E| <= 5), Hessian entries are also
-    recomputed by symbolic differentiation of the volume polynomial and
-    compared entry by entry against the truncated-matroid route.
+    (b) For every DHR (d-2)-multiset P, the Hessian 2 [P + e_a + e_b in S]
+    of the derivative quadratic has one positive eigenvalue.  It is the
+    Hessian of the rank-3 truncation M_P (:func:`truncation_hessian`) pulled
+    back along F -> cl_{M_P}(F): a flat that drops below rank 2 gives a zero
+    row, and flats with one closure give equal rows.  Every generator of M_P
+    is a flat of M, the largest of its class, so each appears.  Row a is
+    nonzero iff P + e_a is DHR (then so is P + e_a + e_E), and then it is the
+    link row of P + e_a; the gather over those a skips exactly the zero rows.
+    Deleting a zero row and column, or subtracting a duplicate row and column
+    from its twin and deleting it, is a congruence that keeps both
+    eigenvalue counts.  So the block of distinct link rows has the positive
+    and negative counts of the truncation's Hessian, and it must have
+    signature (1, m - 1, 0), m its size, as the truncation's must.
+    Signatures are memoized on the bytes of the block.
+
+    With ``crosscheck`` (default: on for |E| <= 5) every gathered Hessian is
+    compared entry by entry with :func:`truncation_hessian` of the truncated
+    matroid.
     """
     if not m.is_loopless():
         raise LoopyMatroid("Lorentzian verification needs a loopless matroid")
     d = m.rank_full - 1
-    flats = _flats_rank2(m)
-    nvars = len(flats)
-    packed = _support_packed_sorted(m, d)
-    n_support = len(packed)
-    if n_support <= MCONVEX_EXHAUSTIVE_CAP:
-        mode = "exhaustive"
-        mconvex = _mconvex_exhaustive(_unpack_matrix(packed, d, nvars))
+    levels, link = dhr_levels(m, d)
+    support = levels[d]
+    if d == 0:
+        mconvex, mode = True, "exhaustive"
     else:
-        mode = "sampled"
-        mconvex = _mconvex_sampled_packed(packed, d, nvars, MCONVEX_SAMPLED_PAIRS, seed)
+        mconvex, mode = _mconvex(support, levels[d - 1], link, seed)
     hessians = 0
     signatures_ok = True
     crosschecked = 0
     if d >= 2:
         do_cross = crosscheck if crosscheck is not None else m.n_elements <= 5
-        support_set = {int(x) for x in packed} if do_cross else None
-        signature_memo: dict[bytes, tuple[int, int, int]] = {}
-        for packed_parent in _support_packed_sorted(m, d - 2):
-            parent = _unpack(int(packed_parent), d - 2)
-            current = m
-            for i in parent:
-                assert current.rank(flats[i]) >= 2, "live multisets must stay truncatable"
-                current = truncate_by_subset(current, flats[i])
+        memo: dict[bytes, tuple[int, int, int]] = {}
+        for q, a, t, keep in _parent_blocks(levels[d - 2], levels[d - 1], link):
             hessians += 1
-            if not _hessian_signature_ok(current, signature_memo):
+            block = link[np.ix_(t[keep], a[keep])]
+            key = block.tobytes()
+            sig = memo.get(key)
+            if sig is None:
+                sig = memo[key] = _linalg.signature(block.astype(np.int8))
+            if sig != (1, len(block) - 1, 0):
                 signatures_ok = False
                 break
             if do_cross:
-                crosschecked += _crosscheck_hessian(
-                    flats, parent, current, support_set, d
-                )
+                crosschecked += _crosscheck_hessian(m, levels[d - 2][q], a, link[np.ix_(t, a)])
     return LorentzianReport(
-        m, mconvex, mode, n_support, hessians, signatures_ok, crosschecked
+        m, mconvex, mode, len(support), hessians, signatures_ok, crosschecked
     )
 
 
-# Multisets of flat indices pack into an int, 6 bits per index, ascending.
-_PACK_BITS = 6
+def _mconvex(support: np.ndarray, tees: np.ndarray, link: np.ndarray, seed: int) -> tuple[bool, str]:
+    """The exchange check and its mode, for a sorted support with its link table."""
+    if len(support) <= MCONVEX_EXHAUSTIVE_CAP:
+        return _exchange_exhaustive(support, tees, link), "exhaustive"
+    return _exchange_sampled(support, tees, link, MCONVEX_SAMPLED_PAIRS, seed), "sampled"
 
 
-def _pack(indices: tuple[int, ...]) -> int:
-    out = 0
-    for pos, idx in enumerate(sorted(indices)):
-        out |= idx << (_PACK_BITS * pos)
-    return out
+def _exchange_exhaustive(support: np.ndarray, tees: np.ndarray, link: np.ndarray) -> bool:
+    """No beta in S with beta_j <= T_j on all of N(T), for any T.
 
-
-def _unpack(packed: int, size: int) -> tuple[int, ...]:
-    return tuple((packed >> (_PACK_BITS * pos)) & 0x3F for pos in range(size))
-
-
-def _unpack_matrix(packed: np.ndarray, size: int, nvars: int) -> np.ndarray:
-    vecs = np.zeros((len(packed), nvars), dtype=np.int16)
-    for row, value in enumerate(packed):
-        for i in _unpack(int(value), size):
-            vecs[row, i] += 1
-    return vecs
-
-
-def _support_packed_sorted(m: Matroid, size: int) -> np.ndarray:
-    """All DHR multisets of rank >= 2 flats, packed and sorted."""
-    if m.n_elements <= 6:
-        leaves = _support_packed_batched(m, size)
-    else:
-        leaves = np.array(
-            [_pack(t) for t in _live_index_multisets(m, size)], dtype=np.uint64
-        )
-    leaves.sort()
-    return leaves
-
-
-def _live_index_multisets(m: Matroid, size: int) -> list[tuple[int, ...]]:
-    flats = _flats_rank2(m)
-    out: list[tuple[int, ...]] = []
-
-    def extend(prefix: tuple[int, ...], start: int, unions: list[tuple[int, int]]) -> None:
-        if len(prefix) == size:
-            out.append(prefix)
-            return
-        for idx in range(start, len(flats)):
-            f = flats[idx]
-            new_unions = []
-            ok = True
-            for sz, u in unions:
-                nu = u | f
-                if m.rank(nu) < sz + 2:
-                    ok = False
-                    break
-                new_unions.append((sz + 1, nu))
-            if ok:
-                extend(prefix + (idx,), idx, unions + new_unions)
-
-    extend((), 0, [(0, 0)])
-    return out
-
-
-def _support_packed_batched(m: Matroid, size: int) -> np.ndarray:
-    """Level-batched DHR walk carrying only union tables and packed keys."""
-    flats = _flats_rank2(m)
-    nvars = len(flats)
-    if size == 0:
-        return np.zeros(1, dtype=np.uint64)
-    rank_table = m.rank_table().astype(np.uint8)
-    flat_arr = [np.uint8(f) for f in flats]
-    last = np.zeros(1, dtype=np.int16)
-    unions = np.zeros((1, 1), dtype=np.uint8)
-    keys = np.zeros(1, dtype=np.uint64)
-    for depth in range(size):
-        nmask = 1 << depth
-        sizes = np.array([popcount(mask) + 2 for mask in range(nmask)], dtype=np.uint8)
-        pieces_last, pieces_un, pieces_keys = [], [], []
-        ends = np.searchsorted(last, np.arange(nvars), side="right")
-        for v in range(nvars):
-            end = ends[v]
-            if end == 0:
-                continue
-            new_un = unions[:end] | flat_arr[v]
-            live = (rank_table[new_un] >= sizes).all(axis=1)
-            if not live.any():
-                continue
-            new_keys = keys[:end][live] | np.uint64(v << (_PACK_BITS * depth))
-            if depth + 1 == size:
-                pieces_keys.append(new_keys)
-            else:
-                pieces_last.append(np.full(int(live.sum()), v, dtype=np.int16))
-                pieces_un.append(
-                    np.concatenate([unions[:end][live], new_un[live]], axis=1)
-                )
-                pieces_keys.append(new_keys)
-        if depth + 1 == size:
-            return (
-                np.concatenate(pieces_keys) if pieces_keys else np.zeros(0, dtype=np.uint64)
-            )
-        if not pieces_keys:
-            return np.zeros(0, dtype=np.uint64)
-        last = np.concatenate(pieces_last)
-        unions = np.concatenate(pieces_un)
-        keys = np.concatenate(pieces_keys)
-    return keys
-
-
-def _mconvex_sampled_packed(
-    packed: np.ndarray, size: int, nvars: int, pairs: int, seed: int
-) -> bool:
-    """Seeded sampled exchange over a packed, sorted support."""
-    rng = random.Random(seed)
-    n_points = len(packed)
-    for _ in range(pairs):
-        alpha = _unpack(int(packed[rng.randrange(n_points)]), size)
-        beta = _unpack(int(packed[rng.randrange(n_points)]), size)
-        counts_a: dict[int, int] = {}
-        counts_b: dict[int, int] = {}
-        for i in alpha:
-            counts_a[i] = counts_a.get(i, 0) + 1
-        for i in beta:
-            counts_b[i] = counts_b.get(i, 0) + 1
-        for i in counts_a:
-            if counts_a[i] > counts_b.get(i, 0):
-                targets = [j for j in counts_b if counts_b[j] > counts_a.get(j, 0)]
-                remaining = list(alpha)
-                remaining.remove(i)
-                candidates = np.array(
-                    sorted(_pack(tuple(remaining) + (j,)) for j in targets),
-                    dtype=np.uint64,
-                )
-                pos = np.searchsorted(packed, candidates)
-                hit = (pos < n_points) & (packed[np.minimum(pos, n_points - 1)] == candidates)
-                if not hit.any():
-                    return False
+    ``exceeds[(j, t)]`` is the bitset of the beta with beta_j > t; a T is
+    cleared when the union of ``exceeds[(j, T_j)]`` over j in N(T) is all of S.
+    """
+    n, d = support.shape
+    exceeds = np.zeros((link.shape[1] * d, n), dtype=bool)
+    for p, copies in enumerate(_copy_index(support).T):
+        exceeds[support[:, p].astype(np.intp) * d + copies, np.arange(n)] = True
+    exceeds = np.packbits(exceeds, axis=1)
+    everything = np.packbits(np.ones(n, dtype=bool))
+    t, j = np.nonzero(link)
+    rows = j * d + (tees[t] == j[:, None]).sum(axis=1)
+    starts = np.flatnonzero(np.diff(t, prepend=-1))
+    step = max(1, _BLOCK // link.shape[1])
+    for g in range(0, len(starts), step):
+        lo = starts[g]
+        hi = starts[g + step] if g + step < len(starts) else len(t)
+        covered = np.bitwise_or.reduceat(exceeds[rows[lo:hi]], starts[g : g + step] - lo, axis=0)
+        if (covered != everything).any():
+            return False
     return True
+
+
+def _exchange_sampled(
+    support: np.ndarray, tees: np.ndarray, link: np.ndarray, pairs: int, seed: int
+) -> bool:
+    """The exchange condition on a seeded sample of ordered support pairs.
+
+    For alpha_i > beta_i the exchange partners of (alpha, beta, i) are the j
+    in N(alpha - e_i) with beta_j > alpha_j.
+    """
+    n, d = support.shape
+    draw = np.random.default_rng(seed).integers(n, size=(pairs, 2))
+    keys = _keys(tees)
+    for lo in range(0, pairs, _BLOCK):
+        alpha, beta = support[draw[lo : lo + _BLOCK, 0]], support[draw[lo : lo + _BLOCK, 1]]
+        here = np.arange(len(alpha))
+        counts = np.zeros((2, len(alpha), link.shape[1]), dtype=np.int16)
+        for side, rows in enumerate((alpha, beta)):
+            for p in range(d):
+                counts[side, here, rows[:, p]] += 1
+        gain = counts[1] > counts[0]
+        for p in range(d):
+            i = alpha[:, p]
+            need = counts[0, here, i] > counts[1, here, i]
+            exchanged = (link[_index(keys, np.delete(alpha, p, axis=1))] & gain).any(axis=1)
+            if (need & ~exchanged).any():
+                return False
+    return True
+
+
+def _parent_blocks(parents: np.ndarray, tees: np.ndarray, link: np.ndarray):
+    """For each parent P (in order): its index q, the a with P + e_a a row of
+    ``tees`` (ascending), those rows t, and the mask ``keep`` of the first a
+    of each distinct link row."""
+    drops, a, t = [], [], []
+    k = tees.shape[1]
+    for p in range(k):
+        last = tees[:, p] != tees[:, p + 1] if p + 1 < k else np.ones(len(tees), dtype=bool)
+        drops.append(np.delete(tees[last], p, axis=1))
+        a.append(tees[last, p])
+        t.append(np.flatnonzero(last))
+    q = _index(_keys(parents), np.concatenate(drops))
+    a, t = np.concatenate(a), np.concatenate(t)
+    order = np.lexsort((a, q))
+    q, a, t = q[order], a[order], t[order]
+    row_id = np.unique(_keys(np.packbits(link, axis=1)), return_inverse=True)[1].ravel()
+    bounds = np.searchsorted(q, np.arange(len(parents) + 1))
+    for p in range(len(parents)):
+        span = slice(bounds[p], bounds[p + 1])
+        keep = np.zeros(span.stop - span.start, dtype=bool)
+        keep[np.unique(row_id[t[span]], return_index=True)[1]] = True
+        yield p, a[span], t[span], keep
 
 
 def truncation_hessian(current: Matroid) -> tuple[list[int], np.ndarray]:
@@ -924,7 +926,10 @@ def truncation_hessian(current: Matroid) -> tuple[list[int], np.ndarray]:
     Generators ordered rank-2 flats first, then the full ground set; the
     entry at (a, b) is twice the DHR pair indicator.
     """
-    assert current.rank_full == 3 and current.is_loopless()
+    if current.rank_full != 3:
+        raise InvalidRank(f"the truncation Hessian needs rank 3, got {current.rank_full}")
+    if not current.is_loopless():
+        raise LoopyMatroid("the truncation Hessian needs a loopless matroid")
     gens = [f for f in current.lattice().flats if current.rank(f) == 2]
     gens.append(current.full_mask)
     size = len(gens)
@@ -935,38 +940,24 @@ def truncation_hessian(current: Matroid) -> tuple[list[int], np.ndarray]:
     return gens, hess
 
 
-def _hessian_signature_ok(current: Matroid, memo: dict[bytes, tuple[int, int, int]]) -> bool:
-    """Signature (1, m-1, 0) for the rank-3 truncation's Hessian."""
-    _, hess = truncation_hessian(current)
-    size = hess.shape[0]
-    key = hess.tobytes()
-    sig = memo.get(key)
-    if sig is None:
-        sig = _linalg.signature(hess)
-        memo[key] = sig
-    return sig == (1, size - 1, 0)
-
-
-def _crosscheck_hessian(
-    flats: list[int],
-    parent: tuple[int, ...],
-    truncated: Matroid,
-    support_set: set[int],
-    d: int,
-) -> int:
-    """Symbolic-differentiation entries vs the truncated-matroid route."""
-    checked = 0
-    for a in range(len(flats)):
-        for b in range(a, len(flats)):
-            symbolic = 1 if _pack(parent + (a, b)) in support_set else 0
-            ca = truncated.closure(flats[a])
-            cb = truncated.closure(flats[b])
-            if truncated.rank(ca) < 2 or truncated.rank(cb) < 2:
-                via_truncation = 0
-            else:
-                via_truncation = dhr_degree(truncated, [ca, cb])
-            assert symbolic == via_truncation, (
-                f"Hessian entry mismatch at {parent} + ({a},{b})"
-            )
-            checked += 1
-    return checked
+def _crosscheck_hessian(m: Matroid, parent: np.ndarray, a: np.ndarray, gathered: np.ndarray) -> int:
+    """The gathered Hessian of ``parent`` against the truncated-matroid route."""
+    flats = _flats_rank2(m)
+    current = m
+    for i in parent.tolist():
+        if current.rank(flats[i]) < 2:
+            raise InvariantViolation(f"DHR multiset {parent.tolist()} is not truncatable")
+        current = truncate_by_subset(current, flats[i])
+    gens, hess = truncation_hessian(current)
+    where = {g: i for i, g in enumerate(gens)}
+    # Flats that drop below rank 2 have no generator: the extra zero row and column.
+    pos = [where.get(current.closure(f), len(gens)) for f in flats]
+    padded = np.zeros((len(gens) + 1, len(gens) + 1), dtype=np.int64)
+    padded[:-1, :-1] = hess
+    expected = padded[np.ix_(pos, pos)]
+    symbolic = np.zeros_like(expected)
+    symbolic[np.ix_(a, a)] = 2 * gathered
+    if not (symbolic == expected).all():
+        r, c = np.argwhere(symbolic != expected)[0]
+        raise InvariantViolation(f"Hessian entry mismatch at {parent.tolist()} + ({r},{c})")
+    return len(flats) * (len(flats) + 1) // 2

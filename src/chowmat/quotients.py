@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyFlat, GroundSetMismatch, InvalidRank, NotAFlat
+from .errors import EmptyFlat, GroundSetMismatch, InvalidRank, InvariantViolation, NotAFlat
 from .matroid import Matroid, bits, popcount, uniform
 
 
@@ -205,7 +205,7 @@ def enumerate_relative_nested(m: Matroid, corank: int) -> list[Matroid]:
         quotient = apply_exponent_chain(m, chain)
         key = quotient.bases
         if key in seen:
-            raise AssertionError(
+            raise InvariantViolation(
                 f"exponent chains {seen[key]} and {chain} produced the same quotient"
             )
         seen[key] = chain

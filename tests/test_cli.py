@@ -262,25 +262,42 @@ def test_invariant_violation_exits_3(runner, u34_spec, monkeypatch):
     assert "_check_degree_normalization" in "".join(err["traceback"])
 
 
+def zero_hessian(truncation_hessian):
+    """Break the truncated-matroid Hessian, which the Lorentzian cross-check
+    against the gathered Hessians must catch."""
+
+    def broken(current):
+        gens, hess = truncation_hessian(current)
+        return gens, 0 * hess
+
+    return broken
+
+
 def test_invariant_check_survives_python_O(u34_spec):
     """Invariant checks raise, so ``python -O``, which strips asserts, keeps them."""
-    code = (
-        "import sys\n"
-        "if not sys.flags.optimize:\n"
-        "    sys.exit(99)\n"
-        "from chowmat import chow, cli\n"
-        f"sys.path.insert(0, {os.path.dirname(__file__)!r})\n"
-        "from test_cli import drop_top_nested\n"
-        "chow.ChowRing._enumerate_nested = drop_top_nested(chow.ChowRing._enumerate_nested)\n"
-        "cli.main(sys.argv[1:])\n"
-    )
     src = os.path.dirname(os.path.dirname(chowmat.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", code, "info", u34_spec], capture_output=True, env=env, timeout=120
-    )
-    assert proc.returncode == 3, proc.stderr.decode()
-    assert json.loads(proc.stderr)["error"] == "InvariantViolation"
+    breakages = [
+        ("chow.ChowRing._enumerate_nested = drop_top_nested(chow.ChowRing._enumerate_nested)", ["info"]),
+        ("hodge.truncation_hessian = zero_hessian(hodge.truncation_hessian)", ["verify", "--suite", "lorentzian"]),
+    ]
+    for patch, argv in breakages:
+        code = (
+            "import sys\n"
+            "if not sys.flags.optimize:\n"
+            "    sys.exit(99)\n"
+            "from chowmat import chow, cli, hodge\n"
+            f"sys.path.insert(0, {os.path.dirname(__file__)!r})\n"
+            "from test_cli import drop_top_nested, zero_hessian\n"
+            f"{patch}\n"
+            "cli.main(sys.argv[1:])\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code, argv[0], u34_spec, *argv[1:]],
+            capture_output=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 3, proc.stderr.decode()
+        assert json.loads(proc.stderr)["error"] == "InvariantViolation"
 
 
 def test_verify_seed_changes_nothing_on_valid_input(runner, u33_spec):

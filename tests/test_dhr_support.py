@@ -1,0 +1,284 @@
+"""The sorted DHR support, its link table, the exchange check and the gathered
+Hessians, against brute-force definitions and the truncated-matroid route."""
+
+import itertools
+import json
+import random
+
+import numpy as np
+import pytest
+from click.testing import CliRunner
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from chowmat import cli, graphic, uniform
+from chowmat._linalg import signature
+from chowmat.errors import InvalidRank, LoopyMatroid
+from chowmat.hodge import (
+    MCONVEX_EXHAUSTIVE_CAP,
+    VolumePolynomial,
+    _exchange_sampled,
+    _mconvex,
+    _parent_blocks,
+    _support_link,
+    dhr_check,
+    dhr_levels,
+    lorentzian_check,
+    mconvex_support,
+    truncation_hessian,
+    volume_polynomial,
+)
+from chowmat.matroid import direct_sum
+from chowmat.quotients import principal_truncation, truncate_by_subset
+
+from _volume_oracle import dhr_multisets, volume_terms
+from conftest import small_corpus
+
+
+@st.composite
+def truncated_booleans(draw, largest=5):
+    """Iterated principal truncations of a Boolean matroid, as in the test corpus."""
+    n = draw(st.integers(3, largest))
+    m = uniform(n, n)
+    for _ in range(draw(st.integers(0, n - 2))):
+        flats = [f for f in m.lattice().flats if m.rank(f) >= 2]
+        m = principal_truncation(m, draw(st.sampled_from(flats)))
+    return m
+
+
+@st.composite
+def loopless_graphic(draw):
+    """Cycle matroids of multigraphs without self-loops, of rank >= 3."""
+    vertices = draw(st.integers(4, 5))
+    pairs = list(itertools.combinations(range(vertices), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), min_size=3, max_size=8))
+    m = graphic(vertices, edges)
+    assume(m.rank_full >= 3)
+    return m
+
+
+matroids = st.one_of(truncated_booleans(), loopless_graphic())
+
+
+def rank2_flats(m):
+    return [f for f in m.lattice().flats if m.rank(f) >= 2]
+
+
+# -- the enumerator -------------------------------------------------------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(matroids)
+def test_enumerator_matches_dhr_check(m):
+    d = m.rank_full - 1
+    flats = rank2_flats(m)
+    levels, link = dhr_levels(m, d)
+    for k, rows in enumerate(levels):
+        expected = [
+            combo
+            for combo in itertools.combinations_with_replacement(range(len(flats)), k)
+            if dhr_check(m, [flats[i] for i in combo])
+        ]
+        assert rows.dtype == np.uint16
+        assert [tuple(r) for r in rows.tolist()] == expected
+    assert link.shape == (len(levels[d - 1]), len(flats))
+    for tee, row in zip(levels[d - 1].tolist(), link):
+        assert [dhr_check(m, [flats[i] for i in tee + [j]]) for j in range(len(flats))] == row.tolist()
+
+
+def test_enumerator_matches_recursive_walk():
+    for name, m in small_corpus(6) + [("M(K5)", graphic(5, list(itertools.combinations(range(5), 2))))]:
+        if not m.is_loopless() or m.rank_full > 5:
+            continue
+        levels, _ = dhr_levels(m, m.rank_full - 1)
+        assert [tuple(r) for r in levels[-1].tolist()] == dhr_multisets(m, m.rank_full - 1), name
+
+
+# -- the volume polynomial --------------------------------------------------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(matroids)
+def test_volume_matches_recursive_walk(m):
+    vp = volume_polynomial(m)
+    expected = volume_terms(m)
+    assert vp.terms == expected
+    assert list(vp.terms) == list(expected)
+
+
+def test_volume_corpus_matches_recursive_walk():
+    for name, m in small_corpus(5):
+        if m.is_loopless():
+            assert volume_polynomial(m).terms == volume_terms(m), name
+
+
+# -- the exchange check ------------------------------------------------------------
+
+
+def brute_mconvex(points: set[tuple[int, ...]], nvars: int) -> bool:
+    """The pairwise exchange definition on count vectors."""
+    vectors = set()
+    for p in points:
+        v = [0] * nvars
+        for i in p:
+            v[i] += 1
+        vectors.add(tuple(v))
+    for a in vectors:
+        for b in vectors:
+            for i in range(nvars):
+                if a[i] > b[i] and not any(
+                    a[j] < b[j]
+                    and tuple(x - (k == i) + (k == j) for k, x in enumerate(a)) in vectors
+                    for j in range(nvars)
+                ):
+                    return False
+    return True
+
+
+def as_support(points) -> np.ndarray:
+    rows = sorted(sorted(p) for p in points)
+    return np.array(rows, dtype=np.uint16).reshape(len(rows), len(rows[0]))
+
+
+@st.composite
+def point_sets(draw):
+    """Sets of d-multisets over a few variables: boxes (M-convex), boxes with a
+    point removed, and arbitrary subsets, so both outcomes are common."""
+    nvars = draw(st.integers(1, 4))
+    d = draw(st.integers(1, 3))
+    every = list(itertools.combinations_with_replacement(range(nvars), d))
+    kind = draw(st.sampled_from(["box", "box minus a point", "subset"]))
+    if kind == "subset":
+        return draw(st.sets(st.sampled_from(every), min_size=1)), nvars
+    upper = draw(st.lists(st.integers(0, d), min_size=nvars, max_size=nvars))
+    box = {p for p in every if all(p.count(i) <= upper[i] for i in range(nvars))}
+    assume(box)
+    if kind == "box minus a point" and len(box) > 1:
+        box.discard(draw(st.sampled_from(sorted(box))))
+    return box, nvars
+
+
+@settings(max_examples=200, deadline=None)
+@given(point_sets())
+def test_exchange_check_matches_pairwise_definition(case):
+    points, nvars = case
+    support = as_support(points)
+    tees, link = _support_link(support, nvars)
+    expected = brute_mconvex(points, nvars)
+    assert _mconvex(support, tees, link, 0) == (expected, "exhaustive")
+    # Small sets: the 20,000 sampled pairs cover every ordered pair.
+    assert _exchange_sampled(support, tees, link, 20_000, 3) == expected
+
+
+def test_exchange_check_sees_both_outcomes():
+    rng = random.Random(7)
+    outcomes = []
+    for _ in range(300):
+        nvars, d = rng.randint(2, 5), rng.randint(2, 3)
+        every = list(itertools.combinations_with_replacement(range(nvars), d))
+        points = set(rng.sample(every, rng.randint(1, len(every))))
+        expected = brute_mconvex(points, nvars)
+        support = as_support(points)
+        assert _mconvex(support, *_support_link(support, nvars), 0)[0] == expected
+        outcomes.append(expected)
+    assert 0 < sum(outcomes) < len(outcomes)
+
+
+def test_exchange_check_counts_multiplicities():
+    """The violating beta shares an index with T = alpha - e_i, and stays at
+    or below T's multiplicity there."""
+    points = {(0, 2, 2), (1, 1, 2), (1, 2, 2)}
+    assert not brute_mconvex(points, 3)
+    support = as_support(points)
+    assert _mconvex(support, *_support_link(support, 3), 0) == (False, "exhaustive")
+
+
+def test_wide_support_that_is_not_mconvex():
+    """Violations on variables far past 64 are seen (no fixed-width keys)."""
+    m = uniform(3, 13)
+    flats = rank2_flats(m)
+    assert len(flats) >= 70
+    every = volume_polynomial(m)
+    assert mconvex_support(every)
+    two_points = {(flats[70], flats[71]): 1, (flats[72], flats[73]): 1}
+    assert not mconvex_support(VolumePolynomial(m, 2, two_points))
+
+
+def test_wide_sampled_support_that_is_not_mconvex():
+    """Two blocks of 2-multisets over 260 variables: past the exhaustive cap,
+    and most sampled pairs straddle the blocks and have no exchange."""
+    clusters = [range(0, 160), range(160, 260)]
+    points = [p for c in clusters for p in itertools.combinations_with_replacement(c, 2)]
+    assert len(points) > MCONVEX_EXHAUSTIVE_CAP
+    support = as_support(points)
+    assert _mconvex(support, *_support_link(support, 260), 0) == (False, "sampled")
+    m = uniform(4, 12)
+    flats = rank2_flats(m)
+    terms = {tuple(sorted((flats[a], flats[b]))): 1 for a, b in points}
+    assert not mconvex_support(VolumePolynomial(m, 2, terms))
+
+
+# -- the gathered Hessians ------------------------------------------------------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(matroids)
+def test_gathered_hessian_inertia_matches_truncation(m):
+    d = m.rank_full - 1
+    assume(d >= 2)
+    flats = rank2_flats(m)
+    levels, link = dhr_levels(m, d)
+    blocks = _parent_blocks(levels[d - 2], levels[d - 1], link)
+    for q, a, t, keep in itertools.islice(blocks, 40):
+        gathered = signature(link[np.ix_(t[keep], a[keep])].astype(np.int64))
+        current = m
+        for i in levels[d - 2][q].tolist():
+            current = truncate_by_subset(current, flats[i])
+        _, hess = truncation_hessian(current)
+        assert gathered == signature(hess)
+        assert gathered == (1, int(keep.sum()) - 1, 0)
+
+
+def test_truncation_hessian_rejects_bad_input():
+    with pytest.raises(InvalidRank):
+        truncation_hessian(uniform(4, 5))
+    with pytest.raises(LoopyMatroid):
+        truncation_hessian(direct_sum(uniform(3, 3), uniform(0, 1)))
+
+
+# -- the former overflow defects ------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "m,support,hessians,mode",
+    [
+        (uniform(4, 8), 103_167, 85, "sampled"),
+        (graphic(5, list(itertools.combinations(range(5), 2))), 10_846, 41, "exhaustive"),
+    ],
+    ids=["U(4,8)", "M(K5)"],
+)
+def test_lorentzian_regression_tier(m, support, hessians, mode):
+    report = lorentzian_check(m)
+    assert report.ok
+    assert (report.support_size, report.hessians_checked, report.mconvex_mode) == (support, hessians, mode)
+
+
+@pytest.mark.parametrize("r,n", [(4, 8), (3, 12)])
+def test_verify_lorentzian_past_63_flats(tmp_path, r, n):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"type": "uniform", "r": r, "n": n}))
+    result = CliRunner().invoke(cli.main, ["verify", str(spec), "--suite", "lorentzian"])
+    assert result.exit_code == 0, result.output
+    suite = json.loads(result.stdout)["result"]["suites"]["lorentzian"]
+    assert suite["passed"] and suite["mconvex"]
+
+
+def test_degenerate_hessian_fails_the_check(monkeypatch):
+    """A gathered block must be nondegenerate, not merely have one positive
+    eigenvalue; the check stops at the first parent that fails."""
+    from chowmat import _linalg
+
+    monkeypatch.setattr(_linalg, "signature", lambda block: (1, len(block) - 2, 1))
+    report = lorentzian_check(uniform(4, 6))
+    assert report.mconvex and not report.signatures_ok and not report.ok
+    assert report.hessians_checked == 1
