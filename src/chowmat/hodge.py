@@ -900,15 +900,16 @@ def _parent_blocks(parents: np.ndarray, tees: np.ndarray, link: np.ndarray):
     """For each parent P (in order): its index q, the a with P + e_a a row of
     ``tees`` (ascending), those rows t, and the mask ``keep`` of the first a
     of each distinct link row."""
-    drops, a, t = [], [], []
+    q, a, t = [], [], []
+    keys = _keys(parents)
     k = tees.shape[1]
     for p in range(k):
-        last = tees[:, p] != tees[:, p + 1] if p + 1 < k else np.ones(len(tees), dtype=bool)
-        drops.append(np.delete(tees[last], p, axis=1))
-        a.append(tees[last, p])
-        t.append(np.flatnonzero(last))
-    q = _index(_keys(parents), np.concatenate(drops))
-    a, t = np.concatenate(a), np.concatenate(t)
+        # Drop the last copy of each entry: P = T - e_a once per distinct a.
+        rows = np.flatnonzero(tees[:, p] != tees[:, p + 1]) if p + 1 < k else np.arange(len(tees))
+        q.append(_index(keys, np.delete(tees[rows], p, axis=1)))
+        a.append(tees[rows, p])
+        t.append(rows)
+    q, a, t = np.concatenate(q), np.concatenate(a), np.concatenate(t)
     order = np.lexsort((a, q))
     q, a, t = q[order], a[order], t[order]
     row_id = np.unique(_keys(np.packbits(link, axis=1)), return_inverse=True)[1].ravel()
