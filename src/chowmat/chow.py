@@ -376,7 +376,8 @@ class ChowRing:
 
         In lex-descending monomial order the basis change is triangular with
         diagonal (-1)^deg, so forward substitution inverts it over the
-        integers; the product is re-checked against the identity.
+        integers, one row of the inverse at a time for all columns at once;
+        the product is re-checked against the identity.
         """
         cached = self._tinv.get(deg)
         if cached is None:
@@ -384,18 +385,13 @@ class ChowRing:
             n = t.shape[0]
             order = sorted(range(n), key=lambda i: self._lex_key(self.nested[deg][i]), reverse=True)
             tobj = t.astype(object)
-            inv = np.zeros((n, n), dtype=object)
-            for c in range(n):
-                sol = [0] * n
-                for p, j in enumerate(order):
-                    residual = (1 if j == c else 0) - sum(
-                        int(tobj[j, k]) * sol[k] for k in order[:p] if sol[k]
-                    )
-                    diag = int(tobj[j, j])
-                    if diag not in (1, -1):
-                        raise InvariantViolation("basis change is not unitriangular")
-                    sol[j] = residual * diag
-                inv[:, c] = sol
+            inv = np.eye(n, dtype=int).astype(object)
+            for p, j in enumerate(order):
+                diag = int(tobj[j, j])
+                if diag not in (1, -1):
+                    raise InvariantViolation("basis change is not unitriangular")
+                earlier = order[:p]
+                inv[j] = (inv[j] - tobj[j, earlier].dot(inv[earlier])) * diag
             check = imatmul(t, inv)
             ident = np.eye(n, dtype=object)
             if not (check == ident).all():

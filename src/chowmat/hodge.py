@@ -10,17 +10,21 @@ simplicial generators.  Three independent routes compute such a product:
 * the chain of matroid intersections with corank-one matroids, which must
   terminate at the rank-one loopless matroid exactly in the nonzero case.
 
-:func:`dhr_triple_report` verifies all three agree on every degree-d multiset
-of rank >= 2 flats.  Multisets are walked as nondecreasing sequences; once a
-prefix dies in all three routes at once, every extension dies in all three
-for route-internal reasons (a failing subfamily stays failing, loops persist
-under further intersections, and zero stays zero under multiplication), so
-dead subtrees are counted instead of walked.
+Every DHR multiset comes from one level-batched enumerator,
+:func:`dhr_levels`: lexicographically sorted uint16 rows of flat indices per
+level, each with its link table N(T) = {j : T + e_j is DHR}.
 
-The support S of the volume polynomial - every DHR multiset - comes from one
-level-batched enumerator, :func:`dhr_levels`: lexicographically sorted uint16
-rows of flat indices, with the link table N(T) = {j : T + e_j in S} of the
-(d-1)-multisets T.  :func:`volume_polynomial`, :func:`mconvex_support` and
+:func:`dhr_triple_report` verifies all three routes agree on every degree-d
+multiset of rank >= 2 flats.  Its nodes are the rows of :func:`dhr_levels`
+and its DHR route is their link tables; every candidate extension is also
+pushed through the chain route (basis bitmaps) and the Groebner route.  Once
+a candidate dies in all three routes at once, every extension dies in all
+three for route-internal reasons (a failing subfamily stays failing, loops
+persist under further intersections, and zero stays zero under
+multiplication), so dead subtrees are counted instead of walked.
+
+The support S of the volume polynomial is the top level of
+:func:`dhr_levels`.  :func:`volume_polynomial`, :func:`mconvex_support` and
 :func:`lorentzian_check` read everything off these arrays (Brändén-Huh,
 arXiv 1902.03719): the M-convex exchange check runs once per T, and every
 Hessian of a derivative quadratic is a gather of link rows, so no truncated
@@ -101,14 +105,14 @@ def _flats_rank2(m: Matroid) -> list[int]:
     return [f for f in m.lattice().flats if m.rank(f) >= 2]
 
 
-def dhr_levels(m: Matroid, size: int) -> tuple[list[np.ndarray], np.ndarray | None]:
+def dhr_levels(m: Matroid, size: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Every DHR multiset of rank >= 2 flats with at most ``size`` members.
 
-    Returns ``(levels, link)``.  ``levels[k]`` is the lexicographically sorted
-    ``(N_k, k)`` uint16 array of the k-multisets, one nondecreasing row of
-    indices into :func:`_flats_rank2` each.  ``link`` is the boolean
-    ``(N_{size-1}, nvars)`` table N(T) = {j : T + e_j is DHR} over the rows T
-    of ``levels[size - 1]`` (None when ``size`` is 0).
+    Returns ``(levels, links)``.  ``levels[k]`` is the lexicographically
+    sorted ``(N_k, k)`` uint16 array of the k-multisets, one nondecreasing row
+    of indices into :func:`_flats_rank2` each.  ``links[k]``, for k < size,
+    is the boolean ``(N_k, nvars)`` table N(T) = {j : T + e_j is DHR} over the
+    rows T of ``levels[k]``.
 
     Each row T carries the unions U_J of its 2^k subfamilies as uint16 masks.
     As T is DHR, T + e_v fails only on a subfamily J + v with
@@ -136,6 +140,7 @@ def dhr_levels(m: Matroid, size: int) -> tuple[list[np.ndarray], np.ndarray | No
     rows = np.zeros((1, 0), dtype=np.uint16)
     unions = np.zeros((1, 1), dtype=np.uint16)
     levels = [rows]
+    links = []
     for k in range(size):
         tight_rank = np.array([popcount(s) + 1 for s in range(1 << k)], dtype=np.int8)
         link = np.empty((len(rows), nvars), dtype=bool)
@@ -144,6 +149,7 @@ def dhr_levels(m: Matroid, size: int) -> tuple[list[np.ndarray], np.ndarray | No
             hits = np.where(rank[un] == tight_rank, position[closure[un]], 0)
             dead = np.bitwise_or.reduce(below[hits], axis=1)
             link[lo : lo + _BLOCK] = np.unpackbits(dead, axis=1, count=nvars) == 0
+        links.append(link)
         starts = np.searchsorted(rows[:, 0], np.arange(nvars)) if k else np.zeros(nvars, dtype=int)
         ends = np.cumsum([np.count_nonzero(link[starts[v] :, v]) for v in range(nvars)], dtype=int)
         children = np.empty((ends[-1] if nvars else 0, k + 1), dtype=np.uint16)
@@ -162,7 +168,7 @@ def dhr_levels(m: Matroid, size: int) -> tuple[list[np.ndarray], np.ndarray | No
         levels.append(rows)
         if more:
             unions = child_unions
-    return levels, (link if size else None)
+    return levels, links
 
 
 def _keys(rows: np.ndarray) -> np.ndarray:
@@ -554,172 +560,112 @@ class TripleScanReport:
         return self.agree and self.live_leaves + self.dead_counted == self.total_multisets
 
 
-def _basis_bitmap(m: Matroid) -> int:
-    bm = 0
-    for b in m.bases:
-        bm |= 1 << b
-    return bm
-
-
 def dhr_triple_report(m: Matroid, spot_checks: int = 50, seed: int = 0) -> TripleScanReport:
     """Verify dhr_degree == Groebner degree == chain termination, exhaustively.
 
-    Live prefixes are walked with all three routes evaluated per node; a
-    prefix dead in all three at once proves its whole subtree dead in all
-    three (monotonicity within each route), so the subtree is counted, not
-    walked.  A seeded sample of dead extensions is still evaluated directly
-    through all three routes as a spot check of that argument.
+    The nodes are the DHR multisets of :func:`dhr_levels`, level by level, and
+    each (k+1)-multiset is some v prepended to a k-multiset T with v <= T[0].
+    Every such candidate of every node is evaluated through all three routes:
+    the link table of T (DHR), whether the truncation of M along T's flats
+    gives F_v rank >= 2 (chain), and whether T's product times h_{F_v} is
+    nonzero (Groebner).  A candidate dead in all three at once proves its
+    whole subtree dead in all three (monotonicity within each route), so the
+    subtree - the C(v + r, r) ways to prepend r more indices <= v - is
+    counted, not walked.  A seeded sample of dead multisets is still
+    evaluated directly through all three routes as a spot check of that
+    argument.
     """
     if not m.is_loopless():
         raise LoopyMatroid("the scan is defined for loopless matroids")
-    if m.n_elements <= 6:
-        report = _triple_scan_batched(m)
-    else:
-        report = _triple_scan_plain(m)
+    report = _triple_scan(m)
     report.boundary_checked = _spot_check_dead(m, spot_checks, seed)
     return report
 
 
-def _triple_scan_plain(m: Matroid) -> TripleScanReport:
+#: ``_HIGH[f]`` marks the bit positions p of a bitmap word with bit f of p set, f < 6.
+_HIGH = [np.uint64(sum(1 << p for p in range(64) if p >> f & 1)) for f in range(6)]
+
+
+def _bitmap(present: np.ndarray) -> np.ndarray:
+    """A boolean vector over the 2^n subsets as ceil(2^n / 64) uint64 words:
+    subset s is bit s & 63 of word s >> 6."""
+    padded = np.zeros(max(len(present), 64), dtype=bool)
+    padded[: len(present)] = present
+    return np.packbits(padded, bitorder="little").view("<u8")
+
+
+def _truncate_bitmaps(bm: np.ndarray, flat: int) -> np.ndarray:
+    """Rows of basis bitmaps truncated along ``flat``: every basis B gives the
+    B - f for f in B & flat, so subset s moves down to s - 2^f.  For f < 6
+    that is a shift inside each word, for f >= 6 a move of whole words."""
+    out = np.zeros_like(bm)
+    for f in bits(flat):
+        if f < 6:
+            out |= (bm & _HIGH[f]) >> np.uint64(1 << f)
+        else:
+            halves = (len(bm), -1, 2, 1 << (f - 6))
+            out.reshape(halves)[:, :, 0] |= bm.reshape(halves)[:, :, 1]
+    return out
+
+
+def _triple_scan(m: Matroid) -> TripleScanReport:
+    """Level-batched scan: the link tables of :func:`dhr_levels` for the DHR
+    route, rows of basis bitmaps for the chain route, int64 coordinate blocks
+    for the Groebner route."""
     ring = ring_for(m)
     d = ring.d
+    if d == 0:
+        return TripleScanReport(m, 1, 1, 0, 1, True)
     flats = _flats_rank2(m)
     nvars = len(flats)
-    live_leaves = 0
-    dead = 0
-    verified = 0
-    agree = True
-
-    def walk(start: int, multiset: list[int], current: Matroid, vec: np.ndarray) -> None:
-        nonlocal live_leaves, dead, verified, agree
-        depth = len(multiset)
-        if depth == d:
-            live_leaves += 1
-            return
-        for idx in range(start, nvars):
-            f = flats[idx]
-            chain_ok = current.rank(f) >= 2
-            dhr_ok = dhr_check(m, multiset + [f])
-            child_vec = imatmul(ring.h_matrix(m.closure(f), depth), vec)
-            nf_ok = bool(child_vec.any())
-            verified += 1
-            if not (chain_ok == dhr_ok == nf_ok):
-                agree = False
-                return
-            if chain_ok:
-                walk(idx, multiset + [f], truncate_by_subset(current, f), child_vec)
-            else:
-                remaining = d - depth - 1
-                dead += math.comb(nvars - idx + remaining - 1, remaining)
-
-    walk(0, [], m, np.ones((1, 1), dtype=np.int64))
     total = math.comb(nvars + d - 1, d)
-    return TripleScanReport(m, total, live_leaves, dead, verified, agree)
-
-
-def _triple_scan_batched(m: Matroid) -> TripleScanReport:
-    """Level-batched scan with numpy: uint64 basis bitmaps for the chain route,
-    uint8 union tables for the DHR route, int64 coordinate blocks for the
-    Groebner route."""
-    ring = ring_for(m)
-    d = ring.d
-    n = m.n_elements
-    flats = _flats_rank2(m)
-    nvars = len(flats)
-    if d == 0 or nvars == 0:
-        ok = d == 0
-        return TripleScanReport(m, 1 if d == 0 else 0, 1 if d == 0 else 0, 0, 1, ok)
-    rank_table = m.rank_table().astype(np.uint8)
-    # Chain-route tables over the 2^n subset positions of a uint64 bitmap.
-    hi = [np.uint64(sum(1 << s for s in range(1 << n) if s & (1 << f))) for f in range(n)]
-    pairs_mask = [
-        np.uint64(sum(1 << s for s in range(1 << n) if popcount(s & f) >= 2)) for f in flats
-    ]
-    singles_bitmap = np.uint64(sum(1 << (1 << e) for e in range(n)))
-    hmats = {
-        deg: [ring.h_matrix(f, deg).T.copy() for f in flats] for deg in range(d)
-    }
-    flat_arr = [np.uint8(f) for f in flats]
-
-    last = np.zeros(1, dtype=np.int16)
-    bitmaps = np.array([_basis_bitmap(m)], dtype=np.uint64)
-    unions = np.zeros((1, 1), dtype=np.uint8)
+    levels, links = dhr_levels(m, d)
+    subsets = np.arange(1 << m.n_elements)
+    sizes = np.bitwise_count(subsets)
+    # The subsets meeting each flat twice: a basis among them gives the flat rank >= 2.
+    pairs = [_bitmap(sizes[subsets & f] >= 2) for f in flats]
+    singles = _bitmap(sizes == 1)
+    bitmaps = _bitmap((m.rank_table() == sizes) & (sizes == m.rank_full))[None]
     coords = np.ones((1, 1), dtype=np.int64)
     live_leaves = 0
     dead = 0
     verified = 0
-    agree = True
-    total = math.comb(nvars + d - 1, d)
-
-    for depth in range(d):
-        nmask = 1 << depth
-        sizes = np.array([popcount(mask) + 2 for mask in range(nmask)], dtype=np.uint8)
-        pieces_last, pieces_bm, pieces_un, pieces_co = [], [], [], []
-        # Nodes stay sorted by their last flat index; a new flat v extends
-        # exactly the prefix of nodes with last <= v.
-        ends = np.searchsorted(last, np.arange(nvars), side="right")
-        for v in range(nvars):
-            end = ends[v]
-            if end == 0:
-                continue
-            bm = bitmaps[:end]
-            un = unions[:end]
-            co = coords[:end]
-            count = end
-            # chain route: does the current matroid give the flat rank >= 2?
-            chain_ok = (bm & pairs_mask[v]) != 0
-            # DHR route: every new subfamily (containing the new set) passes.
-            new_un = un | flat_arr[v]
-            ranks = rank_table[new_un]
-            dhr_ok = (ranks >= sizes).all(axis=1)
-            # Groebner route: multiply by h_{cl(F)} and test for zero.
-            new_co = imatmul(co, hmats[depth][v])
+    for k in range(d):
+        rows, link = levels[k], links[k]
+        leaf = k + 1 == d
+        remaining = d - k - 1
+        hmats = [ring.h_matrix(f, k).T for f in flats]
+        # The nodes with T[0] >= v, a suffix of the sorted rows, take v.
+        starts = np.searchsorted(rows[:, 0], np.arange(nvars)) if k else np.zeros(nvars, dtype=int)
+        if not leaf:
+            child_bitmaps = np.empty((len(levels[k + 1]), bitmaps.shape[1]), dtype=np.uint64)
+            child_coords = np.empty((len(levels[k + 1]), hmats[0].shape[1]), dtype=np.int64)
+        end = 0
+        for v, start in enumerate(starts):
+            bm = bitmaps[start:]
+            chain_ok = (bm & pairs[v]).any(axis=1)
+            dhr_ok = link[start:, v]
+            new_co = imatmul(coords[start:], hmats[v])
             nf_ok = new_co.any(axis=1)
-            verified += count
+            verified += len(bm)
             if not ((chain_ok == dhr_ok) & (dhr_ok == nf_ok)).all():
-                agree = False
-                break
-            livem = chain_ok
-            n_live = int(livem.sum())
-            n_dead = count - n_live
-            if n_dead:
-                remaining = d - depth - 1
-                dead += n_dead * math.comb(nvars - v + remaining - 1, remaining)
-            if n_live:
-                if depth + 1 == d:
-                    live_leaves += n_live
-                    # chain route must land exactly on U_{1,E}.
-                    final = _truncate_bitmaps(bm[livem], flats[v], hi, n)
-                    if not (final == singles_bitmap).all():
-                        agree = False
-                        break
-                    # Groebner route: degree value must be exactly 1.
-                    if not (new_co[livem][:, 0] == (-1) ** d).all():
-                        agree = False
-                        break
-                else:
-                    pieces_last.append(np.full(n_live, v, dtype=np.int16))
-                    pieces_bm.append(_truncate_bitmaps(bm[livem], flats[v], hi, n))
-                    full_un = np.concatenate([un[livem], new_un[livem]], axis=1)
-                    pieces_un.append(full_un)
-                    pieces_co.append(new_co[livem])
-        if not agree or depth + 1 == d:
-            break
-        if not pieces_last:
-            break
-        last = np.concatenate(pieces_last)
-        bitmaps = np.concatenate(pieces_bm)
-        unions = np.concatenate(pieces_un)
-        coords = np.concatenate(pieces_co)
-
-    return TripleScanReport(m, total, live_leaves, dead, verified, agree)
-
-
-def _truncate_bitmaps(bm: np.ndarray, flat: int, hi: list[np.uint64], n: int) -> np.ndarray:
-    out = np.zeros_like(bm)
-    for f in bits(flat):
-        out |= (bm & hi[f]) >> np.uint64(1 << f)
-    return out
+                return TripleScanReport(m, total, live_leaves, dead, verified, False)
+            n_live = int(chain_ok.sum())
+            dead += (len(bm) - n_live) * math.comb(v + remaining, remaining)
+            truncated = _truncate_bitmaps(bm[chain_ok], flats[v])
+            if leaf:
+                live_leaves += n_live
+                # The chain must land on U(1,E), and the degree must be exactly 1.
+                if not ((truncated == singles).all() and (new_co[chain_ok, 0] == (-1) ** d).all()):
+                    return TripleScanReport(m, total, live_leaves, dead, verified, False)
+            else:
+                # The live children in the v-blocked row order of levels[k + 1].
+                child_bitmaps[end : end + n_live] = truncated
+                child_coords[end : end + n_live] = new_co[chain_ok]
+                end += n_live
+        if not leaf:
+            bitmaps, coords = child_bitmaps, child_coords
+    return TripleScanReport(m, total, live_leaves, dead, verified, True)
 
 
 def _spot_check_dead(m: Matroid, count: int, seed: int) -> int:
@@ -807,11 +753,12 @@ def lorentzian_check(m: Matroid, seed: int = 0, crosscheck: bool | None = None) 
     if not m.is_loopless():
         raise LoopyMatroid("Lorentzian verification needs a loopless matroid")
     d = m.rank_full - 1
-    levels, link = dhr_levels(m, d)
+    levels, links = dhr_levels(m, d)
     support = levels[d]
     if d == 0:
         mconvex, mode = True, "exhaustive"
     else:
+        link = links[d - 1]
         mconvex, mode = _mconvex(support, levels[d - 1], link, seed)
     hessians = 0
     signatures_ok = True

@@ -71,11 +71,7 @@ def principal_truncation(m: Matroid, flat: int) -> Matroid:
         raise EmptyFlat("cannot truncate along the empty flat")
     if not m.is_flat(flat):
         raise NotAFlat(f"{sorted(bits(flat))} is not a flat")
-    new_bases = set()
-    for b in m.bases:
-        for f in bits(b & flat):
-            new_bases.add(b ^ (1 << f))
-    return Matroid(m.n_elements, new_bases, validate=False)
+    return truncate_by_subset(m, flat)
 
 
 def truncate_by_subset(m: Matroid, subset: int) -> Matroid:

@@ -3,6 +3,7 @@ Hessians, against brute-force definitions and the truncated-matroid route."""
 
 import itertools
 import json
+import math
 import random
 
 import numpy as np
@@ -11,8 +12,9 @@ from click.testing import CliRunner
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from chowmat import cli, graphic, uniform
+from chowmat import cli, graphic, hodge, uniform
 from chowmat._linalg import signature
+from chowmat.chow import ring_for
 from chowmat.errors import InvalidRank, LoopyMatroid
 from chowmat.hodge import (
     MCONVEX_EXHAUSTIVE_CAP,
@@ -23,6 +25,7 @@ from chowmat.hodge import (
     _support_link,
     dhr_check,
     dhr_levels,
+    dhr_triple_report,
     lorentzian_check,
     mconvex_support,
     truncation_hessian,
@@ -31,6 +34,7 @@ from chowmat.hodge import (
 from chowmat.matroid import direct_sum
 from chowmat.quotients import principal_truncation, truncate_by_subset
 
+from _scan_oracle import triple_scan
 from _volume_oracle import dhr_multisets, volume_terms
 from conftest import small_corpus
 
@@ -72,7 +76,8 @@ def rank2_flats(m):
 def test_enumerator_matches_dhr_check(m):
     d = m.rank_full - 1
     flats = rank2_flats(m)
-    levels, link = dhr_levels(m, d)
+    levels, links = dhr_levels(m, d)
+    assert len(links) == d
     for k, rows in enumerate(levels):
         expected = [
             combo
@@ -81,9 +86,10 @@ def test_enumerator_matches_dhr_check(m):
         ]
         assert rows.dtype == np.uint16
         assert [tuple(r) for r in rows.tolist()] == expected
-    assert link.shape == (len(levels[d - 1]), len(flats))
-    for tee, row in zip(levels[d - 1].tolist(), link):
-        assert [dhr_check(m, [flats[i] for i in tee + [j]]) for j in range(len(flats))] == row.tolist()
+    for rows, link in zip(levels, links):
+        assert link.shape == (len(rows), len(flats))
+        for tee, row in zip(rows.tolist(), link):
+            assert [dhr_check(m, [flats[i] for i in tee + [j]]) for j in range(len(flats))] == row.tolist()
 
 
 def test_enumerator_matches_recursive_walk():
@@ -92,6 +98,66 @@ def test_enumerator_matches_recursive_walk():
             continue
         levels, _ = dhr_levels(m, m.rank_full - 1)
         assert [tuple(r) for r in levels[-1].tolist()] == dhr_multisets(m, m.rank_full - 1), name
+
+
+# -- the triple-route scan ----------------------------------------------------------
+
+
+@st.composite
+def scan_matroids(draw):
+    """Graphic matroids and truncated uniform matroids on at most 8 elements,
+    of rank at most 4 (at most 3 on 8 elements, to keep the reference walk short)."""
+    if draw(st.booleans()):
+        return draw(loopless_graphic())
+    n = draw(st.integers(3, 8))
+    m = uniform(draw(st.integers(3, min(n, 4 if n < 8 else 3))), n)
+    for _ in range(draw(st.integers(0, m.rank_full - 3))):
+        m = principal_truncation(m, draw(st.sampled_from(rank2_flats(m))))
+    return m
+
+
+@settings(max_examples=30, deadline=None)
+@given(scan_matroids())
+def test_triple_scan_matches_recursive_walk(m):
+    fast = dhr_triple_report(m, spot_checks=0)
+    slow = triple_scan(m)
+    assert fast.ok and slow.ok
+    counts = (fast.total_multisets, fast.live_leaves, fast.dead_counted)
+    assert counts == (slow.total_multisets, slow.live_leaves, slow.dead_counted)
+    assert fast.live_leaves == len(dhr_multisets(m, m.rank_full - 1))
+
+
+def test_triple_scan_at_the_hard_cap():
+    report = dhr_triple_report(uniform(3, 16))
+    assert report.ok
+    assert report.total_multisets == math.comb(122, 2) == 7381
+
+
+def _clear_first_link_entry(dhr_levels):
+    def corrupted(m, size):
+        levels, links = dhr_levels(m, size)
+        links[0][0, 0] = False
+        return levels, links
+
+    return corrupted
+
+
+@pytest.mark.parametrize("route", ["dhr", "groebner", "chain"])
+def test_triple_scan_sees_a_corrupted_route(monkeypatch, route):
+    m = uniform(4, 5)
+    if route == "dhr":
+        monkeypatch.setattr(hodge, "dhr_levels", _clear_first_link_entry(hodge.dhr_levels))
+    elif route == "groebner":
+        ring = ring_for(m)
+        h_matrix = ring.h_matrix
+        zeroed = rank2_flats(m)[0]
+        monkeypatch.setattr(
+            ring, "h_matrix", lambda f, deg: 0 * h_matrix(f, deg) if f == zeroed else h_matrix(f, deg)
+        )
+    else:
+        monkeypatch.setattr(hodge, "_truncate_bitmaps", lambda bm, flat: np.zeros_like(bm))
+    report = dhr_triple_report(m, spot_checks=0)
+    assert not report.agree and not report.ok
 
 
 # -- the volume polynomial --------------------------------------------------------
@@ -227,7 +293,8 @@ def test_gathered_hessian_inertia_matches_truncation(m):
     d = m.rank_full - 1
     assume(d >= 2)
     flats = rank2_flats(m)
-    levels, link = dhr_levels(m, d)
+    levels, links = dhr_levels(m, d)
+    link = links[d - 1]
     blocks = _parent_blocks(levels[d - 2], levels[d - 1], link)
     for q, a, t, keep in itertools.islice(blocks, 40):
         gathered = signature(link[np.ix_(t[keep], a[keep])].astype(np.int64))

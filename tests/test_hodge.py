@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from chowmat import ChowElement, sample_ample, uniform
+from chowmat import ChowElement, graphic, sample_ample, uniform
 from chowmat._linalg import signature
 from chowmat.chow import normal_form, ring_for
 from chowmat.errors import (
@@ -39,6 +39,7 @@ from chowmat.hodge import (
 )
 
 from _fraction_oracle import rank_exact_fraction
+from _scan_oracle import triple_scan
 from conftest import fano, k4, random_truncation_corpus, small_corpus
 
 U33 = uniform(3, 3)
@@ -82,12 +83,12 @@ def test_dhr_triple_report_small():
 
 
 def test_triple_scan_batched_matches_plain_reference():
-    """The numpy-batched scanner agrees with the straightforward recursion."""
-    from chowmat.hodge import _triple_scan_batched, _triple_scan_plain
-
-    for m in [U33, U34, uniform(4, 5), k4(), random_truncation_corpus()[2]]:
-        fast = _triple_scan_batched(m)
-        slow = _triple_scan_plain(m)
+    """The level-batched scan agrees with the straightforward recursion, also
+    on ground sets past six elements (basis bitmaps of several words)."""
+    k5 = graphic(5, list(itertools.combinations(range(5), 2)))
+    for m in [U33, U34, uniform(4, 5), k4(), random_truncation_corpus()[2], fano(), uniform(4, 7), k5]:
+        fast = dhr_triple_report(m, spot_checks=0)
+        slow = triple_scan(m)
         assert fast.ok and slow.ok
         assert fast.total_multisets == slow.total_multisets
         assert fast.live_leaves == slow.live_leaves

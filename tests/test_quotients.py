@@ -17,8 +17,8 @@ from chowmat import (
     principal_truncation,
     uniform,
 )
-from chowmat.errors import EmptyFlat, GroundSetMismatch, NotAFlat
-from chowmat.matroid import Matroid, popcount
+from chowmat.errors import EmptyFlat, GroundSetMismatch, InvalidRank, NotAFlat
+from chowmat.matroid import Matroid, direct_sum, popcount
 from chowmat.quotients import apply_exponent_chain, nested_exponent_chains
 
 from conftest import k4, random_truncation_corpus
@@ -62,6 +62,14 @@ def test_principal_truncation_errors():
     with pytest.raises(NotAFlat):
         # {0} is not a flat of the truncation (it closes up to {0,1}).
         principal_truncation(t, 0b0001)
+
+
+def test_principal_truncation_along_the_loops():
+    """The flat of loops meets no basis: the shared body reports InvalidRank."""
+    m = direct_sum(uniform(2, 2), uniform(0, 1))
+    assert m.is_flat(0b100)
+    with pytest.raises(InvalidRank):
+        principal_truncation(m, 0b100)
 
 
 def test_truncation_flat_partition():
