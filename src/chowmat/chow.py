@@ -13,8 +13,14 @@ Reduction to the nested monomial basis runs in the ``z`` alphabet, rewriting
 along the known Groebner basis of the defining ideal (incomparable quadrics,
 ``z_F * (sum_{H >= G} z_H)^(rk G - rk F)`` for ``F < G``, and
 ``(sum_{H >= G} z_H)^(rk G)``), whose standard monomials are exactly the
-nested monomials.  All arithmetic is integer or rational; matrices are int64
-with guarded magnitudes.
+nested monomials.  All arithmetic is integer or rational.
+
+Multiplication by a generator is a :class:`SparseMap` between the nested
+coordinates of two consecutive degrees: only its nonzero rows and columns
+and the integer block between them are stored, because a Groebner normal
+form touches only the nested monomials above one chain (Feichtner-Yuzvinsky).
+Every product picks float64, int64 or Python-int arithmetic from a bound on
+its entries, so no fixed-width path can wrap.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -153,18 +159,108 @@ _FLOAT_EXACT = 1 << 53
 _INT64_SAFE = 1 << 62
 
 
+def _absmax(x: np.ndarray) -> int:
+    """The largest absolute entry of an integer-valued array (0 if empty)."""
+    if x.size == 0:
+        return 0
+    if x.dtype == object:
+        return max(abs(int(v)) for v in x.flat)
+    return int(np.abs(x).max())
+
+
 def imatmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Exact integer matmul; picks the fastest representation that cannot lose."""
     if a.size == 0 or b.size == 0:
         return np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    ma = int(np.abs(a).max()) if a.dtype != object else max(abs(int(v)) for v in a.flat)
-    mb = int(np.abs(b).max()) if b.dtype != object else max(abs(int(v)) for v in b.flat)
-    bound = a.shape[1] * ma * mb
+    bound = a.shape[1] * _absmax(a) * _absmax(b)
     if a.dtype == object or b.dtype == object or bound >= _INT64_SAFE:
         return a.astype(object) @ b.astype(object)
     if bound < _FLOAT_EXACT:
         return np.rint(a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
     return a.astype(np.int64) @ b.astype(np.int64)
+
+
+@dataclass(frozen=True, eq=False)
+class SparseMap:
+    """An integer matrix stored as the block between its nonzero rows and columns.
+
+    ``outs`` and ``ins`` are the ascending indices of the rows and columns
+    holding a nonzero entry, ``block`` the entries between them (int64, or
+    Python ints when some entry does not fit), and ``bound`` the largest
+    absolute row sum of ``block``, so that max |M x| <= bound * max |x|.
+    """
+
+    shape: tuple[int, int]
+    outs: np.ndarray
+    ins: np.ndarray
+    block: np.ndarray
+    bound: int
+
+    @classmethod
+    def from_entries(cls, shape: tuple[int, int], rows, cols, vals) -> "SparseMap":
+        """The map with entries ``vals`` at ``(rows, cols)``; repeated positions add up."""
+        rows = np.asarray(rows, dtype=np.intp)
+        cols = np.asarray(cols, dtype=np.intp)
+        vals = np.array(vals) if len(vals) else np.zeros(0, dtype=np.int64)
+        # int64 when even the sum of all |entries| fits, else Python ints.
+        if vals.dtype == object or _absmax(vals) * len(vals) >= _INT64_SAFE:
+            vals = vals.astype(object)
+        key, where = np.unique(rows * shape[1] + cols, return_inverse=True)
+        summed = np.zeros(len(key), dtype=vals.dtype)
+        np.add.at(summed, where, vals)
+        key, summed = key[summed != 0], summed[summed != 0]
+        r, c = np.divmod(key, shape[1])
+        outs, ins = np.unique(r), np.unique(c)
+        block = np.zeros((len(outs), len(ins)), dtype=summed.dtype)
+        block[np.searchsorted(outs, r), np.searchsorted(ins, c)] = summed
+        return cls(shape, outs, ins, block, _row_bound(block))
+
+    @cached_property
+    def T(self) -> "SparseMap":
+        """The transpose, for row vectors: ``M.T.apply(w)`` is ``(w.T @ M).T``."""
+        block = np.ascontiguousarray(self.block.T)
+        return SparseMap(self.shape[::-1], self.ins, self.outs, block, _row_bound(block))
+
+    @cached_property
+    def _float_block(self) -> np.ndarray:
+        return self.block.astype(np.float64)
+
+    def rows(self, x: np.ndarray, xmax: int | None = None) -> np.ndarray:
+        """Rows ``outs`` of the exact product M @ x, for an integer block x.
+
+        ``x`` is ``(shape[1], N)`` with integer entries held as int64, as
+        float64 below 2^53, or as Python ints; ``xmax`` bounds their absolute
+        values (read off the gathered rows when omitted).  The product runs in
+        float64 when bound * xmax < 2^53, in int64 below 2^62 and on Python
+        ints otherwise.  A float64 x gives a float64 product on the float64
+        path; every other product is int64 or Python ints.
+        """
+        gathered = x[self.ins]
+        if xmax is None:
+            xmax = _absmax(gathered)
+        bound = self.bound * xmax
+        if self.block.dtype != object and bound < _FLOAT_EXACT:
+            prod = self._float_block @ gathered.astype(np.float64, copy=False)
+            return prod if x.dtype == np.float64 else prod.astype(np.int64)
+        if self.block.dtype != object and bound < _INT64_SAFE:
+            return self.block @ gathered.astype(np.int64, copy=False)
+        return self.block.astype(object) @ gathered.astype(object)
+
+    def apply(self, x: np.ndarray, xmax: int | None = None) -> np.ndarray:
+        """The exact product M @ x, zero outside the rows ``outs``."""
+        prod = self.rows(x, xmax)
+        out = np.zeros((self.shape[0], x.shape[1]), dtype=prod.dtype)
+        out[self.outs] = prod
+        return out
+
+
+def _row_bound(block: np.ndarray) -> int:
+    """The largest absolute row sum of an integer block, exactly."""
+    if block.size == 0:
+        return 0
+    if block.dtype != object and _absmax(block) * block.shape[1] < _INT64_SAFE:
+        return int(np.abs(block).sum(axis=1).max())
+    return max(sum(abs(int(v)) for v in row) for row in block)
 
 
 class ChowRing:
@@ -195,8 +291,8 @@ class ChowRing:
             {mono: i for i, mono in enumerate(level)} for level in self.nested
         ]
         self._nf_memo: dict[Monomial, dict[int, int]] = {}
-        self._zmat: dict[tuple[int, int], np.ndarray] = {}
-        self._hmat: dict[tuple[int, int], np.ndarray] = {}
+        self._zmap: dict[tuple[int, int], SparseMap] = {}
+        self._hmap: dict[tuple[int, int], SparseMap] = {}
         self._t: dict[int, np.ndarray] = {}
         self._tinv: dict[int, np.ndarray] = {}
         self._check_degree_normalization()
@@ -311,65 +407,85 @@ class ChowRing:
 
     # -- matrices -------------------------------------------------------------
 
-    def z_matrix(self, flat: int, deg: int) -> np.ndarray:
+    def z_matrix(self, flat: int, deg: int) -> SparseMap:
         """Multiplication by z_flat as a map of nested z-coordinates, deg -> deg+1."""
         key = (flat, deg)
-        cached = self._zmat.get(key)
+        cached = self._zmap.get(key)
         if cached is None:
-            rows, cols = len(self.nested[deg + 1]), len(self.nested[deg])
-            mat = np.zeros((rows, cols), dtype=np.int64)
+            rows, cols, vals = [], [], []
             for col, mono in enumerate(self.nested[deg]):
-                for idx, v in self._nf(_canon(itertools.chain(mono, ((flat, 1),)))).items():
-                    if abs(v) >= _INT64_SAFE:
-                        raise InvariantViolation(f"z-matrix entry {v} does not fit in int64")
-                    mat[idx, col] = v
-            cached = mat
-            self._zmat[key] = cached
+                nf = self._nf(_canon(itertools.chain(mono, ((flat, 1),))))
+                rows.extend(nf)
+                cols.extend([col] * len(nf))
+                vals.extend(nf.values())
+            shape = (len(self.nested[deg + 1]), len(self.nested[deg]))
+            cached = SparseMap.from_entries(shape, rows, cols, vals)
+            self._zmap[key] = cached
         return cached
 
-    def h_matrix(self, flat: int, deg: int) -> np.ndarray:
+    def h_matrix(self, flat: int, deg: int) -> SparseMap:
         """Multiplication by h_flat = -sum_{G >= flat} z_G in nested z-coordinates."""
         key = (flat, deg)
-        cached = self._hmat.get(key)
+        cached = self._hmap.get(key)
         if cached is None:
-            rows, cols = len(self.nested[deg + 1]), len(self.nested[deg])
-            mat = np.zeros((rows, cols), dtype=np.int64)
-            for g in self.supersets[flat]:
-                mat -= self.z_matrix(g, deg)
-            cached = mat
-            self._hmat[key] = cached
+            zmaps = [self.z_matrix(g, deg) for g in self.supersets[flat]]
+            rows, cols, vals = [], [], []
+            for z in zmaps:
+                r, c = np.nonzero(z.block)
+                rows.append(z.outs[r])
+                cols.append(z.ins[c])
+                vals.append(-z.block[r, c])
+            cached = SparseMap.from_entries(
+                zmaps[0].shape, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+            )
+            self._hmap[key] = cached
         return cached
 
-    def divisor_matrix(self, zcoeffs: dict[int, int], deg: int) -> np.ndarray:
-        """Multiplication by an integer z-divisor sum(c_F z_F)."""
-        rows, cols = len(self.nested[deg + 1]), len(self.nested[deg])
-        bound = sum(
-            abs(c) * int(np.abs(self.z_matrix(f, deg)).max() or 0)
-            for f, c in zcoeffs.items()
-            if c
-        )
-        mat = np.zeros((rows, cols), dtype=np.int64 if bound < _INT64_SAFE else object)
-        for f, c in zcoeffs.items():
-            if c:
-                mat = mat + c * self.z_matrix(f, deg).astype(mat.dtype)
-        return mat
+    def divisor_apply(self, zcoeffs: dict[int, int], deg: int, x: np.ndarray) -> np.ndarray:
+        """Multiplication by an integer z-divisor sum(c_F z_F), applied to the
+        nested degree-``deg`` coordinate block ``x``, one z-map at a time."""
+        terms = [(c, self.z_matrix(f, deg)) for f, c in zcoeffs.items() if c]
+        xmax = _absmax(x)
+        bound = sum(abs(c) * z.bound for c, z in terms) * xmax
+        dtype = np.int64 if bound < _INT64_SAFE else object
+        out = np.zeros((len(self.nested[deg + 1]), x.shape[1]), dtype=dtype)
+        for c, z in terms:
+            out[z.outs] += c * z.rows(x, xmax).astype(dtype, copy=False)
+        return out
 
     def t_matrix(self, deg: int) -> np.ndarray:
         """Columns: nested z-coordinates of the nested h-basis monomials."""
         cached = self._t.get(deg)
         if cached is None:
             cols = [self._h_monomial_zcoords(mono) for mono in self.nested[deg]]
-            cached = np.stack(cols, axis=1) if cols else np.zeros((0, 0), dtype=np.int64)
+            cached = np.concatenate(cols, axis=1) if cols else np.zeros((0, 0), dtype=np.int64)
             self._t[deg] = cached
         return cached
 
     def _h_monomial_zcoords(self, mono: Monomial) -> np.ndarray:
+        """The nested z-coordinates of an h-monomial, as one column."""
         if not mono:
-            return np.ones(1, dtype=np.int64)
+            return np.ones((1, 1), dtype=np.int64)
         mask, exp = mono[-1]
         parent = _canon(itertools.chain(mono[:-1], ((mask, exp - 1),)))
         deg = sum(e for _, e in parent)
-        return imatmul(self.h_matrix(mask, deg), self._h_monomial_zcoords(parent)[:, None])[:, 0]
+        return self.h_matrix(mask, deg).apply(self._h_monomial_zcoords(parent))
+
+    def pairing_rows(self, monos: list[Monomial]) -> np.ndarray:
+        """Row i: the functional x -> int(h^monos[i] * x) on nested z-coordinates.
+
+        Each row runs down from the top degree through the transposed h-maps.
+        """
+        rows = []
+        for mono in monos:
+            w = np.array([[(-1) ** self.d]], dtype=np.int64)
+            cur = self.d
+            for mask, exp in reversed(mono):
+                for _ in range(exp):
+                    w = self.h_matrix(mask, cur - 1).T.apply(w)
+                    cur -= 1
+            rows.append(w)
+        return np.concatenate(rows, axis=1).T
 
     def tinv_matrix(self, deg: int) -> np.ndarray:
         """Exact integer inverse of t_matrix, via the lex-triangular structure.
@@ -392,9 +508,12 @@ class ChowRing:
                     raise InvariantViolation("basis change is not unitriangular")
                 earlier = order[:p]
                 inv[j] = (inv[j] - tobj[j, earlier].dot(inv[earlier])) * diag
-            check = imatmul(t, inv)
-            ident = np.eye(n, dtype=object)
-            if not (check == ident).all():
+            # The re-check runs on int64 or float64 whenever the inverse fits.
+            try:
+                fixed = inv.astype(np.int64)
+            except OverflowError:
+                fixed = inv
+            if not (imatmul(t, fixed) == np.eye(n, dtype=np.int64)).all():
                 raise InvariantViolation("triangular inverse failed")
             cached = inv
             self._tinv[deg] = cached
@@ -449,29 +568,18 @@ class ChowRing:
         flats = list(flats)
         if len(flats) != self.d:
             raise WrongGrade(f"need {self.d} factors, got {len(flats)}")
-        vec = np.ones(1, dtype=np.int64)
+        vec = np.ones((1, 1), dtype=np.int64)
         for deg, f in enumerate(flats):
-            cl = self.matroid.closure(f)
-            vec = imatmul(self.h_matrix(cl, deg), vec[:, None])[:, 0]
+            vec = self.h_matrix(self.matroid.closure(f), deg).apply(vec)
             if not vec.any():
                 return Fraction(0)
-        return Fraction(int(vec[0]) * (-1) ** self.d)
+        return Fraction(int(vec[0, 0]) * (-1) ** self.d)
 
     def poincare_pairing(self, k: int) -> list[list[Fraction]]:
         """Matrix of int(b_i * b_j) over nested degrees k and d-k (h basis)."""
         if not 0 <= k <= self.d:
             raise WrongGrade(f"degree {k} outside 0..{self.d}")
-        rows = []
-        for mono in self.nested[k]:
-            w = np.array([(-1) ** self.d], dtype=np.int64)[None, :]
-            cur = self.d
-            for mask, exp in reversed(mono):
-                for _ in range(exp):
-                    w = imatmul(w, self.h_matrix(mask, cur - 1))
-                    cur -= 1
-            rows.append(w[0])
-        t = self.t_matrix(self.d - k)
-        prod = imatmul(np.stack(rows, axis=0), t)
+        prod = imatmul(self.pairing_rows(self.nested[k]), self.t_matrix(self.d - k))
         return [[Fraction(int(v)) for v in row] for row in prod]
 
     def alpha_beta(self) -> tuple[ChowElement, ChowElement]:

@@ -42,7 +42,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import _linalg
-from .chow import ChowElement, ChowRing, convert_element, imatmul, ring_for
+from .chow import _FLOAT_EXACT, _INT64_SAFE, ChowElement, ChowRing, _absmax, convert_element, imatmul, ring_for
 from .errors import (
     EmptySetMember,
     InvalidRank,
@@ -123,6 +123,12 @@ def dhr_levels(m: Matroid, size: int) -> tuple[list[np.ndarray], list[np.ndarray
     >= v, a suffix of the sorted rows, so the children come out sorted.  The
     top level keeps no union table.
     """
+    return _dhr_levels(m, size, top=True)
+
+
+def _dhr_levels(m: Matroid, size: int, top: bool) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """:func:`dhr_levels`; without ``top``, it stops after ``links[size - 1]``
+    and leaves out the rows of level ``size``."""
     n = m.n_elements
     flats = np.array(_flats_rank2(m), dtype=np.uint16)
     nvars = len(flats)
@@ -150,6 +156,8 @@ def dhr_levels(m: Matroid, size: int) -> tuple[list[np.ndarray], list[np.ndarray
             dead = np.bitwise_or.reduce(below[hits], axis=1)
             link[lo : lo + _BLOCK] = np.unpackbits(dead, axis=1, count=nvars) == 0
         links.append(link)
+        if k + 1 == size and not top:
+            break
         starts = np.searchsorted(rows[:, 0], np.arange(nvars)) if k else np.zeros(nvars, dtype=int)
         ends = np.cumsum([np.count_nonzero(link[starts[v] :, v]) for v in range(nvars)], dtype=int)
         children = np.empty((ends[-1] if nvars else 0, k + 1), dtype=np.uint16)
@@ -335,13 +343,8 @@ def mu_via_degrees(m: Matroid) -> list[int]:
     out = []
     for k in range(d + 1):
         vec = np.ones((1, 1), dtype=np.int64)
-        deg = 0
-        for _ in range(k):
-            vec = imatmul(ring.divisor_matrix(beta_z, deg), vec)
-            deg += 1
-        for _ in range(d - k):
-            vec = imatmul(ring.divisor_matrix(alpha_z, deg), vec)
-            deg += 1
+        for deg in range(d):
+            vec = ring.divisor_apply(beta_z if deg < k else alpha_z, deg, vec)
         out.append(int(vec[0, 0]) * (-1) ** d)
     return out
 
@@ -388,20 +391,9 @@ def hr_form(m: Matroid, ell: ChowElement, i: int) -> SymmetricFormReport:
     basis = ring.nested[i]
     # Columns: ell^(d-2i) * b_c in nested z-coordinates.
     cols = ring.t_matrix(i)
-    deg = i
-    for _ in range(d - 2 * i):
-        cols = imatmul(ring.divisor_matrix(coeffs, deg), cols)
-        deg += 1
-    rows = []
-    for mono in basis:
-        w = np.array([[(-1) ** d]], dtype=np.int64)
-        cur = d
-        for mask, exp in reversed(mono):
-            for _ in range(exp):
-                w = imatmul(w, ring.h_matrix(mask, cur - 1))
-                cur -= 1
-        rows.append(w[0])
-    q_int = imatmul(np.stack(rows, axis=0), cols)
+    for deg in range(i, d - i):
+        cols = ring.divisor_apply(coeffs, deg, cols)
+    q_int = imatmul(ring.pairing_rows(basis), cols)
     if not (q_int == q_int.T).all():
         raise InvariantViolation("Q must be symmetric")
     denom = Fraction(scale) ** (d - 2 * i)
@@ -434,7 +426,7 @@ def kahler_check(m: Matroid, ell: ChowElement) -> KahlerReport:
     coeffs, scale = _element_z_integer_coeffs(ring, ell)
     vec = np.ones((1, 1), dtype=np.int64)
     for deg in range(d):
-        vec = imatmul(ring.divisor_matrix(coeffs, deg), vec)
+        vec = ring.divisor_apply(coeffs, deg, vec)
     top = Fraction(int(vec[0, 0]) * (-1) ** d, scale**d)
     hr0 = top > 0
     if d < 2:
@@ -493,8 +485,9 @@ def star_factorization_check(m: Matroid, flat: int) -> StarFactorizationReport:
     d = ring.d
     quotient_dims = []
     for k in range(d):
-        mat = ring.z_matrix(flat, k)
-        quotient_dims.append(mat.shape[1] - _linalg.nullity_int(mat))
+        # The rank of x_F: the compressed block has the same rank as the map.
+        z = ring.z_matrix(flat, k)
+        quotient_dims.append(len(z.ins) - _linalg.nullity_int(z.block))
     restricted = restrict(m, flat)
     contracted = contract(m, flat)
     ha = ring_for(restricted.matroid).hilbert_function()
@@ -610,8 +603,9 @@ def _truncate_bitmaps(bm: np.ndarray, flat: int) -> np.ndarray:
 
 def _triple_scan(m: Matroid) -> TripleScanReport:
     """Level-batched scan: the link tables of :func:`dhr_levels` for the DHR
-    route, rows of basis bitmaps for the chain route, int64 coordinate blocks
-    for the Groebner route."""
+    route, rows of basis bitmaps for the chain route, and for the Groebner
+    route one nested z-coordinate column per node, put through the sparse
+    h-maps of the ring."""
     ring = ring_for(m)
     d = ring.d
     if d == 0:
@@ -619,14 +613,15 @@ def _triple_scan(m: Matroid) -> TripleScanReport:
     flats = _flats_rank2(m)
     nvars = len(flats)
     total = math.comb(nvars + d - 1, d)
-    levels, links = dhr_levels(m, d)
+    levels, links = _dhr_levels(m, d, top=False)
     subsets = np.arange(1 << m.n_elements)
     sizes = np.bitwise_count(subsets)
     # The subsets meeting each flat twice: a basis among them gives the flat rank >= 2.
     pairs = [_bitmap(sizes[subsets & f] >= 2) for f in flats]
     singles = _bitmap(sizes == 1)
     bitmaps = _bitmap((m.rank_table() == sizes) & (sizes == m.rank_full))[None]
-    coords = np.ones((1, 1), dtype=np.int64)
+    # (dim A^k, N_k): column i holds the nested z-coordinates of row i of levels[k].
+    coords = np.ones((1, 1), dtype=np.float64)
     live_leaves = 0
     dead = 0
     verified = 0
@@ -634,19 +629,26 @@ def _triple_scan(m: Matroid) -> TripleScanReport:
         rows, link = levels[k], links[k]
         leaf = k + 1 == d
         remaining = d - k - 1
-        hmats = [ring.h_matrix(f, k).T for f in flats]
+        hmaps = [ring.h_matrix(f, k) for f in flats]
+        # One bound per level picks the dtype every product of the level fits in.
+        xmax = _absmax(coords)
+        bound = max(h.bound for h in hmaps) * xmax
+        dtype = np.float64 if bound < _FLOAT_EXACT else np.int64 if bound < _INT64_SAFE else object
+        coords = coords.astype(dtype, copy=False)
         # The nodes with T[0] >= v, a suffix of the sorted rows, take v.
         starts = np.searchsorted(rows[:, 0], np.arange(nvars)) if k else np.zeros(nvars, dtype=int)
         if not leaf:
             child_bitmaps = np.empty((len(levels[k + 1]), bitmaps.shape[1]), dtype=np.uint64)
-            child_coords = np.empty((len(levels[k + 1]), hmats[0].shape[1]), dtype=np.int64)
+            child_coords = np.zeros((hmaps[0].shape[0], len(levels[k + 1])), dtype=dtype)
         end = 0
         for v, start in enumerate(starts):
+            h = hmaps[v]
             bm = bitmaps[start:]
             chain_ok = (bm & pairs[v]).any(axis=1)
             dhr_ok = link[start:, v]
-            new_co = imatmul(coords[start:], hmats[v])
-            nf_ok = new_co.any(axis=1)
+            # Rows h.outs of the products; every other row is zero.
+            new_co = h.rows(coords[:, start:], xmax)
+            nf_ok = new_co.any(axis=0)
             verified += len(bm)
             if not ((chain_ok == dhr_ok) & (dhr_ok == nf_ok)).all():
                 return TripleScanReport(m, total, live_leaves, dead, verified, False)
@@ -655,13 +657,14 @@ def _triple_scan(m: Matroid) -> TripleScanReport:
             truncated = _truncate_bitmaps(bm[chain_ok], flats[v])
             if leaf:
                 live_leaves += n_live
-                # The chain must land on U(1,E), and the degree must be exactly 1.
-                if not ((truncated == singles).all() and (new_co[chain_ok, 0] == (-1) ** d).all()):
+                # The chain must land on U(1,E), and the degree (the one
+                # coordinate of A^d) must be exactly 1.
+                if not ((truncated == singles).all() and (new_co[:, chain_ok] == (-1) ** d).all()):
                     return TripleScanReport(m, total, live_leaves, dead, verified, False)
             else:
                 # The live children in the v-blocked row order of levels[k + 1].
                 child_bitmaps[end : end + n_live] = truncated
-                child_coords[end : end + n_live] = new_co[chain_ok]
+                child_coords[h.outs, end : end + n_live] = new_co[:, chain_ok]
                 end += n_live
         if not leaf:
             bitmaps, coords = child_bitmaps, child_coords

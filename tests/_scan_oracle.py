@@ -3,7 +3,7 @@
 This is the straightforward prefix recursion that the library's level-batched
 scan (``chowmat.hodge.dhr_triple_report``) is compared against: one truncated
 ``Matroid`` per node for the chain route, ``dhr_check`` on the whole prefix
-for the DHR route, and one h-matrix product per node for the Groebner route.
+for the DHR route, and one h-map product per node for the Groebner route.
 It is slow and deliberately simple; nothing in ``src/`` imports it.
 """
 
@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from chowmat.chow import imatmul, ring_for
+from chowmat.chow import ring_for
 from chowmat.hodge import TripleScanReport, dhr_check
 from chowmat.matroid import Matroid
 from chowmat.quotients import truncate_by_subset
@@ -40,7 +40,7 @@ def triple_scan(m: Matroid) -> TripleScanReport:
             f = flats[idx]
             chain_ok = current.rank(f) >= 2
             dhr_ok = dhr_check(m, multiset + [f])
-            child_vec = imatmul(ring.h_matrix(f, depth), vec)
+            child_vec = ring.h_matrix(f, depth).apply(vec)
             nf_ok = bool(child_vec.any())
             verified += 1
             if not (chain_ok == dhr_ok == nf_ok):

@@ -79,6 +79,19 @@ def small_corpus(max_elements: int = 5) -> list[tuple[str, Matroid]]:
     return [(name, m) for name, m in full_corpus() if m.n_elements <= max_elements]
 
 
+def pytest_addoption(parser):
+    parser.addoption("--run-slow", action="store_true", help="also run the tests marked slow")
+
+
+def pytest_collection_modifyitems(config, items):
+    if config.getoption("--run-slow"):
+        return
+    skip = pytest.mark.skip(reason="slow; run with --run-slow")
+    for item in items:
+        if "slow" in item.keywords:
+            item.add_marker(skip)
+
+
 @pytest.fixture(scope="session")
 def corpus() -> list[tuple[str, Matroid]]:
     return full_corpus()

@@ -1,6 +1,7 @@
 """The sorted DHR support, its link table, the exchange check and the gathered
 Hessians, against brute-force definitions and the truncated-matroid route."""
 
+import dataclasses
 import itertools
 import json
 import math
@@ -134,8 +135,8 @@ def test_triple_scan_at_the_hard_cap():
 
 
 def _clear_first_link_entry(dhr_levels):
-    def corrupted(m, size):
-        levels, links = dhr_levels(m, size)
+    def corrupted(*args, **kwargs):
+        levels, links = dhr_levels(*args, **kwargs)
         links[0][0, 0] = False
         return levels, links
 
@@ -146,14 +147,17 @@ def _clear_first_link_entry(dhr_levels):
 def test_triple_scan_sees_a_corrupted_route(monkeypatch, route):
     m = uniform(4, 5)
     if route == "dhr":
-        monkeypatch.setattr(hodge, "dhr_levels", _clear_first_link_entry(hodge.dhr_levels))
+        monkeypatch.setattr(hodge, "_dhr_levels", _clear_first_link_entry(hodge._dhr_levels))
     elif route == "groebner":
         ring = ring_for(m)
         h_matrix = ring.h_matrix
         zeroed = rank2_flats(m)[0]
-        monkeypatch.setattr(
-            ring, "h_matrix", lambda f, deg: 0 * h_matrix(f, deg) if f == zeroed else h_matrix(f, deg)
-        )
+
+        def corrupted(f, deg):
+            h = h_matrix(f, deg)
+            return dataclasses.replace(h, block=0 * h.block) if f == zeroed else h
+
+        monkeypatch.setattr(ring, "h_matrix", corrupted)
     else:
         monkeypatch.setattr(hodge, "_truncate_bitmaps", lambda bm, flat: np.zeros_like(bm))
     report = dhr_triple_report(m, spot_checks=0)
