@@ -159,25 +159,31 @@ _FLOAT_EXACT = 1 << 53
 _INT64_SAFE = 1 << 62
 
 
-def _absmax(x: np.ndarray) -> int:
+def absmax(x: np.ndarray) -> int:
     """The largest absolute entry of an integer-valued array (0 if empty)."""
     if x.size == 0:
         return 0
     if x.dtype == object:
         return max(abs(int(v)) for v in x.flat)
-    return int(np.abs(x).max())
+    return int(max(x.max(), -x.min()))
+
+
+def exact_dtype(bound: int):
+    """The cheapest dtype that holds every partial sum of an integer product
+    exactly, given a bound on the absolute values of those sums."""
+    return np.float64 if bound < _FLOAT_EXACT else np.int64 if bound < _INT64_SAFE else object
 
 
 def imatmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Exact integer matmul; picks the fastest representation that cannot lose."""
     if a.size == 0 or b.size == 0:
         return np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    bound = a.shape[1] * _absmax(a) * _absmax(b)
-    if a.dtype == object or b.dtype == object or bound >= _INT64_SAFE:
-        return a.astype(object) @ b.astype(object)
-    if bound < _FLOAT_EXACT:
-        return np.rint(a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
-    return a.astype(np.int64) @ b.astype(np.int64)
+    if a.dtype == object or b.dtype == object:
+        path = object
+    else:
+        path = exact_dtype(a.shape[1] * absmax(a) * absmax(b))
+    prod = a.astype(path) @ b.astype(path)
+    return prod.astype(np.int64) if path is np.float64 else prod
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,7 +209,7 @@ class SparseMap:
         cols = np.asarray(cols, dtype=np.intp)
         vals = np.array(vals) if len(vals) else np.zeros(0, dtype=np.int64)
         # int64 when even the sum of all |entries| fits, else Python ints.
-        if vals.dtype == object or _absmax(vals) * len(vals) >= _INT64_SAFE:
+        if vals.dtype == object or absmax(vals) * len(vals) >= _INT64_SAFE:
             vals = vals.astype(object)
         key, where = np.unique(rows * shape[1] + cols, return_inverse=True)
         summed = np.zeros(len(key), dtype=vals.dtype)
@@ -237,14 +243,11 @@ class SparseMap:
         """
         gathered = x[self.ins]
         if xmax is None:
-            xmax = _absmax(gathered)
-        bound = self.bound * xmax
-        if self.block.dtype != object and bound < _FLOAT_EXACT:
-            prod = self._float_block @ gathered.astype(np.float64, copy=False)
-            return prod if x.dtype == np.float64 else prod.astype(np.int64)
-        if self.block.dtype != object and bound < _INT64_SAFE:
-            return self.block @ gathered.astype(np.int64, copy=False)
-        return self.block.astype(object) @ gathered.astype(object)
+            xmax = absmax(gathered)
+        path = exact_dtype(self.bound * xmax) if self.block.dtype != object else object
+        block = self._float_block if path is np.float64 else self.block.astype(path, copy=False)
+        prod = block @ gathered.astype(path, copy=False)
+        return prod.astype(np.int64) if path is np.float64 and x.dtype != np.float64 else prod
 
     def apply(self, x: np.ndarray, xmax: int | None = None) -> np.ndarray:
         """The exact product M @ x, zero outside the rows ``outs``."""
@@ -258,7 +261,7 @@ def _row_bound(block: np.ndarray) -> int:
     """The largest absolute row sum of an integer block, exactly."""
     if block.size == 0:
         return 0
-    if block.dtype != object and _absmax(block) * block.shape[1] < _INT64_SAFE:
+    if block.dtype != object and absmax(block) * block.shape[1] < _INT64_SAFE:
         return int(np.abs(block).sum(axis=1).max())
     return max(sum(abs(int(v)) for v in row) for row in block)
 
@@ -445,7 +448,7 @@ class ChowRing:
         """Multiplication by an integer z-divisor sum(c_F z_F), applied to the
         nested degree-``deg`` coordinate block ``x``, one z-map at a time."""
         terms = [(c, self.z_matrix(f, deg)) for f, c in zcoeffs.items() if c]
-        xmax = _absmax(x)
+        xmax = absmax(x)
         bound = sum(abs(c) * z.bound for c, z in terms) * xmax
         dtype = np.int64 if bound < _INT64_SAFE else object
         out = np.zeros((len(self.nested[deg + 1]), x.shape[1]), dtype=dtype)

@@ -42,7 +42,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import _linalg
-from .chow import _FLOAT_EXACT, _INT64_SAFE, ChowElement, ChowRing, _absmax, convert_element, imatmul, ring_for
+from .chow import ChowElement, ChowRing, absmax, convert_element, exact_dtype, imatmul, ring_for
 from .errors import (
     EmptySetMember,
     InvalidRank,
@@ -631,9 +631,8 @@ def _triple_scan(m: Matroid) -> TripleScanReport:
         remaining = d - k - 1
         hmaps = [ring.h_matrix(f, k) for f in flats]
         # One bound per level picks the dtype every product of the level fits in.
-        xmax = _absmax(coords)
-        bound = max(h.bound for h in hmaps) * xmax
-        dtype = np.float64 if bound < _FLOAT_EXACT else np.int64 if bound < _INT64_SAFE else object
+        xmax = absmax(coords)
+        dtype = exact_dtype(max(h.bound for h in hmaps) * xmax)
         coords = coords.astype(dtype, copy=False)
         # The nodes with T[0] >= v, a suffix of the sorted rows, take v.
         starts = np.searchsorted(rows[:, 0], np.arange(nvars)) if k else np.zeros(nvars, dtype=int)
