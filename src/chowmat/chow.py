@@ -203,23 +203,43 @@ class SparseMap:
     bound: int
 
     @classmethod
-    def from_entries(cls, shape: tuple[int, int], rows, cols, vals) -> "SparseMap":
-        """The map with entries ``vals`` at ``(rows, cols)``; repeated positions add up."""
-        rows = np.asarray(rows, dtype=np.intp)
-        cols = np.asarray(cols, dtype=np.intp)
-        vals = np.array(vals) if len(vals) else np.zeros(0, dtype=np.int64)
-        # int64 when even the sum of all |entries| fits, else Python ints.
-        if vals.dtype == object or absmax(vals) * len(vals) >= _INT64_SAFE:
-            vals = vals.astype(object)
-        key, where = np.unique(rows * shape[1] + cols, return_inverse=True)
-        summed = np.zeros(len(key), dtype=vals.dtype)
-        np.add.at(summed, where, vals)
-        key, summed = key[summed != 0], summed[summed != 0]
-        r, c = np.divmod(key, shape[1])
-        outs, ins = np.unique(r), np.unique(c)
-        block = np.zeros((len(outs), len(ins)), dtype=summed.dtype)
-        block[np.searchsorted(outs, r), np.searchsorted(ins, c)] = summed
+    def from_columns(cls, n_rows: int, columns: list[dict[int, int]]) -> "SparseMap":
+        """The map whose column c holds the nonzero entries ``columns[c]``, row -> value."""
+        ins = [c for c, col in enumerate(columns) if col]
+        outs = sorted(set().union(*columns))
+        where = {r: i for i, r in enumerate(outs)}
+        rows = [where[r] for c in ins for r in columns[c]]
+        cols = [j for j, c in enumerate(ins) for _ in columns[c]]
+        vals = [v for c in ins for v in columns[c].values()]
+        fits = all(abs(v) < _INT64_SAFE for v in vals)
+        block = np.zeros((len(outs), len(ins)), dtype=np.int64 if fits else object)
+        block[rows, cols] = vals
+        return cls((n_rows, len(columns)), np.array(outs, dtype=np.intp), np.array(ins, dtype=np.intp), block, _row_bound(block))
+
+    @classmethod
+    def combination(cls, shape: tuple[int, int], terms: list[tuple[int, "SparseMap"]]) -> "SparseMap":
+        """The sum of c * M over the ``(c, M)`` terms, maps of the given shape."""
+        terms = [(c, m) for c, m in terms if c and m.bound]
+        # Every entry of the sum is at most sum |c| * bound(M).
+        fits = sum(abs(c) * m.bound for c, m in terms) < _INT64_SAFE
+        dtype = np.int64 if fits and all(m.block.dtype != object for _, m in terms) else object
+        rows, cols, vals = np.concatenate([m.entries for _, m in terms] or [np.zeros((3, 0), dtype=np.intp)], axis=1)
+        vals = vals.astype(dtype) * np.repeat(np.array([c for c, _ in terms], dtype=dtype), [m.entries.shape[1] for _, m in terms])
+        outs, r = _positions(rows.astype(np.intp, copy=False), shape[0])
+        ins, c = _positions(cols.astype(np.intp, copy=False), shape[1])
+        block = np.zeros((len(outs), len(ins)), dtype=dtype)
+        np.add.at(block, (r, c), vals)
+        # Drop the rows and columns whose entries all cancelled.
+        live_rows, live_cols = block.any(axis=1), block.any(axis=0)
+        if not (live_rows.all() and live_cols.all()):
+            block, outs, ins = block[np.ix_(live_rows, live_cols)], outs[live_rows], ins[live_cols]
         return cls(shape, outs, ins, block, _row_bound(block))
+
+    @cached_property
+    def entries(self) -> np.ndarray:
+        """The nonzero entries as the columns (row, column, value), in matrix indices."""
+        r, c = np.nonzero(self.block)
+        return np.stack([self.outs[r], self.ins[c], self.block[r, c]])
 
     @cached_property
     def T(self) -> "SparseMap":
@@ -257,12 +277,23 @@ class SparseMap:
         return out
 
 
+def _positions(indices: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of ``indices`` below ``size``, ascending, and the
+    position of each index among them."""
+    present = np.zeros(size, dtype=bool)
+    present[indices] = True
+    return np.flatnonzero(present), (np.cumsum(present) - 1)[indices]
+
+
 def _row_bound(block: np.ndarray) -> int:
     """The largest absolute row sum of an integer block, exactly."""
     if block.size == 0:
         return 0
-    if block.dtype != object and absmax(block) * block.shape[1] < _INT64_SAFE:
-        return int(np.abs(block).sum(axis=1).max())
+    if block.dtype != object:
+        # Sums of nonnegative integers stay exact in float64 while below 2^53.
+        bound = float(np.abs(block).sum(axis=1, dtype=np.float64).max())
+        if bound < _FLOAT_EXACT:
+            return int(bound)
     return max(sum(abs(int(v)) for v in row) for row in block)
 
 
@@ -297,6 +328,7 @@ class ChowRing:
         self._zmap: dict[tuple[int, int], SparseMap] = {}
         self._hmap: dict[tuple[int, int], SparseMap] = {}
         self._t: dict[int, np.ndarray] = {}
+        self._rows: dict[int, np.ndarray] = {}
         self._tinv: dict[int, np.ndarray] = {}
         self._check_degree_normalization()
 
@@ -415,14 +447,10 @@ class ChowRing:
         key = (flat, deg)
         cached = self._zmap.get(key)
         if cached is None:
-            rows, cols, vals = [], [], []
-            for col, mono in enumerate(self.nested[deg]):
-                nf = self._nf(_canon(itertools.chain(mono, ((flat, 1),))))
-                rows.extend(nf)
-                cols.extend([col] * len(nf))
-                vals.extend(nf.values())
-            shape = (len(self.nested[deg + 1]), len(self.nested[deg]))
-            cached = SparseMap.from_entries(shape, rows, cols, vals)
+            columns = [
+                self._nf(_canon(itertools.chain(mono, ((flat, 1),)))) for mono in self.nested[deg]
+            ]
+            cached = SparseMap.from_columns(len(self.nested[deg + 1]), columns)
             self._zmap[key] = cached
         return cached
 
@@ -431,64 +459,58 @@ class ChowRing:
         key = (flat, deg)
         cached = self._hmap.get(key)
         if cached is None:
-            zmaps = [self.z_matrix(g, deg) for g in self.supersets[flat]]
-            rows, cols, vals = [], [], []
-            for z in zmaps:
-                r, c = np.nonzero(z.block)
-                rows.append(z.outs[r])
-                cols.append(z.ins[c])
-                vals.append(-z.block[r, c])
-            cached = SparseMap.from_entries(
-                zmaps[0].shape, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
-            )
+            cached = self.divisor_matrix({g: -1 for g in self.supersets[flat]}, deg)
             self._hmap[key] = cached
         return cached
 
-    def divisor_apply(self, zcoeffs: dict[int, int], deg: int, x: np.ndarray) -> np.ndarray:
-        """Multiplication by an integer z-divisor sum(c_F z_F), applied to the
-        nested degree-``deg`` coordinate block ``x``, one z-map at a time."""
-        terms = [(c, self.z_matrix(f, deg)) for f, c in zcoeffs.items() if c]
-        xmax = absmax(x)
-        bound = sum(abs(c) * z.bound for c, z in terms) * xmax
-        dtype = np.int64 if bound < _INT64_SAFE else object
-        out = np.zeros((len(self.nested[deg + 1]), x.shape[1]), dtype=dtype)
-        for c, z in terms:
-            out[z.outs] += c * z.rows(x, xmax).astype(dtype, copy=False)
-        return out
+    def divisor_matrix(self, zcoeffs: dict[int, int], deg: int) -> SparseMap:
+        """Multiplication by an integer z-divisor sum(c_F z_F), deg -> deg+1."""
+        shape = (len(self.nested[deg + 1]), len(self.nested[deg]))
+        return SparseMap.combination(shape, [(c, self.z_matrix(f, deg)) for f, c in zcoeffs.items() if c])
 
     def t_matrix(self, deg: int) -> np.ndarray:
         """Columns: nested z-coordinates of the nested h-basis monomials."""
         cached = self._t.get(deg)
         if cached is None:
-            cols = [self._h_monomial_zcoords(mono) for mono in self.nested[deg]]
-            cached = np.concatenate(cols, axis=1) if cols else np.zeros((0, 0), dtype=np.int64)
+            if deg == 0:
+                cached = np.ones((1, 1), dtype=np.int64)
+            else:
+                below = self.t_matrix(deg - 1)
+                cached = self._by_last_flat(deg, lambda h, parents: h.apply(below[:, parents]))
             self._t[deg] = cached
         return cached
 
-    def _h_monomial_zcoords(self, mono: Monomial) -> np.ndarray:
-        """The nested z-coordinates of an h-monomial, as one column."""
-        if not mono:
-            return np.ones((1, 1), dtype=np.int64)
-        mask, exp = mono[-1]
-        parent = _canon(itertools.chain(mono[:-1], ((mask, exp - 1),)))
-        deg = sum(e for _, e in parent)
-        return self.h_matrix(mask, deg).apply(self._h_monomial_zcoords(parent))
+    def pairing_rows(self, k: int) -> np.ndarray:
+        """Row i: the functional x -> int(b_i * x) on nested z-coordinates of
+        degree d - k, for the nested h-basis monomials b_i of degree k."""
+        cached = self._rows.get(k)
+        if cached is None:
+            if k == 0:
+                cached = np.array([[(-1) ** self.d]], dtype=np.int64)
+            else:
+                above = self.pairing_rows(k - 1)
+                # int(h_F b' x) = int(b' (h_F x)): the row of b' through the transposed h-map.
+                cached = self._by_last_flat(k, lambda h, parents: h.T.apply(above[parents].T), self.d - k).T
+            self._rows[k] = cached
+        return cached
 
-    def pairing_rows(self, monos: list[Monomial]) -> np.ndarray:
-        """Row i: the functional x -> int(h^monos[i] * x) on nested z-coordinates.
-
-        Each row runs down from the top degree through the transposed h-maps.
-        """
-        rows = []
-        for mono in monos:
-            w = np.array([[(-1) ** self.d]], dtype=np.int64)
-            cur = self.d
-            for mask, exp in reversed(mono):
-                for _ in range(exp):
-                    w = self.h_matrix(mask, cur - 1).T.apply(w)
-                    cur -= 1
-            rows.append(w)
-        return np.concatenate(rows, axis=1).T
+    def _by_last_flat(self, deg: int, step, map_deg: int | None = None) -> np.ndarray:
+        """Column i: ``step(h, parents)`` for the nested monomial m_i = m' * h_F
+        of degree ``deg``, with F its last flat, h the h-map of F at
+        ``map_deg`` (default deg - 1) and m' the parent, one batch per F."""
+        groups: dict[int, tuple[list[int], list[int]]] = {}
+        for i, mono in enumerate(self.nested[deg]):
+            mask, exp = mono[-1]
+            parent = _canon(itertools.chain(mono[:-1], ((mask, exp - 1),)))
+            members, parents = groups.setdefault(mask, ([], []))
+            members.append(i)
+            parents.append(self.nested_index[deg - 1][parent])
+        map_deg = deg - 1 if map_deg is None else map_deg
+        order, blocks = [], []
+        for mask, (members, parents) in groups.items():
+            order.extend(members)
+            blocks.append(step(self.h_matrix(mask, map_deg), parents))
+        return np.concatenate(blocks, axis=1)[:, np.argsort(order)]
 
     def tinv_matrix(self, deg: int) -> np.ndarray:
         """Exact integer inverse of t_matrix, via the lex-triangular structure.
@@ -582,7 +604,7 @@ class ChowRing:
         """Matrix of int(b_i * b_j) over nested degrees k and d-k (h basis)."""
         if not 0 <= k <= self.d:
             raise WrongGrade(f"degree {k} outside 0..{self.d}")
-        prod = imatmul(self.pairing_rows(self.nested[k]), self.t_matrix(self.d - k))
+        prod = imatmul(self.pairing_rows(k), self.t_matrix(self.d - k))
         return [[Fraction(int(v)) for v in row] for row in prod]
 
     def alpha_beta(self) -> tuple[ChowElement, ChowElement]:

@@ -340,11 +340,13 @@ def mu_via_degrees(m: Matroid) -> list[int]:
         for f in ring.flats_nonempty
         if f != full and not f & 1
     }
+    alpha = [ring.divisor_matrix(alpha_z, deg) for deg in range(d)]
+    beta = [ring.divisor_matrix(beta_z, deg) for deg in range(d)]
     out = []
     for k in range(d + 1):
         vec = np.ones((1, 1), dtype=np.int64)
         for deg in range(d):
-            vec = ring.divisor_apply(beta_z if deg < k else alpha_z, deg, vec)
+            vec = (beta if deg < k else alpha)[deg].apply(vec)
         out.append(int(vec[0, 0]) * (-1) ** d)
     return out
 
@@ -392,8 +394,8 @@ def hr_form(m: Matroid, ell: ChowElement, i: int) -> SymmetricFormReport:
     # Columns: ell^(d-2i) * b_c in nested z-coordinates.
     cols = ring.t_matrix(i)
     for deg in range(i, d - i):
-        cols = ring.divisor_apply(coeffs, deg, cols)
-    q_int = imatmul(ring.pairing_rows(basis), cols)
+        cols = ring.divisor_matrix(coeffs, deg).apply(cols)
+    q_int = imatmul(ring.pairing_rows(i), cols)
     if not (q_int == q_int.T).all():
         raise InvariantViolation("Q must be symmetric")
     denom = Fraction(scale) ** (d - 2 * i)
@@ -426,7 +428,7 @@ def kahler_check(m: Matroid, ell: ChowElement) -> KahlerReport:
     coeffs, scale = _element_z_integer_coeffs(ring, ell)
     vec = np.ones((1, 1), dtype=np.int64)
     for deg in range(d):
-        vec = ring.divisor_apply(coeffs, deg, vec)
+        vec = ring.divisor_matrix(coeffs, deg).apply(vec)
     top = Fraction(int(vec[0, 0]) * (-1) ** d, scale**d)
     hr0 = top > 0
     if d < 2:

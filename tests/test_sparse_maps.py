@@ -62,12 +62,14 @@ def test_compressed_maps_equal_dense_normal_forms(m, data):
             _check_compressed(h.T, dense_h(ring, f, deg).T)
 
 
-def test_from_entries_adds_repeats_and_drops_zeros():
-    m = SparseMap.from_entries((4, 5), [3, 1, 3, 0, 0], [4, 2, 4, 1, 1], [2, 7, 5, 1, -1])
+def test_from_columns_keeps_the_nonzero_rows_and_columns():
+    m = SparseMap.from_columns(4, [{}, {}, {3: 7}, {}, {1: 5, 3: -2}])
+    assert m.shape == (4, 5)
     assert m.outs.tolist() == [1, 3] and m.ins.tolist() == [2, 4]
-    assert m.block.tolist() == [[7, 0], [0, 7]]
-    assert m.bound == 7
-    empty = SparseMap.from_entries((2, 3), [], [], [])
+    assert m.block.tolist() == [[0, 5], [7, -2]]
+    assert m.bound == 9
+    assert m.T.shape == (5, 4) and m.T.bound == 7 and m.T.block.tolist() == [[0, 7], [5, -2]]
+    empty = SparseMap.from_columns(2, [{}, {}, {}])
     assert empty.block.shape == (0, 0) and empty.bound == 0
     assert (empty.apply(np.ones((3, 2), dtype=np.int64)) == 0).all()
 
@@ -76,8 +78,8 @@ def _random_map(rng, shape, magnitude):
     dense = np.zeros(shape, dtype=object)
     for r, c in zip(*np.nonzero(rng.random(shape) < 0.4)):
         dense[r, c] = int(rng.integers(-magnitude, magnitude + 1))
-    r, c = np.nonzero(dense != 0)
-    return dense, SparseMap.from_entries(shape, r, c, [dense[i, j] for i, j in zip(r, c)])
+    columns = [{r: dense[r, c] for r in range(shape[0]) if dense[r, c]} for c in range(shape[1])]
+    return dense, SparseMap.from_columns(shape[0], columns)
 
 
 def _random_block(rng, shape, magnitude):
@@ -109,7 +111,7 @@ def test_apply_matches_python_ints(map_bits, x_bits, seed):
     ],
 )
 def test_apply_paths_stay_exact(entry, value, dtype):
-    m = SparseMap.from_entries((2, 3), [0, 0, 1], [0, 2, 2], [entry, -entry, 1])
+    m = SparseMap.from_columns(2, [{0: entry}, {}, {0: -entry, 1: 1}])
     x = np.array([[value], [7], [value - 1]], dtype=object)
     expected = [[entry * value - entry * (value - 1)], [value - 1]]
     got = m.apply(x if dtype is object else x.astype(np.int64))
@@ -118,7 +120,7 @@ def test_apply_paths_stay_exact(entry, value, dtype):
 
 
 def test_float64_block_stays_float64():
-    m = SparseMap.from_entries((2, 2), [0, 1], [1, 0], [3, -2])
+    m = SparseMap.from_columns(2, [{1: -2}, {0: 3}])
     x = np.array([[1.0, 2.0], [4.0, 2.0**40]])
     got = m.rows(x, xmax=2**40)
     assert got.dtype == np.float64
