@@ -186,7 +186,6 @@ def imatmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return prod.astype(np.int64) if path is np.float64 else prod
 
 
-@dataclass(frozen=True, eq=False)
 class SparseMap:
     """An integer matrix stored as the block between its nonzero rows and columns.
 
@@ -196,14 +195,17 @@ class SparseMap:
     absolute row sum of ``block``, so that max |M x| <= bound * max |x|.
     """
 
-    shape: tuple[int, int]
-    outs: np.ndarray
-    ins: np.ndarray
-    block: np.ndarray
-    bound: int
+    def __init__(
+        self, shape: tuple[int, int], outs: np.ndarray, ins: np.ndarray, block: np.ndarray, bound: int
+    ):
+        self.shape = shape
+        self.outs = outs
+        self.ins = ins
+        self.block = block
+        self.bound = bound
 
     @classmethod
-    def from_columns(cls, n_rows: int, columns: list[dict[int, int]]) -> "SparseMap":
+    def from_columns(cls, n_rows: int, columns: list[dict[int, int]]) -> SparseMap:
         """The map whose column c holds the nonzero entries ``columns[c]``, row -> value."""
         ins = [c for c, col in enumerate(columns) if col]
         outs = sorted(set().union(*columns))
@@ -214,17 +216,20 @@ class SparseMap:
         fits = all(abs(v) < _INT64_SAFE for v in vals)
         block = np.zeros((len(outs), len(ins)), dtype=np.int64 if fits else object)
         block[rows, cols] = vals
-        return cls((n_rows, len(columns)), np.array(outs, dtype=np.intp), np.array(ins, dtype=np.intp), block, _row_bound(block))
+        outs, ins = np.array(outs, dtype=np.intp), np.array(ins, dtype=np.intp)
+        return cls((n_rows, len(columns)), outs, ins, block, _row_bound(block))
 
     @classmethod
-    def combination(cls, shape: tuple[int, int], terms: list[tuple[int, "SparseMap"]]) -> "SparseMap":
+    def combination(cls, shape: tuple[int, int], terms: list[tuple[int, SparseMap]]) -> SparseMap:
         """The sum of c * M over the ``(c, M)`` terms, maps of the given shape."""
         terms = [(c, m) for c, m in terms if c and m.bound]
         # Every entry of the sum is at most sum |c| * bound(M).
         fits = sum(abs(c) * m.bound for c, m in terms) < _INT64_SAFE
         dtype = np.int64 if fits and all(m.block.dtype != object for _, m in terms) else object
-        rows, cols, vals = np.concatenate([m.entries for _, m in terms] or [np.zeros((3, 0), dtype=np.intp)], axis=1)
-        vals = vals.astype(dtype) * np.repeat(np.array([c for c, _ in terms], dtype=dtype), [m.entries.shape[1] for _, m in terms])
+        parts = [m.entries for _, m in terms] or [np.zeros((3, 0), dtype=np.intp)]
+        rows, cols, vals = np.concatenate(parts, axis=1)
+        coeffs = np.array([c for c, _ in terms], dtype=dtype)
+        vals = vals.astype(dtype) * np.repeat(coeffs, [m.entries.shape[1] for _, m in terms])
         outs, r = _positions(rows.astype(np.intp, copy=False), shape[0])
         ins, c = _positions(cols.astype(np.intp, copy=False), shape[1])
         block = np.zeros((len(outs), len(ins)), dtype=dtype)
@@ -242,7 +247,7 @@ class SparseMap:
         return np.stack([self.outs[r], self.ins[c], self.block[r, c]])
 
     @cached_property
-    def T(self) -> "SparseMap":
+    def T(self) -> SparseMap:
         """The transpose, for row vectors: ``M.T.apply(w)`` is ``(w.T @ M).T``."""
         block = np.ascontiguousarray(self.block.T)
         return SparseMap(self.shape[::-1], self.ins, self.outs, block, _row_bound(block))
@@ -265,6 +270,8 @@ class SparseMap:
         if xmax is None:
             xmax = absmax(gathered)
         path = exact_dtype(self.bound * xmax) if self.block.dtype != object else object
+        if x.dtype == np.float64 and path is not np.float64:
+            gathered = gathered.astype(np.int64)
         block = self._float_block if path is np.float64 else self.block.astype(path, copy=False)
         prod = block @ gathered.astype(path, copy=False)
         return prod.astype(np.int64) if path is np.float64 and x.dtype != np.float64 else prod

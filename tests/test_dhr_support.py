@@ -1,7 +1,6 @@
 """The sorted DHR support, its link table, the exchange check and the gathered
 Hessians, against brute-force definitions and the truncated-matroid route."""
 
-import dataclasses
 import itertools
 import json
 import math
@@ -15,7 +14,7 @@ from hypothesis import strategies as st
 
 from chowmat import cli, graphic, hodge, uniform
 from chowmat._linalg import signature
-from chowmat.chow import ring_for
+from chowmat.chow import SparseMap, ring_for
 from chowmat.errors import InvalidRank, LoopyMatroid
 from chowmat.hodge import (
     MCONVEX_EXHAUSTIVE_CAP,
@@ -155,7 +154,7 @@ def test_triple_scan_sees_a_corrupted_route(monkeypatch, route):
 
         def corrupted(f, deg):
             h = h_matrix(f, deg)
-            return dataclasses.replace(h, block=0 * h.block) if f == zeroed else h
+            return SparseMap(h.shape, h.outs, h.ins, 0 * h.block, h.bound) if f == zeroed else h
 
         monkeypatch.setattr(ring, "h_matrix", corrupted)
     else:

@@ -125,6 +125,10 @@ def test_float64_block_stays_float64():
     got = m.rows(x, xmax=2**40)
     assert got.dtype == np.float64
     assert got.tolist() == [[12.0, 3.0 * 2**40], [-2.0, -4.0]]
+    # Past 2^62 the float64 input leaves float64 for Python ints, exactly.
+    big = SparseMap.from_columns(2, [{1: 1}, {0: 2**20 + 1}])
+    y = np.array([[1.0], [2.0**52 + 1]])
+    assert big.rows(y).tolist() == [[(2**20 + 1) * (2**52 + 1)], [1]]
 
 
 @pytest.mark.slow
