@@ -248,9 +248,9 @@ class SparseMap:
 
     @cached_property
     def T(self) -> SparseMap:
-        """The transpose, for row vectors: ``M.T.apply(w)`` is ``(w.T @ M).T``."""
-        block = np.ascontiguousarray(self.block.T)
-        return SparseMap(self.shape[::-1], self.ins, self.outs, block, _row_bound(block))
+        """The transpose, for row vectors: ``M.T.apply(w)`` is ``(w.T @ M).T``.
+        Its block is a view of this one."""
+        return SparseMap(self.shape[::-1], self.ins, self.outs, self.block.T, _row_bound(self.block.T))
 
     @cached_property
     def _float_block(self) -> np.ndarray:
