@@ -197,7 +197,7 @@ class SparseMap:
 
     def __init__(
         self, shape: tuple[int, int], outs: np.ndarray, ins: np.ndarray, block: np.ndarray, bound: int
-    ):
+    ) -> None:
         self.shape = shape
         self.outs = outs
         self.ins = ins
@@ -250,7 +250,8 @@ class SparseMap:
     def T(self) -> SparseMap:
         """The transpose, for row vectors: ``M.T.apply(w)`` is ``(w.T @ M).T``.
         Its block is a view of this one."""
-        return SparseMap(self.shape[::-1], self.ins, self.outs, self.block.T, _row_bound(self.block.T))
+        block = self.block.T
+        return SparseMap(self.shape[::-1], self.ins, self.outs, block, _row_bound(block))
 
     @cached_property
     def _float_block(self) -> np.ndarray:
@@ -473,7 +474,8 @@ class ChowRing:
     def divisor_matrix(self, zcoeffs: dict[int, int], deg: int) -> SparseMap:
         """Multiplication by an integer z-divisor sum(c_F z_F), deg -> deg+1."""
         shape = (len(self.nested[deg + 1]), len(self.nested[deg]))
-        return SparseMap.combination(shape, [(c, self.z_matrix(f, deg)) for f, c in zcoeffs.items() if c])
+        terms = [(c, self.z_matrix(f, deg)) for f, c in zcoeffs.items() if c]
+        return SparseMap.combination(shape, terms)
 
     def t_matrix(self, deg: int) -> np.ndarray:
         """Columns: nested z-coordinates of the nested h-basis monomials."""
@@ -483,7 +485,11 @@ class ChowRing:
                 cached = np.ones((1, 1), dtype=np.int64)
             else:
                 below = self.t_matrix(deg - 1)
-                cached = self._by_last_flat(deg, lambda h, parents: h.apply(below[:, parents]))
+
+                def step(h: SparseMap, parents: list[int]) -> np.ndarray:
+                    return h.apply(below[:, parents])
+
+                cached = self._by_last_flat(deg, deg - 1, step)
             self._t[deg] = cached
         return cached
 
@@ -496,15 +502,19 @@ class ChowRing:
                 cached = np.array([[(-1) ** self.d]], dtype=np.int64)
             else:
                 above = self.pairing_rows(k - 1)
-                # int(h_F b' x) = int(b' (h_F x)): the row of b' through the transposed h-map.
-                cached = self._by_last_flat(k, lambda h, parents: h.T.apply(above[parents].T), self.d - k).T
+
+                def step(h: SparseMap, parents: list[int]) -> np.ndarray:
+                    # int(h_F b' x) = int(b' (h_F x)): the row of b' through the transposed h-map.
+                    return h.T.apply(above[parents].T)
+
+                cached = self._by_last_flat(k, self.d - k, step).T
             self._rows[k] = cached
         return cached
 
-    def _by_last_flat(self, deg: int, step, map_deg: int | None = None) -> np.ndarray:
+    def _by_last_flat(self, deg: int, map_deg: int, step) -> np.ndarray:
         """Column i: ``step(h, parents)`` for the nested monomial m_i = m' * h_F
-        of degree ``deg``, with F its last flat, h the h-map of F at
-        ``map_deg`` (default deg - 1) and m' the parent, one batch per F."""
+        of degree ``deg``, with F its last flat, h the h-map of F at degree
+        ``map_deg`` and m' the parent, one batch per F."""
         groups: dict[int, tuple[list[int], list[int]]] = {}
         for i, mono in enumerate(self.nested[deg]):
             mask, exp = mono[-1]
@@ -512,7 +522,6 @@ class ChowRing:
             members, parents = groups.setdefault(mask, ([], []))
             members.append(i)
             parents.append(self.nested_index[deg - 1][parent])
-        map_deg = deg - 1 if map_deg is None else map_deg
         order, blocks = [], []
         for mask, (members, parents) in groups.items():
             order.extend(members)

@@ -35,7 +35,8 @@ def small_matroids(draw):
     n = draw(st.integers(2, 7))
     m = uniform(n, n)
     for _ in range(draw(st.integers(max(0, n - 4) if n == 7 else 0, max(0, n - 2)))):
-        m = principal_truncation(m, draw(st.sampled_from([f for f in m.lattice().flats if m.rank(f) >= 2])))
+        flats = [f for f in m.lattice().flats if m.rank(f) >= 2]
+        m = principal_truncation(m, draw(st.sampled_from(flats)))
     return m
 
 
@@ -53,7 +54,9 @@ def _check_compressed(m: SparseMap, dense: np.ndarray) -> None:
 @given(small_matroids(), st.data())
 def test_compressed_maps_equal_dense_normal_forms(m, data):
     ring = ring_for(m)
-    flats = data.draw(st.lists(st.sampled_from(ring.flats_nonempty), min_size=1, max_size=4, unique=True))
+    flats = data.draw(
+        st.lists(st.sampled_from(ring.flats_nonempty), min_size=1, max_size=4, unique=True)
+    )
     for f in flats:
         for deg in range(ring.d):
             z, h = ring.z_matrix(f, deg), ring.h_matrix(f, deg)
@@ -83,7 +86,8 @@ def _random_map(rng, shape, magnitude):
 
 
 def _random_block(rng, shape, magnitude):
-    return np.array([[int(rng.integers(-magnitude, magnitude + 1)) for _ in range(shape[1])] for _ in range(shape[0])], dtype=object)
+    entries = rng.integers(-magnitude, magnitude + 1, size=shape, dtype=np.int64)
+    return entries.astype(object)
 
 
 @settings(max_examples=60, deadline=None)
@@ -148,13 +152,18 @@ def test_charpoly_u510_stays_below_a_gigabyte(tmp_path):
         "sys.exit(code)\n"
     )
     src = str(Path(chowmat.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
 
     def limit_memory():  # a regression fails here instead of exhausting the host
         resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
 
     done = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, env=env, timeout=900, preexec_fn=limit_memory
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        env=env,
+        timeout=900,
+        preexec_fn=limit_memory,
     )
     assert done.returncode == 0, done.stderr.decode()[-2000:]
     result = json.loads(done.stdout)["result"]
