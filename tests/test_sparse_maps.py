@@ -1,4 +1,5 @@
-"""The compressed multiplication maps of the Chow ring and their apply kernel."""
+"""The compressed multiplication maps of the Chow ring (z-, h- and divisor
+maps) and their apply kernel."""
 
 import itertools
 import json
@@ -63,6 +64,10 @@ def test_compressed_maps_equal_dense_normal_forms(m, data):
             _check_compressed(z, dense_z(ring, f, deg))
             _check_compressed(h, dense_h(ring, f, deg))
             _check_compressed(h.T, dense_h(ring, f, deg).T)
+    coeffs = {f: data.draw(st.integers(-9, 9)) for f in flats}
+    for deg in range(ring.d):
+        dense = sum(c * dense_z(ring, f, deg) for f, c in coeffs.items())
+        _check_compressed(ring.divisor_matrix(coeffs, deg), dense)
 
 
 def test_from_columns_keeps_the_nonzero_rows_and_columns():
