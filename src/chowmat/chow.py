@@ -609,7 +609,8 @@ class ChowRing:
         flats = list(flats)
         if len(flats) != self.d:
             raise WrongGrade(f"need {self.d} factors, got {len(flats)}")
-        vec = np.ones((1, 1), dtype=np.int64)
+        # A float64 column stays float64 while the products fit below 2^53.
+        vec = np.ones((1, 1))
         for deg, f in enumerate(flats):
             vec = self.h_matrix(self.matroid.closure(f), deg).apply(vec)
             if not vec.any():
