@@ -4,7 +4,15 @@ One fraction-free kernel serves every exact question.  Rational input is
 first multiplied by a positive common denominator, which changes neither the
 rank nor the inertia, so all elimination runs on Python ints.
 
-* :func:`signature` reduces a symmetric matrix by congruence: a nonzero
+* :func:`signature` of an integer array of ``_CERTIFY_FROM`` or more rows
+  first tries a congruence that floating point proposes and integers certify
+  (after Rump, Acta Numerica 2010): P = rint(2^s V) for the float64
+  eigenvectors V of Q, and D = P^T Q P exact from b-bit limbs of P.  If D is
+  strictly diagonally dominant, no diag(D) + t (D - diag(D)), 0 <= t <= 1, is
+  singular (Gershgorin), so D has the inertia of diag(D), P is nonsingular,
+  and Q has the inertia of D (Sylvester's law).  Otherwise, and for object or
+  rational input, the elimination below decides.
+* The elimination reduces a symmetric matrix by congruence: a nonzero
   diagonal entry (the smallest in absolute value) is a 1x1 pivot; when the
   whole diagonal vanishes, a nonzero off-diagonal entry gives the hyperbolic
   2x2 block, which contributes one positive and one negative square.  Each
@@ -26,10 +34,13 @@ from fractions import Fraction
 
 import numpy as np
 
+from .chow import absmax, imatmul
 from .errors import InvariantViolation
 
 #: Prime below 2^31 so products of two reduced entries stay inside int64.
 _P = 2147483647
+#: Smaller forms are cheaper to eliminate than to certify (measured: 54 vs 86 us at 6 rows).
+_CERTIFY_FROM = 8
 
 
 def _integer_rows(matrix) -> list[list[int]]:
@@ -47,6 +58,39 @@ def _integer_rows(matrix) -> list[list[int]]:
 
 def signature(sym) -> tuple[int, int, int]:
     """Exact inertia (n_plus, n_minus, n_zero) of a symmetric rational matrix."""
+    q = np.asarray(sym)
+    if q.dtype != object and np.can_cast(q.dtype, np.int64) and len(q) >= _CERTIFY_FROM:
+        return _certified_signature(q.astype(np.int64)) or _bareiss_signature(sym)
+    return _bareiss_signature(sym)
+
+
+def _certified_signature(q: np.ndarray) -> tuple[int, int, int] | None:
+    """The inertia of an integer symmetric Q read off the congruence D = P^T Q P,
+    or None when Q is not symmetric or D is not strictly diagonally dominant."""
+    n = len(q)
+    w, v = np.linalg.eigh(q.astype(np.float64))
+    w = np.abs(w)
+    # Rounding P moves row i of D by about 2^s n sum|w|, against 2^2s w_i.
+    if not ((q == q.T).all() and 4 * n * w.sum() < w.min() * 2.0**52):
+        return None
+    s = math.ceil(math.log2(4 * n * w.sum() / w.min()))
+    p = np.rint(np.ldexp(v, s)).astype(np.int64)
+    # b-bit limbs keep every limb product below 2^52, on float64; when they
+    # would be too narrow, one limb takes int64 or Python ints instead.
+    b = (52 - (n * n * absmax(q)).bit_length()) // 2
+    b = b if b >= 4 else s + 1
+    k = -(-(s + 1) // b)
+    limbs = [(p >> (b * i)) & ((1 << b) - 1) for i in range(k - 1)] + [p >> (b * (k - 1))]
+    qp = [imatmul(q, limb) for limb in limbs]
+    d = np.zeros(q.shape, dtype=object)
+    for t in range(2 * k - 2, -1, -1):  # D = sum_t 2^(bt) sum_{i+j=t} L_i^T Q L_j, by Horner
+        d = (d << b) + sum(imatmul(limbs[i].T, qp[t - i]) for i in range(k) if 0 <= t - i < k)
+    pos = int((d.diagonal() > 0).sum())
+    return (pos, n - pos, 0) if (2 * np.abs(d.diagonal()) > np.abs(d).sum(axis=1)).all() else None
+
+
+def _bareiss_signature(sym) -> tuple[int, int, int]:
+    """The inertia by fraction-free congruence elimination on Python ints."""
     a = _integer_rows(sym)
     n = len(a)
     for i in range(n):

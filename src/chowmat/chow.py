@@ -165,7 +165,7 @@ def absmax(x: np.ndarray) -> int:
         return 0
     if x.dtype == object:
         return max(abs(int(v)) for v in x.flat)
-    return int(max(x.max(), -x.min()))
+    return max(int(x.max()), -int(x.min()))
 
 
 def exact_dtype(bound: int):
@@ -636,14 +636,15 @@ class ChowRing:
         )
         return alpha, beta
 
-    def sample_ample(self) -> AmpleDivisor:
-        """The canonical strictly submodular divisor c_S = |S| * |E \\ S|."""
+    def ample_x_form(self) -> ChowElement:
+        """The canonical strictly submodular divisor c_S = |S| * |E \\ S|, in x."""
         n = self.matroid.n_elements
         proper = [f for f in self.flats_nonempty if f != self.matroid.full_mask]
-        x_form = ChowElement(
-            "x",
-            {_canon([(f, 1)]): Fraction(popcount(f) * (n - popcount(f))) for f in proper},
-        )
+        return ChowElement("x", {_canon([(f, 1)]): Fraction(popcount(f) * (n - popcount(f))) for f in proper})
+
+    def sample_ample(self) -> AmpleDivisor:
+        """:meth:`ample_x_form` and its normal form in the h alphabet."""
+        x_form = self.ample_x_form()
         return AmpleDivisor(x_form, self.normal_form(x_form))
 
 

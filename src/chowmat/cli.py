@@ -18,10 +18,9 @@ import traceback
 from fractions import Fraction
 
 import click
-import numpy as np
 
 from . import _linalg, bergman, hodge, quotients
-from .chow import ring_for
+from .chow import imatmul, ring_for
 from .errors import ChowmatError, InvariantViolation, NotAFlat, ParseError
 from .matroid import Matroid, bits, graphic, mask_of, matroid_from_bases, uniform
 
@@ -282,9 +281,8 @@ def _suite_poincare(m: Matroid, seed: int) -> dict:
     palindromic = hilbert == hilbert[::-1]
     full = True
     for k in range(ring.d + 1):
-        pairing = ring.poincare_pairing(k)
-        mat = np.array([[int(v) for v in row] for row in pairing], dtype=np.int64)
-        if not _linalg.is_full_rank(mat):
+        # The integer matrix of poincare_pairing(k), without its Fractions.
+        if not _linalg.is_full_rank(imatmul(ring.pairing_rows(k), ring.t_matrix(ring.d - k))):
             full = False
             break
     return {"passed": palindromic and full, "hilbert": hilbert, "palindromic": palindromic, "pairings_full_rank": full}
@@ -303,24 +301,14 @@ def _suite_lorentzian(m: Matroid, seed: int) -> dict:
 
 def _suite_kahler(m: Matroid, seed: int) -> dict:
     ring = ring_for(m)
-    vacuous = ring.d < 2
-    samples = [ring.sample_ample().x_form]
-    samples += hodge.sample_nabla_cone(m, KAHLER_SAMPLES, seed)
-    ok = True
-    signatures = []
-    ample_top = None
-    for ell in samples:
-        report = hodge.kahler_check(m, ell)
-        ok = ok and report.ok
-        if ample_top is None:
-            ample_top = rational_json(report.top_power)
-        signatures.append(list(report.q1_signature) if report.q1_signature else None)
-    out = {"passed": ok, "samples": len(samples), "ample_top_power": ample_top}
-    if vacuous:
+    samples = [ring.ample_x_form()] + hodge.sample_nabla_cone(m, KAHLER_SAMPLES, seed)
+    reports = [hodge.kahler_check(m, ell) for ell in samples]
+    top = rational_json(reports[0].top_power)
+    out = {"passed": all(r.ok for r in reports), "samples": len(samples), "ample_top_power": top}
+    if ring.d < 2:
         out["note"] = "vacuous degree 1"
     else:
-        out["q1_signatures"] = sorted({tuple(s) for s in signatures if s})
-        out["q1_signatures"] = [list(s) for s in out["q1_signatures"]]
+        out["q1_signatures"] = [list(s) for s in sorted({r.q1_signature for r in reports})]
     return out
 
 

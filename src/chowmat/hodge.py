@@ -42,7 +42,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import _linalg
-from .chow import ChowElement, ChowRing, absmax, convert_element, exact_dtype, imatmul, ring_for
+from .chow import ChowElement, ChowRing, SparseMap, absmax, convert_element, exact_dtype, imatmul, ring_for
 from .errors import (
     EmptySetMember,
     InvalidRank,
@@ -367,20 +367,36 @@ class SymmetricFormReport:
     signature: tuple[int, int, int]
 
 
-def _element_z_integer_coeffs(ring: ChowRing, e: ChowElement) -> tuple[dict[int, int], int]:
-    """z-coefficients of a degree-1 element, scaled to integers.
+def _divisor_coeffs(ring: ChowRing, e: ChowElement) -> tuple[dict[int, int], int]:
+    """(coeffs, scale) with e = (1/scale) * sum c_F z_F for a degree-1 element e: linear terms
+    take x_F = z_F and h_F = -sum_{G >= F} z_G directly, anything else :func:`convert_element`."""
+    full = ring.matroid.full_mask if e.alphabet == "x" else 0
+    lin = ring.supersets if e.alphabet == "h" else {f: [f] for f in ring.supersets if f != full}
+    if all(len(mono) == 1 and mono[0][1] == 1 and mono[0][0] in lin for mono in e.terms):
+        z: dict[int, Fraction] = {}
+        for ((f, _),), c in e.terms.items():
+            for g in lin[f]:
+                z[g] = z.get(g, 0) + (-c if e.alphabet == "h" else c)
+    else:
+        converted = convert_element(ring, e, "z")
+        grade = converted.grade()
+        if grade not in (None, 1):
+            raise NotDegreeOne(f"expected a degree-1 divisor, got grade {grade}")
+        z = {mono[0][0]: c for mono, c in converted.terms.items()}
+    denom = math.lcm(*(c.denominator for c in z.values()))
+    return {f: int(c * denom) for f, c in z.items()}, denom
 
-    Returns (coeffs, scale) with element = (1/scale) * sum c_F z_F.
-    """
-    z = convert_element(ring, e, "z")
-    grade = z.grade()
-    if grade not in (None, 1):
-        raise NotDegreeOne(f"expected a degree-1 divisor, got grade {grade}")
-    denom = 1
-    for c in z.terms.values():
-        denom = denom * c.denominator // math.gcd(denom, c.denominator)
-    coeffs = {mono[0][0]: int(c * denom) for mono, c in z.terms.items()}
-    return coeffs, denom
+
+def _hr_matrix(ring: ChowRing, maps: list[SparseMap], i: int) -> np.ndarray:
+    """Q^i times scale^(d-2i) as an integer matrix, ``maps[deg]`` the divisor's map deg -> deg+1:
+    the pairing rows of degree i against the columns ell^(d-2i) * b_c."""
+    cols = ring.t_matrix(i)
+    for deg in range(i, ring.d - i):
+        cols = maps[deg].apply(cols)
+    q_int = imatmul(ring.pairing_rows(i), cols)
+    if not (q_int == q_int.T).all():
+        raise InvariantViolation("Q must be symmetric")
+    return q_int
 
 
 def hr_form(m: Matroid, ell: ChowElement, i: int) -> SymmetricFormReport:
@@ -389,19 +405,12 @@ def hr_form(m: Matroid, ell: ChowElement, i: int) -> SymmetricFormReport:
     d = ring.d
     if i not in (0, 1) or 2 * i > d:
         raise WrongGrade(f"degree {i} not covered (need i in {{0,1}} and 2i <= d)")
-    coeffs, scale = _element_z_integer_coeffs(ring, ell)
-    basis = ring.nested[i]
-    # Columns: ell^(d-2i) * b_c in nested z-coordinates.
-    cols = ring.t_matrix(i)
-    for deg in range(i, d - i):
-        cols = ring.divisor_matrix(coeffs, deg).apply(cols)
-    q_int = imatmul(ring.pairing_rows(i), cols)
-    if not (q_int == q_int.T).all():
-        raise InvariantViolation("Q must be symmetric")
+    coeffs, scale = _divisor_coeffs(ring, ell)
+    q_int = _hr_matrix(ring, [ring.divisor_matrix(coeffs, deg) for deg in range(d - i)], i)
     denom = Fraction(scale) ** (d - 2 * i)
     matrix = [[Fraction(int(v)) / denom for v in row] for row in q_int]
     # Q = q_int / scale^(d-2i) with a positive scale: the same inertia.
-    return SymmetricFormReport(list(basis), matrix, _linalg.signature(q_int))
+    return SymmetricFormReport(list(ring.nested[i]), matrix, _linalg.signature(q_int))
 
 
 @dataclass
@@ -425,19 +434,17 @@ def kahler_check(m: Matroid, ell: ChowElement) -> KahlerReport:
     """Verify HL0/HR0 (positive top power) and HL1/HR1 (Lorentzian signature)."""
     ring = ring_for(m)
     d = ring.d
-    coeffs, scale = _element_z_integer_coeffs(ring, ell)
+    coeffs, scale = _divisor_coeffs(ring, ell)
+    maps = [ring.divisor_matrix(coeffs, deg) for deg in range(d)]
     vec = np.ones((1, 1), dtype=np.int64)
-    for deg in range(d):
-        vec = ring.divisor_matrix(coeffs, deg).apply(vec)
+    for step in maps:
+        vec = step.apply(vec)
     top = Fraction(int(vec[0, 0]) * (-1) ** d, scale**d)
     hr0 = top > 0
     if d < 2:
         return KahlerReport(m, top, hr0, None, True, True, True)
-    q1 = hr_form(m, ell, 1)
-    n1 = len(ring.nested[1])
-    hl1 = q1.signature[2] == 0
-    hr1 = q1.signature == (1, n1 - 1, 0)
-    return KahlerReport(m, top, hr0, q1.signature, hl1, hr1, False)
+    sig = _linalg.signature(_hr_matrix(ring, maps, 1))
+    return KahlerReport(m, top, hr0, sig, sig[2] == 0, sig == (1, len(ring.nested[1]) - 1, 0), False)
 
 
 def sample_nabla_cone(m: Matroid, count: int, seed: int) -> list[ChowElement]:

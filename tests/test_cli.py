@@ -339,3 +339,19 @@ def test_pretty_flag(runner, u34_spec):
     pretty = invoke(runner, ["info", u34_spec, "--pretty"]).output
     assert json.loads(plain) == json.loads(pretty)
     assert "\n" in pretty.strip()
+
+
+@pytest.mark.slow
+def test_verify_kahler_u58_in_a_child_process(tmp_path):
+    """26 Hodge-Riemann forms of size 155, cold, on the certified signatures."""
+    spec = tmp_path / "u58.json"
+    spec.write_text(json.dumps({"type": "uniform", "r": 5, "n": 8}))
+    src = os.path.dirname(os.path.dirname(chowmat.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "chowmat.cli", "verify", str(spec), "--suite", "kahler"],
+        capture_output=True, env=env, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()[-2000:]
+    kahler = json.loads(proc.stdout)["result"]["suites"]["kahler"]
+    assert kahler["q1_signatures"] == [[1, 154, 0]]

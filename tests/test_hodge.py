@@ -2,6 +2,7 @@
 characteristic polynomials, star factorization."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -9,16 +10,18 @@ import pytest
 
 from chowmat import ChowElement, graphic, sample_ample, uniform
 from chowmat._linalg import signature
-from chowmat.chow import normal_form, ring_for
+from chowmat.chow import convert_element, normal_form, ring_for
 from chowmat.errors import (
     EmptySetMember,
     LoopyMatroid,
+    NotAFlat,
     NotAProperFlat,
     NotDegreeOne,
     WrongArity,
     WrongGrade,
 )
 from chowmat.hodge import (
+    _divisor_coeffs,
     VolumePolynomial,
     chain_terminates_loopless,
     char_poly,
@@ -330,6 +333,56 @@ def test_kahler_check_rank2_vacuous():
     rep = kahler_check(m, sample_ample(m).x_form)
     assert rep.ok and rep.degree_one_vacuous
     assert rep.q1_signature is None
+
+
+def test_kahler_q1_signature_is_the_hr_form_signature(corpus):
+    """kahler_check reads Q^1 off the integer helper; hr_form builds its Fraction
+    matrix. Both must give the same signature, for the ample divisor and two
+    nabla samples on every corpus matroid of rank >= 3."""
+    for name, m in corpus:
+        ring = ring_for(m)
+        if ring.d < 2:
+            continue
+        for ell in [ring.ample_x_form(), *sample_nabla_cone(m, 2, seed=3)]:
+            rep = kahler_check(m, ell)
+            assert rep.q1_signature == hr_form(m, ell, 1).signature, name
+            assert rep.q1_signature == signature(hr_form(m, ell, 1).matrix), name
+
+
+def test_divisor_coeffs_match_the_alphabet_conversion():
+    """The linear substitutions x_F = z_F and h_F = -sum_{G >= F} z_G agree with
+    convert_element, on integer and rational divisors in all three alphabets."""
+    for m in [U34, k4(), fano(), random_truncation_corpus()[4]]:
+        ring = ring_for(m)
+        elements = [ring.ample_x_form(), Fraction(2, 3) * ring.ample_x_form(), *sample_nabla_cone(m, 2, seed=4)]
+        elements.append(ChowElement("h", {((f, 1),): Fraction(f % 5 - 2, 1 + f % 3) for f in ring.flats_nonempty}))
+        elements.append(ChowElement("z", {((f, 1),): Fraction(f % 7 - 3) for f in ring.flats_nonempty}))
+        for e in elements:
+            z = convert_element(ring, e, "z")
+            denom = math.lcm(*(c.denominator for c in z.terms.values()))
+            expected = {mono[0][0]: int(c * denom) for mono, c in z.terms.items()}
+            coeffs, scale = _divisor_coeffs(ring, e)
+            assert scale == denom
+            assert {f: c for f, c in coeffs.items() if c} == expected
+
+
+def test_divisor_coeffs_fall_back_for_other_elements():
+    ring = ring_for(U34)
+    with pytest.raises(NotDegreeOne):
+        _divisor_coeffs(ring, ChowElement.variable("h", E4, 2))
+    with pytest.raises(NotDegreeOne):
+        _divisor_coeffs(ring, ChowElement.one("x"))
+    with pytest.raises(NotAFlat):
+        _divisor_coeffs(ring, ChowElement.variable("x", E4))
+    assert _divisor_coeffs(ring, ChowElement.zero("h")) == ({}, 1)
+
+
+def test_sample_ample_keeps_its_x_form():
+    for m in [U34, k4()]:
+        ring = ring_for(m)
+        amp = sample_ample(m)
+        assert amp.x_form == ring.ample_x_form()
+        assert amp.h_form == normal_form(m, ring.ample_x_form())
 
 
 def test_kahler_seeded_samples():

@@ -159,3 +159,124 @@ def test_rank_invariant_violation_is_typed(monkeypatch):
     monkeypatch.setattr(_linalg, "rank_mod_p", lambda matrix, p=_linalg._P: 2)
     with pytest.raises(InvariantViolation):
         rank_int(np.array([[1, 2, 3], [2, 4, 6], [0, 0, 0]], dtype=np.int64))
+
+
+# -- the certified congruence against the elimination ----------------------------------
+
+
+@st.composite
+def certifiable_forms(draw):
+    """Integer symmetric forms of 0..20 rows, scaled past 2^53 or 2^62 when drawn.
+
+    Kinds: dense random forms, forms with a zero diagonal, B D B^T with B
+    square (often nonsingular) or thin (always singular), and diagonally
+    shifted copies of those.
+    """
+    n = draw(st.integers(0, 20))
+    kind = draw(st.sampled_from(["dense", "zero_diagonal", "gram", "thin_gram", "shifted"]))
+    if kind in ("gram", "thin_gram"):
+        k = n if kind == "gram" else draw(st.integers(0, max(n - 1, 0)))
+        b = np.array([[draw(st.integers(-3, 3)) for _ in range(k)] for _ in range(n)], dtype=np.int64).reshape(n, k)
+        d = np.diag([draw(st.sampled_from([-2, -1, 1, 2, 3])) for _ in range(k)]).reshape(k, k)
+        a = b @ d @ b.T
+    else:
+        seed = draw(st.integers(0, 2**32 - 1))
+        rng = np.random.default_rng(seed)
+        half = rng.integers(-6, 7, size=(n, n))
+        a = half + half.T
+        if kind == "zero_diagonal":
+            np.fill_diagonal(a, 0)
+        if kind == "shifted":
+            a += np.diag(rng.integers(-40, 41, size=n))
+    # Scale the entries into [2^53, 2^62) or [2^62, 2^63): the inertia is unchanged.
+    largest = int(np.abs(a).max()) if a.size else 0
+    scale = draw(st.sampled_from([0, 53, 62]))
+    if scale and largest:
+        a = a << (scale - largest.bit_length() + 1)
+    return a.astype(np.int64).reshape(n, n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(certifiable_forms())
+def test_signature_certificate_matches_elimination(a):
+    """Whichever path settles a form, it agrees with the elimination and the
+    Fraction oracle; a certified answer is always nonsingular."""
+    expected = _linalg._bareiss_signature(a)
+    assert signature(a) == expected
+    assert signature(a.astype(object)) == expected
+    if len(a) <= 12 and np.abs(a).max(initial=0) < 1 << 20:
+        assert oracle.signature(a.tolist()) == expected
+    # The certificate also holds below the size where signature() starts to use it.
+    certified = _linalg._certified_signature(a) if len(a) else None
+    assert certified is None or certified == expected
+    if certified is not None:
+        assert certified[2] == 0
+
+
+def test_signature_of_empty_form():
+    assert signature(np.zeros((0, 0), dtype=np.int64)) == (0, 0, 0)
+    assert signature([]) == (0, 0, 0)
+
+
+def _count_eliminations(monkeypatch) -> list:
+    calls = []
+    bareiss = _linalg._bareiss_signature
+    monkeypatch.setattr(_linalg, "_bareiss_signature", lambda sym: calls.append(1) or bareiss(sym))
+    return calls
+
+
+def test_certificate_settles_a_nonsingular_form(monkeypatch):
+    calls = _count_eliminations(monkeypatch)
+    rng = np.random.default_rng(5)
+    b = rng.integers(-4, 5, size=(30, 30))
+    q = b @ np.diag([1] * 10 + [-1] * 20) @ b.T
+    assert signature(q) == (10, 20, 0)
+    assert calls == []
+
+
+def test_singular_form_falls_back(monkeypatch):
+    calls = _count_eliminations(monkeypatch)
+    rng = np.random.default_rng(6)
+    b = rng.integers(-3, 4, size=(12, 9))
+    q = b @ np.diag([2, 1, 1, -1, -1, -1, -3, 1, 1]) @ b.T
+    assert _linalg._certified_signature(q) is None
+    assert signature(q) == oracle.signature(q.tolist())
+    assert signature(q)[2] >= 3
+    assert len(calls) == 2
+
+
+def test_wrong_eigenvectors_fail_the_certificate(monkeypatch):
+    """A bad proposal fails the exact dominance test, and the elimination decides."""
+    rng = np.random.default_rng(7)
+    half = rng.integers(-5, 6, size=(16, 16))
+    q = half + half.T + np.diag(rng.integers(-30, 31, size=16))
+    expected = oracle.signature(q.tolist())
+    eigh = np.linalg.eigh
+
+    def swapped(a):
+        w, v = eigh(a)
+        return w, v[:, ::-1].copy(order="C") @ np.linalg.qr(rng.normal(size=v.shape))[0]
+
+    monkeypatch.setattr(np.linalg, "eigh", swapped)
+    assert _linalg._certified_signature(q) is None
+    calls = _count_eliminations(monkeypatch)
+    assert signature(q) == expected
+    assert calls == [1]
+
+
+def test_floating_point_eigenvalues_do_not_decide(monkeypatch):
+    """The signs come from the exact diagonal of D, not from the float eigenvalues."""
+    rng = np.random.default_rng(8)
+    half = rng.integers(-5, 6, size=(16, 16))
+    q = half + half.T + np.diag(rng.integers(-30, 31, size=16))
+    expected = oracle.signature(q.tolist())
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: (-eigh(a)[0], eigh(a)[1]))
+    assert _linalg._certified_signature(q) == expected
+
+
+def test_asymmetric_integer_array_is_rejected():
+    a = np.eye(10, dtype=np.int64)
+    a[0, 1] = 1
+    with pytest.raises(ValueError):
+        signature(a)
