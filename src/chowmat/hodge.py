@@ -755,7 +755,7 @@ def lorentzian_check(m: Matroid, seed: int = 0, crosscheck: bool | None = None) 
     eigenvalue counts.  So the block of distinct link rows has the positive
     and negative counts of the truncation's Hessian, and it must have
     signature (1, m - 1, 0), m its size, as the truncation's must.
-    Signatures are memoized on the bytes of the block.
+    Signatures are memoized on the block's bytes and taken by elimination.
 
     With ``crosscheck`` (default: on for |E| <= 5) every gathered Hessian is
     compared entry by entry with :func:`truncation_hessian` of the truncated
@@ -783,7 +783,7 @@ def lorentzian_check(m: Matroid, seed: int = 0, crosscheck: bool | None = None) 
             key = block.tobytes()
             sig = memo.get(key)
             if sig is None:
-                sig = memo[key] = _linalg.signature(block.astype(np.int8))
+                sig = memo[key] = _linalg.signature(block.astype(object))
             if sig != (1, len(block) - 1, 0):
                 signatures_ok = False
                 break
