@@ -240,9 +240,10 @@ def test_singular_form_falls_back(monkeypatch):
     b = rng.integers(-3, 4, size=(12, 9))
     q = b @ np.diag([2, 1, 1, -1, -1, -1, -3, 1, 1]) @ b.T
     assert _linalg._certified_signature(q) is None
-    assert signature(q) == oracle.signature(q.tolist())
-    assert signature(q)[2] >= 3
-    assert len(calls) == 2
+    sig = signature(q)
+    assert sig == oracle.signature(q.tolist())
+    assert sig[2] >= 3
+    assert calls == [1]
 
 
 def test_wrong_eigenvectors_fail_the_certificate(monkeypatch):
@@ -253,11 +254,10 @@ def test_wrong_eigenvectors_fail_the_certificate(monkeypatch):
     expected = oracle.signature(q.tolist())
     eigh = np.linalg.eigh
 
-    def swapped(a):
-        w, v = eigh(a)
-        return w, v[:, ::-1].copy(order="C") @ np.linalg.qr(rng.normal(size=v.shape))[0]
+    def random_basis(a):  # the true eigenvalues, but any orthonormal basis
+        return eigh(a)[0], np.linalg.qr(rng.normal(size=a.shape))[0]
 
-    monkeypatch.setattr(np.linalg, "eigh", swapped)
+    monkeypatch.setattr(np.linalg, "eigh", random_basis)
     assert _linalg._certified_signature(q) is None
     calls = _count_eliminations(monkeypatch)
     assert signature(q) == expected
@@ -276,7 +276,8 @@ def test_floating_point_eigenvalues_do_not_decide(monkeypatch):
 
 
 def test_asymmetric_integer_array_is_rejected():
-    a = np.eye(10, dtype=np.int64)
+    """Diagonally dominant, so only the symmetry check keeps it from being certified."""
+    a = 4 * np.eye(10, dtype=np.int64)
     a[0, 1] = 1
     with pytest.raises(ValueError):
         signature(a)
