@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import chowmat
 from chowmat import graphic, uniform
-from chowmat.chow import SparseMap, ring_for
+from chowmat.chow import SparseMap, absmax, imatmul, ring_for
 from chowmat.quotients import principal_truncation
 
 from _map_oracle import dense_h, dense_z, densify
@@ -138,6 +138,14 @@ def test_float64_block_stays_float64():
     big = SparseMap.from_columns(2, [{1: 1}, {0: 2**20 + 1}])
     y = np.array([[1.0], [2.0**52 + 1]])
     assert big.rows(y).tolist() == [[(2**20 + 1) * (2**52 + 1)], [1]]
+
+
+def test_absmax_of_the_most_negative_int64():
+    """-(-2^63) does not fit in int64; the bound must not wrap to a small number."""
+    x = np.array([[-(2**63), 5]], dtype=np.int64)
+    assert absmax(x) == 2**63
+    # With a wrapped bound this product would run in float64 and round.
+    assert imatmul(x, np.array([[3], [1]], dtype=np.int64)).tolist() == [[-3 * 2**63 + 5]]
 
 
 @pytest.mark.slow
