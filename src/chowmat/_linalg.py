@@ -59,7 +59,7 @@ def _integer_rows(matrix) -> list[list[int]]:
 def signature(sym) -> tuple[int, int, int]:
     """Exact inertia (n_plus, n_minus, n_zero) of a symmetric rational matrix."""
     q = np.asarray(sym)
-    if q.dtype != object and np.can_cast(q.dtype, np.int64) and len(q) >= _CERTIFY_FROM:
+    if np.can_cast(q.dtype, np.int64) and len(q) >= _CERTIFY_FROM:
         return _certified_signature(q.astype(np.int64)) or _bareiss_signature(sym)
     return _bareiss_signature(sym)
 
