@@ -104,7 +104,10 @@ def _resolve_cap(max_ground: int | None) -> int:
     if max_ground is not None:
         return max_ground
     env = os.environ.get("CHOWMAT_MAX_GROUND")
-    return int(env) if env else DEFAULT_MAX_GROUND
+    try:
+        return int(env) if env else DEFAULT_MAX_GROUND
+    except ValueError as exc:
+        raise ParseError(f"CHOWMAT_MAX_GROUND must be an integer, got {env!r}") from exc
 
 
 def _run(command: str, spec_file: str, max_ground: int | None, pretty: bool, worker) -> None:

@@ -137,12 +137,12 @@ def _dhr_levels(m: Matroid, size: int, top: bool) -> tuple[list[np.ndarray], lis
     closure = everything.copy()
     for e in range(n):
         closure[rank[everything | (1 << e)] == rank] |= 1 << e
-    # Bit rows of the flats below each flat of the lattice; row 0 for "not tight".
+    # Bit rows of the flats below each flat of the lattice, in uint64 words; row 0 for "not tight".
     lattice = np.array(m.lattice().flats, dtype=np.uint16)
     position = np.zeros(1 << n, dtype=np.intp)
     position[lattice] = np.arange(1, len(lattice) + 1)
-    below = np.packbits((flats & ~lattice[:, None]) == 0, axis=1)
-    below = np.concatenate([np.zeros((1, below.shape[1]), dtype=np.uint8), below])
+    below = np.pad((flats & ~lattice[:, None]) == 0, ((1, 0), (0, -nvars % 64)))
+    below = np.packbits(below, axis=1).view("<u8")
     rows = np.zeros((1, 0), dtype=np.uint16)
     unions = np.zeros((1, 1), dtype=np.uint16)
     levels = [rows]
@@ -153,7 +153,7 @@ def _dhr_levels(m: Matroid, size: int, top: bool) -> tuple[list[np.ndarray], lis
         for lo in range(0, len(rows), _BLOCK):
             un = unions[lo : lo + _BLOCK]
             hits = np.where(rank[un] == tight_rank, position[closure[un]], 0)
-            dead = np.bitwise_or.reduce(below[hits], axis=1)
+            dead = np.bitwise_or.reduce(below[hits], axis=1).view(np.uint8)
             link[lo : lo + _BLOCK] = np.unpackbits(dead, axis=1, count=nvars) == 0
         links.append(link)
         if k + 1 == size and not top:
@@ -575,7 +575,8 @@ def dhr_triple_report(m: Matroid, spot_checks: int = 50, seed: int = 0) -> Tripl
     subtree - the C(v + r, r) ways to prepend r more indices <= v - is
     counted, not walked.  A seeded sample of dead multisets is still
     evaluated directly through all three routes as a spot check of that
-    argument.
+    argument.  Coordinate blocks stop at level d - 2; the last step takes one
+    product per parent block.
     """
     if not m.is_loopless():
         raise LoopyMatroid("the scan is defined for loopless matroids")
@@ -613,8 +614,9 @@ def _truncate_bitmaps(bm: np.ndarray, flat: int) -> np.ndarray:
 def _triple_scan(m: Matroid) -> TripleScanReport:
     """Level-batched scan: the link tables of :func:`dhr_levels` for the DHR
     route, rows of basis bitmaps for the chain route, and for the Groebner
-    route one nested z-coordinate column per node, put through the sparse
-    h-maps of the ring."""
+    route one nested z-coordinate column per node up to level d - 2, put
+    through the sparse h-maps of the ring.  Level d - 1 comes out of level
+    d - 2 in blocks T[0] = v, each checked at once with every u <= v."""
     ring = ring_for(m)
     d = ring.d
     if d == 0:
@@ -626,26 +628,52 @@ def _triple_scan(m: Matroid) -> TripleScanReport:
     subsets = np.arange(1 << m.n_elements)
     sizes = np.bitwise_count(subsets)
     # The subsets meeting each flat twice: a basis among them gives the flat rank >= 2.
-    pairs = [_bitmap(sizes[subsets & f] >= 2) for f in flats]
+    pairs = np.stack([_bitmap(sizes[subsets & f] >= 2) for f in flats])
     singles = _bitmap(sizes == 1)
     bitmaps = _bitmap((m.rank_table() == sizes) & (sizes == m.rank_full))[None]
     # (dim A^k, N_k): column i holds the nested z-coordinates of row i of levels[k].
-    coords = np.ones((1, 1), dtype=np.float64)
-    live_leaves = 0
-    dead = 0
-    verified = 0
-    for k in range(d):
+    coords = np.ones((1, 1), dtype=np.int64)
+    # A^d has one coordinate, so h_{F_u}: A^(d-1) -> A^d is row u of one functional.
+    functional = np.hstack([ring.h_matrix(f, d - 1).T.apply(coords) for f in flats]).T
+    top_bound = max(ring.h_matrix(f, d - 1).bound for f in flats)
+    holders = [np.flatnonzero(np.array(flats) >> e & 1) for e in range(m.n_elements)]  # e in F_u
+    live_leaves = dead = verified = 0
+
+    def leaves(co: np.ndarray, outs: np.ndarray, bm: np.ndarray, dhr_ok: np.ndarray, dtype) -> bool:
+        """Checks the T + e_u, u < dhr_ok.shape[1], for a block of nodes T of level d - 1."""
+        nonlocal live_leaves, dead, verified
+        count = dhr_ok.shape[1]
+        degree = (functional[:count, outs].astype(dtype) @ co.astype(dtype, copy=False)).T
+        chain_ok, on_singles = np.empty((2, *dhr_ok.shape), dtype=bool)
+        step = max(1, _BLOCK * 64 // (count * bm.shape[1]))  # about 2^17 (node, u, word) triples
+        for lo in range(0, len(bm), step):
+            part = bm[lo : lo + step]
+            chain_ok[lo : lo + step] = (part[:, None] & pairs[:count]).any(axis=2)
+            # The truncation along F_u is the OR of those along the elements of F_u.
+            landed = np.zeros((len(part), count, part.shape[1]), dtype=np.uint64)
+            for e, us in enumerate(holders):
+                landed[:, us[: np.searchsorted(us, count)]] |= _truncate_bitmaps(part, 1 << e)[:, None]
+            on_singles[lo : lo + step] = (landed == singles).all(axis=2)
+        verified += chain_ok.size
+        live_leaves += int(chain_ok.sum())
+        dead += int((~chain_ok).sum())
+        # The routes agree, the degree (the one coordinate of A^d) is (-1)^d, the chain lands on U(1,E).
+        agree = ((chain_ok == dhr_ok) & (dhr_ok == (degree != 0))).all()
+        return bool(agree and (degree[chain_ok] == (-1) ** d).all() and on_singles[chain_ok].all())
+
+    if d == 1 and not leaves(coords, [0], bitmaps, links[0], exact_dtype(top_bound)):  # the root
+        return TripleScanReport(m, total, live_leaves, dead, verified, False)
+    for k in range(d - 1):
         rows, link = levels[k], links[k]
-        leaf = k + 1 == d
-        remaining = d - k - 1
+        fused = k + 2 == d
         hmaps = [ring.h_matrix(f, k) for f in flats]
-        # One bound per level picks the dtype every product of the level fits in.
+        # One bound per level picks the dtype every product of the level, the leaf's included, fits in.
         xmax = absmax(coords)
-        dtype = exact_dtype(max(h.bound for h in hmaps) * xmax)
+        dtype = exact_dtype(max(h.bound for h in hmaps) * xmax * (top_bound if fused else 1))
         coords = coords.astype(dtype, copy=False)
         # The nodes with T[0] >= v, a suffix of the sorted rows, take v.
         starts = np.searchsorted(rows[:, 0], np.arange(nvars)) if k else np.zeros(nvars, dtype=int)
-        if not leaf:
+        if not fused:
             child_bitmaps = np.empty((len(levels[k + 1]), bitmaps.shape[1]), dtype=np.uint64)
             child_coords = np.zeros((hmaps[0].shape[0], len(levels[k + 1])), dtype=dtype)
         end = 0
@@ -661,20 +689,18 @@ def _triple_scan(m: Matroid) -> TripleScanReport:
             if not ((chain_ok == dhr_ok) & (dhr_ok == nf_ok)).all():
                 return TripleScanReport(m, total, live_leaves, dead, verified, False)
             n_live = int(chain_ok.sum())
-            dead += (len(bm) - n_live) * math.comb(v + remaining, remaining)
+            dead += (len(bm) - n_live) * math.comb(v + d - k - 1, v)
             truncated = _truncate_bitmaps(bm[chain_ok], flats[v])
-            if leaf:
-                live_leaves += n_live
-                # The chain must land on U(1,E), and the degree (the one
-                # coordinate of A^d) must be exactly 1.
-                if not ((truncated == singles).all() and (new_co[:, chain_ok] == (-1) ** d).all()):
+            # The live children, in the v-blocked row order of levels[k + 1].
+            if fused:
+                block = links[d - 1][end : end + n_live, : v + 1]
+                if not leaves(new_co[:, chain_ok], h.outs, truncated, block, dtype):
                     return TripleScanReport(m, total, live_leaves, dead, verified, False)
             else:
-                # The live children in the v-blocked row order of levels[k + 1].
                 child_bitmaps[end : end + n_live] = truncated
                 child_coords[h.outs, end : end + n_live] = new_co[:, chain_ok]
-                end += n_live
-        if not leaf:
+            end += n_live
+        if not fused:
             bitmaps, coords = child_bitmaps, child_coords
     return TripleScanReport(m, total, live_leaves, dead, verified, True)
 
@@ -861,17 +887,18 @@ def _parent_blocks(parents: np.ndarray, tees: np.ndarray, link: np.ndarray):
     q, a, t = [], [], []
     keys = _keys(parents)
     k = tees.shape[1]
+    index = np.int32 if max(len(parents), len(tees)) < 1 << 31 else np.intp
     for p in range(k):
         # Drop the last copy of each entry: P = T - e_a once per distinct a.
         rows = np.flatnonzero(tees[:, p] != tees[:, p + 1]) if p + 1 < k else np.arange(len(tees))
-        q.append(_index(keys, np.delete(tees[rows], p, axis=1)))
+        q.append(_index(keys, np.delete(tees[rows], p, axis=1)).astype(index))
         a.append(tees[rows, p])
-        t.append(rows)
+        t.append(rows.astype(index))
     q, a, t = np.concatenate(q), np.concatenate(a), np.concatenate(t)
     order = np.lexsort((a, q))
     q, a, t = q[order], a[order], t[order]
     row_id = np.unique(_keys(np.packbits(link, axis=1)), return_inverse=True)[1].ravel()
-    bounds = np.searchsorted(q, np.arange(len(parents) + 1))
+    bounds = np.searchsorted(q, np.arange(len(parents) + 1, dtype=index))
     for p in range(len(parents)):
         span = slice(bounds[p], bounds[p + 1])
         keep = np.zeros(span.stop - span.start, dtype=bool)

@@ -91,6 +91,18 @@ def test_ground_cap(runner, tmp_path, monkeypatch):
     assert result.exit_code == 0
 
 
+def test_bad_ground_cap_in_the_environment_exits_2(runner, u34_spec, monkeypatch):
+    """An unreadable cap is an input error, not a failed verification."""
+    monkeypatch.setenv("CHOWMAT_MAX_GROUND", "abc")
+    result = runner.invoke(cli.main, ["info", u34_spec])
+    assert result.exit_code == 2
+    err = json.loads(result.stderr)
+    assert err["error"] == "ParseError"
+    assert "CHOWMAT_MAX_GROUND" in err["message"]
+    # The option overrides the environment, so it is never read.
+    assert runner.invoke(cli.main, ["info", u34_spec, "--max-ground", "12"]).exit_code == 0
+
+
 def test_degree_examples(runner, u33_spec):
     result = invoke(runner, ["degree", u33_spec, "--flats", "0,1;0,2"])
     doc = json.loads(result.output)

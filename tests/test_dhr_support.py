@@ -4,7 +4,12 @@ Hessians, against brute-force definitions and the truncated-matroid route."""
 import itertools
 import json
 import math
+import os
 import random
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +17,7 @@ from click.testing import CliRunner
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import chowmat
 from chowmat import cli, graphic, hodge, uniform
 from chowmat._linalg import signature
 from chowmat.chow import SparseMap, ring_for
@@ -161,6 +167,103 @@ def test_triple_scan_sees_a_corrupted_route(monkeypatch, route):
         monkeypatch.setattr(hodge, "_truncate_bitmaps", lambda bm, flat: np.zeros_like(bm))
     report = dhr_triple_report(m, spot_checks=0)
     assert not report.agree and not report.ok
+
+
+@pytest.mark.parametrize("m", [uniform(4, 5), uniform(3, 7), uniform(2, 4)], ids=["U(4,5)", "U(3,7)", "U(2,4)"])
+@pytest.mark.parametrize("route", ["dhr", "groebner", "degree", "chain"])
+def test_triple_scan_sees_a_corrupted_leaf(monkeypatch, m, route):
+    """A fault that only the last step reads: a link entry of level d - 1, an
+    h-map into the top degree (zeroed, or doubled so that degrees are +-2),
+    or a truncation onto singletons."""
+    d = m.rank_full - 1
+    if route == "dhr":
+        levels, links = dhr_levels(m, d)
+        firsts = levels[d - 1][:, 0] if d > 1 else np.full(1, len(rank2_flats(m)) - 1)
+        # A live link entry of a candidate the scan checks: u <= T[0].
+        i, u = next((i, u) for i, u in zip(*np.nonzero(links[d - 1])) if u <= firsts[i])
+        real = hodge._dhr_levels
+
+        def corrupted(*args, **kwargs):
+            levels, links = real(*args, **kwargs)
+            links[d - 1][i, u] = False
+            return levels, links
+
+        monkeypatch.setattr(hodge, "_dhr_levels", corrupted)
+    elif route in ("groebner", "degree"):
+        ring = ring_for(m)
+        h_matrix = ring.h_matrix
+        scale = 0 if route == "groebner" else 2
+
+        def corrupted(f, deg):
+            h = h_matrix(f, deg)
+            if (f, deg) != (rank2_flats(m)[0], d - 1):
+                return h
+            return SparseMap(h.shape, h.outs, h.ins, scale * h.block, max(scale, 1) * h.bound)
+
+        monkeypatch.setattr(ring, "h_matrix", corrupted)
+    else:
+        real = hodge._truncate_bitmaps
+        singles = hodge._bitmap(np.bitwise_count(np.arange(1 << m.n_elements)) == 1)
+
+        def corrupted(bm, flat):
+            # Only a truncation onto singletons, the last one of a chain, loses {0}.
+            out = real(bm, flat)
+            if out.any() and not (out & ~singles).any():
+                out[:, 0] &= ~np.uint64(0b10)
+            return out
+
+        monkeypatch.setattr(hodge, "_truncate_bitmaps", corrupted)
+    assert not dhr_triple_report(m, spot_checks=0).ok
+
+
+@pytest.mark.parametrize(
+    "m",
+    [uniform(2, 5), uniform(2, 16), uniform(3, 7), uniform(3, 9), uniform(4, 8)],
+    ids=["U(2,5)", "U(2,16)", "U(3,7)", "U(3,9)", "U(4,8)"],
+)
+def test_triple_scan_matches_the_walk_at_the_root_and_on_multiword_leaves(m):
+    """Rank 2 has the root as the only block of level d - 1; n >= 7 gives
+    bitmaps of several words to the leaf's chain route."""
+    fast = dhr_triple_report(m, spot_checks=0)
+    slow = triple_scan(m)
+    assert fast.ok and slow.ok
+    counts = (fast.total_multisets, fast.live_leaves, fast.dead_counted)
+    assert counts == (slow.total_multisets, slow.live_leaves, slow.dead_counted)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, object])
+def test_triple_scan_is_the_same_on_wider_products(monkeypatch, dtype):
+    """Every product of the scan, the leaf's included, forced off float64."""
+    ms = [uniform(2, 5), uniform(3, 3), uniform(4, 5), uniform(4, 7), graphic(4, list(itertools.combinations(range(4), 2)))]
+    expected = [dhr_triple_report(m, spot_checks=0) for m in ms]
+    monkeypatch.setattr(hodge, "exact_dtype", lambda bound: dtype)
+    assert [dhr_triple_report(m, spot_checks=0) for m in ms] == expected
+
+
+@pytest.mark.slow
+def test_triple_scan_u66_in_a_child_process():
+    """5,949,147 multisets with no coordinate block past level d - 2."""
+    probe = (
+        "import resource, sys\n"
+        "from chowmat import uniform\n"
+        "from chowmat.hodge import dhr_triple_report\n"
+        "report = dhr_triple_report(uniform(6, 6))\n"
+        "print(report.ok, report.total_multisets, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    src = str(Path(chowmat.__file__).parents[1])
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+
+    def limit_memory():  # a regression fails here instead of exhausting the host
+        resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, env=env, timeout=600, preexec_fn=limit_memory
+    )
+    assert done.returncode == 0, done.stderr.decode()[-2000:]
+    ok, total, peak_kb = done.stdout.decode().split()
+    assert ok == "True" and int(total) == 5_949_147
+    assert int(peak_kb) < 300 << 10, f"peak RSS {int(peak_kb) / 1024:.0f} MB"
 
 
 # -- the volume polynomial --------------------------------------------------------
