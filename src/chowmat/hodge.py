@@ -636,7 +636,7 @@ def _triple_scan(m: Matroid) -> TripleScanReport:
     # A^d has one coordinate, so h_{F_u}: A^(d-1) -> A^d is row u of one functional.
     functional = np.hstack([ring.h_matrix(f, d - 1).T.apply(coords) for f in flats]).T
     top_bound = max(ring.h_matrix(f, d - 1).bound for f in flats)
-    holders = [np.flatnonzero(np.array(flats) >> e & 1) for e in range(m.n_elements)]  # e in F_u
+    holders = [np.flatnonzero(np.array(flats) >> e & 1) for e in range(m.n_elements)]  # the u with e in F_u
     live_leaves = dead = verified = 0
 
     def leaves(co: np.ndarray, outs: np.ndarray, bm: np.ndarray, dhr_ok: np.ndarray, dtype) -> bool:

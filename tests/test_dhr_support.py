@@ -216,21 +216,6 @@ def test_triple_scan_sees_a_corrupted_leaf(monkeypatch, m, route):
     assert not dhr_triple_report(m, spot_checks=0).ok
 
 
-@pytest.mark.parametrize(
-    "m",
-    [uniform(2, 5), uniform(2, 16), uniform(3, 7), uniform(3, 9), uniform(4, 8)],
-    ids=["U(2,5)", "U(2,16)", "U(3,7)", "U(3,9)", "U(4,8)"],
-)
-def test_triple_scan_matches_the_walk_at_the_root_and_on_multiword_leaves(m):
-    """Rank 2 has the root as the only block of level d - 1; n >= 7 gives
-    bitmaps of several words to the leaf's chain route."""
-    fast = dhr_triple_report(m, spot_checks=0)
-    slow = triple_scan(m)
-    assert fast.ok and slow.ok
-    counts = (fast.total_multisets, fast.live_leaves, fast.dead_counted)
-    assert counts == (slow.total_multisets, slow.live_leaves, slow.dead_counted)
-
-
 @pytest.mark.parametrize("dtype", [np.int64, object])
 def test_triple_scan_is_the_same_on_wider_products(monkeypatch, dtype):
     """Every product of the scan, the leaf's included, forced off float64."""

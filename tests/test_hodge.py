@@ -87,9 +87,11 @@ def test_dhr_triple_report_small():
 
 def test_triple_scan_batched_matches_plain_reference():
     """The level-batched scan agrees with the straightforward recursion, also
-    on ground sets past six elements (basis bitmaps of several words)."""
+    on ground sets past six elements (basis bitmaps of several words) and on
+    rank 2, where the root is the one block of level d - 1."""
     k5 = graphic(5, list(itertools.combinations(range(5), 2)))
-    for m in [U33, U34, uniform(4, 5), k4(), random_truncation_corpus()[2], fano(), uniform(4, 7), k5]:
+    more = [uniform(2, 5), uniform(2, 16), uniform(3, 7), uniform(3, 9), uniform(4, 8)]
+    for m in [U33, U34, uniform(4, 5), k4(), random_truncation_corpus()[2], fano(), uniform(4, 7), k5, *more]:
         fast = dhr_triple_report(m, spot_checks=0)
         slow = triple_scan(m)
         assert fast.ok and slow.ok
