@@ -26,6 +26,7 @@ its entries, so no fixed-width path can wrap.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -33,6 +34,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
+from . import quotients
 from .errors import (
     InhomogeneousElement,
     InvariantViolation,
@@ -328,7 +330,7 @@ class ChowRing:
         # positions are the lex-larger variables.
         self.flat_order = sorted(self.flats_nonempty, key=lambda f: (-self.flat_rank[f], f))
         self.flat_position = {f: i for i, f in enumerate(self.flat_order)}
-        self.nested: list[list[Monomial]] = self._enumerate_nested()
+        self.nested: list[list[Monomial]] = quotients._nested_chain_levels(m, self.d)
         self.nested_index: list[dict[Monomial, int]] = [
             {mono: i for i, mono in enumerate(level)} for level in self.nested
         ]
@@ -341,23 +343,6 @@ class ChowRing:
         self._check_degree_normalization()
 
     # -- nested basis --------------------------------------------------------
-
-    def _enumerate_nested(self) -> list[list[Monomial]]:
-        levels: list[list[Monomial]] = [[] for _ in range(self.d + 1)]
-
-        def extend(prefix: Monomial, last_flat: int, last_rank: int, total: int) -> None:
-            levels[total].append(prefix)
-            for f in self.flats_nonempty:
-                if last_flat and (last_flat & ~f or f == last_flat):
-                    continue
-                gap = self.flat_rank[f] - last_rank
-                for a in range(1, min(gap - 1, self.d - total) + 1):
-                    extend(prefix + ((f, a),), f, self.flat_rank[f], total + a)
-
-        extend((), 0, 0, 0)
-        for level in levels:
-            level.sort()
-        return levels
 
     def hilbert_function(self) -> list[int]:
         return [len(level) for level in self.nested]
@@ -437,13 +422,7 @@ class ChowRing:
         expected = [((full, self.d),)] if self.d else [()]
         if top != expected:
             raise InvariantViolation("top nested basis is not the power of z_E")
-        chain = []
-        current = 0
-        for r in range(1, self.d + 1):
-            current = next(
-                f for f in self.flats_nonempty if self.flat_rank[f] == r and current & ~f == 0
-            )
-            chain.append(current)
+        chain = self.lattice.maximal_chain(full)
         nf = self._nf(_canon((f, 1) for f in chain))
         if nf != {0: (-1) ** self.d}:
             raise InvariantViolation("degree normalization failed")
@@ -656,16 +635,9 @@ def _multinomial(combo: tuple[int, ...]) -> int:
     result = 1
     remaining = total
     for c in counts.values():
-        result *= _binom(remaining, c)
+        result *= math.comb(remaining, c)
         remaining -= c
     return result
-
-
-def _binom(n: int, k: int) -> int:
-    num = 1
-    for i in range(k):
-        num = num * (n - i) // (i + 1)
-    return num
 
 
 # -- alphabet conversions ----------------------------------------------------

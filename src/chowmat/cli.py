@@ -319,19 +319,18 @@ def _suite_nested(m: Matroid, seed: int) -> dict:
     ring = ring_for(m)
     counts_ok = True
     bijection_ok = True
-    for c in range(ring.d + 1):
-        chains = quotients.nested_exponent_chains(m, c)
-        if len(chains) != len(ring.nested[c]):
-            counts_ok = False
-            break
+    for c, monomials in enumerate(ring.nested):
         seen = set()
-        for chain in chains:
+        for chain in monomials:
             q = quotients.apply_exponent_chain(m, chain)
+            # The bijection counts the loopless quotients of rank r - c.
+            if not q.is_loopless() or q.rank_full != m.rank_full - c:
+                counts_ok = False
             seen.add(q.bases)
             witness = quotients.is_quotient(q, m)
             if witness is None or not quotients.is_relative_nested(witness):
                 bijection_ok = False
-        if len(seen) != len(chains):
+        if len(seen) != len(monomials):
             bijection_ok = False
     passed = counts_ok and bijection_ok
     return {"passed": passed, "counts_match": counts_ok, "quotients_nested_and_distinct": bijection_ok}

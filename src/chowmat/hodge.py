@@ -507,7 +507,7 @@ def star_factorization_check(m: Matroid, flat: int) -> StarFactorizationReport:
     ]
     # Degree probe: a maximal flag through the flat; the complement monomial
     # must integrate to 1 against x_F, and factor as two maximal flags.
-    chain = _maximal_chain_through(m, flat)
+    chain = m.lattice().maximal_chain(flat)
     complement = [f for f in chain if f != flat]
     probe = ring.degree(ChowElement.monomial("x", complement + [flat]))
     below = [restricted.old_to_new_mask(f) for f in complement if f & ~flat == 0]
@@ -525,21 +525,6 @@ def star_factorization_check(m: Matroid, flat: int) -> StarFactorizationReport:
         probe,
         tensor_probe,
     )
-
-
-def _maximal_chain_through(m: Matroid, flat: int) -> list[int]:
-    lattice = m.lattice()
-    chain = []
-    current = 0
-    for r in range(1, m.rank_full):
-        nxt = next(
-            f
-            for f in lattice.by_rank[r]
-            if current & ~f == 0 and (f & ~flat == 0 or flat & ~f == 0)
-        )
-        chain.append(nxt)
-        current = nxt
-    return chain
 
 
 # -- the triple-route scan and the Lorentzian verification --------------------------

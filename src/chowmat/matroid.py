@@ -203,6 +203,21 @@ class FlatLattice:
         """Flats h with f <= h <= g."""
         return [h for h in self.flats if f & ~h == 0 and h & ~g == 0]
 
+    def maximal_chain(self, through: int) -> list[int]:
+        """The proper nonempty flats of a maximal chain of flats through the
+        flat ``through``: of each rank, the first flat in mask order that
+        contains the one below and is comparable with ``through``."""
+        chain = []
+        current = 0
+        for r in range(1, self.matroid.rank_full):
+            current = next(
+                f
+                for f in self.by_rank[r]
+                if current & ~f == 0 and (f & ~through == 0 or through & ~f == 0)
+            )
+            chain.append(current)
+        return chain
+
     def moebius(self, f: int, g: int) -> int:
         """Möbius function of the lattice of flats, memoized."""
         if f & ~g:

@@ -158,23 +158,31 @@ def nested_exponent_chains(m: Matroid, corank: int) -> list[tuple[tuple[int, int
     the nested-basis constraints 1 <= a_i < rk(F_i) - rk(F_{i-1})."""
     if not 0 <= corank <= max(m.rank_full - 1, 0):
         raise InvalidRank(f"corank {corank} outside 0..{m.rank_full - 1}")
+    return _nested_chain_levels(m, corank)[corank]
+
+
+def _nested_chain_levels(m: Matroid, depth: int) -> list[list[tuple[tuple[int, int], ...]]]:
+    """The nested exponent chains of every corank 0..depth, each level sorted.
+
+    One recursion fills all levels; the Chow ring reads its nested monomial
+    basis, degree by degree, off the same levels.
+    """
     lattice = m.lattice()
-    chains: list[tuple[tuple[int, int], ...]] = []
+    flats = [(f, r) for f, r in zip(lattice.flats, lattice.rank_of) if f]
+    levels: list[list[tuple[tuple[int, int], ...]]] = [[] for _ in range(depth + 1)]
 
-    def extend(prefix: tuple[tuple[int, int], ...], last_flat: int, remaining: int) -> None:
-        if remaining == 0:
-            chains.append(prefix)
-            return
-        last_rank = m.rank(last_flat) if prefix else 0
-        for f in lattice.flats:
-            if f == 0 or (prefix and (last_flat & ~f or f == last_flat)):
+    def extend(prefix: tuple[tuple[int, int], ...], last_flat: int, last_rank: int, total: int) -> None:
+        levels[total].append(prefix)
+        for f, r in flats:
+            if last_flat and (last_flat & ~f or f == last_flat):
                 continue
-            gap = m.rank(f) - last_rank
-            for a in range(1, min(gap - 1, remaining) + 1):
-                extend(prefix + ((f, a),), f, remaining - a)
+            for a in range(1, min(r - last_rank - 1, depth - total) + 1):
+                extend(prefix + ((f, a),), f, r, total + a)
 
-    extend((), 0, corank)
-    return sorted(chains)
+    extend((), 0, 0, 0)
+    for level in levels:
+        level.sort()
+    return levels
 
 
 def apply_exponent_chain(m: Matroid, chain: tuple[tuple[int, int], ...]) -> Matroid:

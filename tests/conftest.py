@@ -7,6 +7,7 @@ import random
 from functools import lru_cache
 
 import pytest
+from hypothesis import strategies as st
 
 from chowmat import Matroid, graphic, matroid_from_bases, uniform
 from chowmat.quotients import principal_truncation
@@ -56,6 +57,17 @@ def random_truncation_corpus(count: int = 20, seed: int = 0) -> tuple[Matroid, .
         assert m.is_loopless()
         out.append(m)
     return tuple(out)
+
+
+@st.composite
+def truncated_booleans(draw, largest=5):
+    """Iterated principal truncations of a Boolean matroid, as in the test corpus."""
+    n = draw(st.integers(3, largest))
+    m = uniform(n, n)
+    for _ in range(draw(st.integers(0, n - 2))):
+        flats = [f for f in m.lattice().flats if m.rank(f) >= 2]
+        m = principal_truncation(m, draw(st.sampled_from(flats)))
+    return m
 
 
 def uniform_corpus(max_n: int = 6) -> list[tuple[str, Matroid]]:

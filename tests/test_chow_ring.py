@@ -22,6 +22,7 @@ from chowmat.errors import InhomogeneousElement, LoopyMatroid, WrongGrade
 from chowmat.matroid import popcount
 from chowmat.quotients import enumerate_relative_nested
 
+from _quotient_oracle import relative_nested_quotients
 from conftest import k4, random_truncation_corpus, small_corpus
 
 U33 = uniform(3, 3)
@@ -217,10 +218,13 @@ def test_pairing_full_rank_small():
 
 
 def test_nested_counts_match_quotient_enumeration():
+    """The nested basis of degree c is counted by, and maps onto, the loopless
+    relative nested quotients of corank c that the linear-subclass route finds."""
     for m in [U34, uniform(4, 5), k4(), random_truncation_corpus()[4]]:
         basis = nested_basis(m)
-        for c in range(m.rank_full):
-            assert len(basis[c]) == len(enumerate_relative_nested(m, c))
+        for c, expected in enumerate(relative_nested_quotients(m)):
+            assert len(basis[c]) == len(expected)
+            assert {q.bases for q in enumerate_relative_nested(m, c)} == expected
 
 
 def test_sample_ample_values_u23():

@@ -9,7 +9,8 @@ import pytest
 from click.testing import CliRunner
 
 import chowmat
-from chowmat import chow, cli
+from chowmat import chow, cli, quotients
+from chowmat.matroid import Matroid, uniform
 
 
 @pytest.fixture()
@@ -244,12 +245,12 @@ def test_internal_error_exits_3(runner, u34_spec, monkeypatch):
     assert "crash" in "".join(err["traceback"])
 
 
-def drop_top_nested(enumerate_nested):
-    """Break the nested basis in its top degree, which the ring's degree
-    normalization check must catch."""
+def drop_top_nested(chain_levels):
+    """Break the nested exponent chains in the top degree, which the ring's
+    degree normalization check must catch."""
 
-    def broken(self):
-        levels = enumerate_nested(self)
+    def broken(m, depth):
+        levels = chain_levels(m, depth)
         levels[-1] = []
         return levels
 
@@ -257,8 +258,8 @@ def drop_top_nested(enumerate_nested):
 
 
 def test_invariant_violation_exits_3(runner, u34_spec, monkeypatch):
-    broken = drop_top_nested(chow.ChowRing._enumerate_nested)
-    monkeypatch.setattr(chow.ChowRing, "_enumerate_nested", broken)
+    broken = drop_top_nested(quotients._nested_chain_levels)
+    monkeypatch.setattr(quotients, "_nested_chain_levels", broken)
     chow.ring_for.cache_clear()
     try:
         result = runner.invoke(cli.main, ["info", u34_spec])
@@ -272,6 +273,26 @@ def test_invariant_violation_exits_3(runner, u34_spec, monkeypatch):
         "top nested basis is not the power of z_E",
     )
     assert "_check_degree_normalization" in "".join(err["traceback"])
+
+
+@pytest.mark.parametrize("breakage", ["loopy", "wrong corank"])
+def test_nested_counts_match_fails_off_the_counted_set(runner, u34_spec, monkeypatch, breakage):
+    """A chain image that is loopy or of the wrong rank is not among the
+    quotients the bijection counts, so counts_match fails and the exit is 1."""
+    original = quotients.apply_exponent_chain
+
+    def broken(m, chain):
+        if breakage == "wrong corank":
+            return m
+        # Element 0 becomes a loop; the rank stays r - c.
+        rank = original(m, chain).rank_full
+        return Matroid(m.n_elements, [b << 1 for b in uniform(rank, m.n_elements - 1).bases])
+
+    monkeypatch.setattr(quotients, "apply_exponent_chain", broken)
+    result = runner.invoke(cli.main, ["verify", u34_spec, "--suite", "nested"])
+    assert result.exit_code == 1
+    doc = json.loads(result.output)
+    assert doc["result"]["suites"]["nested"]["counts_match"] is False
 
 
 def zero_hessian(truncation_hessian):
@@ -290,7 +311,7 @@ def test_invariant_check_survives_python_O(u34_spec):
     src = os.path.dirname(os.path.dirname(chowmat.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     breakages = [
-        ("chow.ChowRing._enumerate_nested = drop_top_nested(chow.ChowRing._enumerate_nested)", ["info"]),
+        ("quotients._nested_chain_levels = drop_top_nested(quotients._nested_chain_levels)", ["info"]),
         ("hodge.truncation_hessian = zero_hessian(hodge.truncation_hessian)", ["verify", "--suite", "lorentzian"]),
     ]
     for patch, argv in breakages:
@@ -298,7 +319,7 @@ def test_invariant_check_survives_python_O(u34_spec):
             "import sys\n"
             "if not sys.flags.optimize:\n"
             "    sys.exit(99)\n"
-            "from chowmat import chow, cli, hodge\n"
+            "from chowmat import cli, hodge, quotients\n"
             f"sys.path.insert(0, {os.path.dirname(__file__)!r})\n"
             "from test_cli import drop_top_nested, zero_hessian\n"
             f"{patch}\n"

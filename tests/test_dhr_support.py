@@ -42,18 +42,7 @@ from chowmat.quotients import principal_truncation, truncate_by_subset
 
 from _scan_oracle import triple_scan
 from _volume_oracle import dhr_multisets, volume_terms
-from conftest import small_corpus
-
-
-@st.composite
-def truncated_booleans(draw, largest=5):
-    """Iterated principal truncations of a Boolean matroid, as in the test corpus."""
-    n = draw(st.integers(3, largest))
-    m = uniform(n, n)
-    for _ in range(draw(st.integers(0, n - 2))):
-        flats = [f for f in m.lattice().flats if m.rank(f) >= 2]
-        m = principal_truncation(m, draw(st.sampled_from(flats)))
-    return m
+from conftest import small_corpus, truncated_booleans
 
 
 @st.composite

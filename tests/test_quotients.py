@@ -4,6 +4,7 @@ relative nested quotients."""
 import itertools
 
 import pytest
+from hypothesis import given, settings
 
 from chowmat import (
     enumerate_relative_nested,
@@ -21,7 +22,8 @@ from chowmat.errors import EmptyFlat, GroundSetMismatch, InvalidRank, NotAFlat
 from chowmat.matroid import Matroid, direct_sum, popcount
 from chowmat.quotients import apply_exponent_chain, nested_exponent_chains
 
-from conftest import k4, random_truncation_corpus
+from _quotient_oracle import relative_nested_quotients
+from conftest import k4, random_truncation_corpus, truncated_booleans
 
 
 def test_is_quotient_truncation():
@@ -310,6 +312,16 @@ def test_enumerated_quotients_are_relative_nested_and_reconstruct():
                 for f, a in chain:
                     assert w.nullity(f) - prev == a
                     prev = w.nullity(f)
+
+
+@settings(max_examples=40, deadline=None)
+@given(truncated_booleans())
+def test_chain_images_are_every_relative_nested_quotient(m):
+    """Surjectivity of bijection (i): the chain images of corank c are all the
+    loopless relative nested quotients of corank c, by the linear-subclass route."""
+    for c, expected in enumerate(relative_nested_quotients(m)):
+        images = {apply_exponent_chain(m, chain).bases for chain in nested_exponent_chains(m, c)}
+        assert images == expected
 
 
 def test_enumerate_relative_nested_loopless():
