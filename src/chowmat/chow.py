@@ -326,10 +326,6 @@ class ChowRing:
         self.supersets = {
             f: [g for g in self.flats_nonempty if f & ~g == 0] for f in self.flats_nonempty
         }
-        # FlatOrder: descending rank, ties by ascending bitmask.  Later
-        # positions are the lex-larger variables.
-        self.flat_order = sorted(self.flats_nonempty, key=lambda f: (-self.flat_rank[f], f))
-        self.flat_position = {f: i for i, f in enumerate(self.flat_order)}
         self.nested: list[list[Monomial]] = quotients._nested_chain_levels(m, self.d)
         self.nested_index: list[dict[Monomial, int]] = [
             {mono: i for i, mono in enumerate(level)} for level in self.nested
@@ -508,42 +504,34 @@ class ChowRing:
         return np.concatenate(blocks, axis=1)[:, np.argsort(order)]
 
     def tinv_matrix(self, deg: int) -> np.ndarray:
-        """Exact integer inverse of t_matrix, via the lex-triangular structure.
+        """Exact integer inverse of t_matrix, as a finite series.
 
-        In lex-descending monomial order the basis change is triangular with
-        diagonal (-1)^deg, so forward substitution inverts it over the
-        integers, one row of the inverse at a time for all columns at once;
-        the product is re-checked against the identity.
+        The basis change is triangular in lex order with diagonal (-1)^deg, so
+        N = I - (-1)^deg T is nilpotent and T^-1 = (-1)^deg (I + N)(I + N^2)(I + N^4)...,
+        up to the first zero power of N.  Powers of N have a zero diagonal, so
+        adding I only fills it, and every other sum stays inside
+        :func:`imatmul`'s exact dtype choice.  The product is re-checked
+        against the identity.
         """
         cached = self._tinv.get(deg)
         if cached is None:
             t = self.t_matrix(deg)
-            n = t.shape[0]
-            order = sorted(range(n), key=lambda i: self._lex_key(self.nested[deg][i]), reverse=True)
-            tobj = t.astype(object)
-            inv = np.eye(n, dtype=int).astype(object)
-            for p, j in enumerate(order):
-                diag = int(tobj[j, j])
-                if diag not in (1, -1):
-                    raise InvariantViolation("basis change is not unitriangular")
-                earlier = order[:p]
-                inv[j] = (inv[j] - tobj[j, earlier].dot(inv[earlier])) * diag
-            # The re-check runs on int64 or float64 whenever the inverse fits.
-            try:
-                fixed = inv.astype(np.int64)
-            except OverflowError:
-                fixed = inv
-            if not (imatmul(t, fixed) == np.eye(n, dtype=np.int64)).all():
+            eye = np.eye(len(t), dtype=np.int64)
+            power = eye - (-1) ** deg * t
+            inv = eye
+            for _ in range(len(t).bit_length() + 1):
+                if not power.any():
+                    break
+                inv = imatmul(inv, eye + power)
+                power = imatmul(power, power)
+            else:
+                raise InvariantViolation("basis change is not unitriangular")
+            inv = (-1) ** deg * inv
+            if not (imatmul(t, inv) == eye).all():
                 raise InvariantViolation("triangular inverse failed")
             cached = inv
             self._tinv[deg] = cached
         return cached
-
-    def _lex_key(self, mono: Monomial) -> tuple[int, ...]:
-        """Exponent vector read from the lex-greatest variable down."""
-        expo = dict(mono)
-        ordered = sorted(self.flats_nonempty, key=lambda f: self.flat_position[f], reverse=True)
-        return tuple(expo.get(f, 0) for f in ordered)
 
     # -- element-level operations ---------------------------------------------
 

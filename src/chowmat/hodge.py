@@ -42,13 +42,14 @@ from fractions import Fraction
 import numpy as np
 
 from . import _linalg
-from .chow import ChowElement, ChowRing, SparseMap, absmax, convert_element, exact_dtype, imatmul, ring_for
+from .chow import ChowElement, ChowRing, SparseMap, absmax, exact_dtype, imatmul, ring_for
 from .errors import (
     EmptySetMember,
     InvalidRank,
     InvariantViolation,
     LoopyMatroid,
     NonexactDivision,
+    NotAFlat,
     NotAProperFlat,
     NotDegreeOne,
     WrongArity,
@@ -129,17 +130,13 @@ def dhr_levels(m: Matroid, size: int) -> tuple[list[np.ndarray], list[np.ndarray
 def _dhr_levels(m: Matroid, size: int, top: bool) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """:func:`dhr_levels`; without ``top``, it stops after ``links[size - 1]``
     and leaves out the rows of level ``size``."""
-    n = m.n_elements
     flats = np.array(_flats_rank2(m), dtype=np.uint16)
     nvars = len(flats)
     rank = m.rank_table()
-    everything = np.arange(1 << n, dtype=np.uint16)
-    closure = everything.copy()
-    for e in range(n):
-        closure[rank[everything | (1 << e)] == rank] |= 1 << e
+    closure = m.closure_table()
     # Bit rows of the flats below each flat of the lattice, in uint64 words; row 0 for "not tight".
     lattice = np.array(m.lattice().flats, dtype=np.uint16)
-    position = np.zeros(1 << n, dtype=np.intp)
+    position = np.zeros(len(closure), dtype=np.intp)
     position[lattice] = np.arange(1, len(lattice) + 1)
     below = np.pad((flats & ~lattice[:, None]) == 0, ((1, 0), (0, -nvars % 64)))
     below = np.packbits(below, axis=1).view("<u8")
@@ -368,21 +365,19 @@ class SymmetricFormReport:
 
 
 def _divisor_coeffs(ring: ChowRing, e: ChowElement) -> tuple[dict[int, int], int]:
-    """(coeffs, scale) with e = (1/scale) * sum c_F z_F for a degree-1 element e: linear terms
-    take x_F = z_F and h_F = -sum_{G >= F} z_G directly, anything else :func:`convert_element`."""
+    """(coeffs, scale) with e = (1/scale) * sum c_F z_F for a degree-1 element e, read off the
+    linear substitutions x_F = z_F (F != E) and h_F = -sum_{G >= F} z_G."""
+    grade = e.grade()
+    if grade not in (None, 1):
+        raise NotDegreeOne(f"expected a degree-1 divisor, got grade {grade}")
     full = ring.matroid.full_mask if e.alphabet == "x" else 0
     lin = ring.supersets if e.alphabet == "h" else {f: [f] for f in ring.supersets if f != full}
-    if all(len(mono) == 1 and mono[0][1] == 1 and mono[0][0] in lin for mono in e.terms):
-        z: dict[int, Fraction] = {}
-        for ((f, _),), c in e.terms.items():
-            for g in lin[f]:
-                z[g] = z.get(g, 0) + (-c if e.alphabet == "h" else c)
-    else:
-        converted = convert_element(ring, e, "z")
-        grade = converted.grade()
-        if grade not in (None, 1):
-            raise NotDegreeOne(f"expected a degree-1 divisor, got grade {grade}")
-        z = {mono[0][0]: c for mono, c in converted.terms.items()}
+    z: dict[int, Fraction] = {}
+    for ((f, _),), c in e.terms.items():
+        if f not in lin:
+            raise NotAFlat(f"variable {sorted(bits(f))} not available in this alphabet")
+        for g in lin[f]:
+            z[g] = z.get(g, 0) + (-c if e.alphabet == "h" else c)
     denom = math.lcm(*(c.denominator for c in z.values()))
     return {f: int(c * denom) for f, c in z.items()}, denom
 
@@ -736,7 +731,7 @@ MCONVEX_EXHAUSTIVE_CAP = 17_000
 MCONVEX_SAMPLED_PAIRS = 20_000
 
 
-def lorentzian_check(m: Matroid, seed: int = 0, crosscheck: bool | None = None) -> LorentzianReport:
+def lorentzian_check(m: Matroid, seed: int = 0) -> LorentzianReport:
     """Verify the Brändén-Huh conditions for the volume polynomial.
 
     Everything is read off the sorted DHR support S of :func:`dhr_levels` and
@@ -768,9 +763,8 @@ def lorentzian_check(m: Matroid, seed: int = 0, crosscheck: bool | None = None) 
     signature (1, m - 1, 0), m its size, as the truncation's must.
     Signatures are memoized on the block's bytes and taken by elimination.
 
-    With ``crosscheck`` (default: on for |E| <= 5) every gathered Hessian is
-    compared entry by entry with :func:`truncation_hessian` of the truncated
-    matroid.
+    For |E| <= 5 every gathered Hessian is also compared entry by entry with
+    :func:`truncation_hessian` of the truncated matroid.
     """
     if not m.is_loopless():
         raise LoopyMatroid("Lorentzian verification needs a loopless matroid")
@@ -786,7 +780,6 @@ def lorentzian_check(m: Matroid, seed: int = 0, crosscheck: bool | None = None) 
     signatures_ok = True
     crosschecked = 0
     if d >= 2:
-        do_cross = crosscheck if crosscheck is not None else m.n_elements <= 5
         memo: dict[bytes, tuple[int, int, int]] = {}
         for q, a, t, keep in _parent_blocks(levels[d - 2], levels[d - 1], link):
             hessians += 1
@@ -798,7 +791,7 @@ def lorentzian_check(m: Matroid, seed: int = 0, crosscheck: bool | None = None) 
             if sig != (1, len(block) - 1, 0):
                 signatures_ok = False
                 break
-            if do_cross:
+            if m.n_elements <= 5:
                 crosschecked += _crosscheck_hessian(m, levels[d - 2][q], a, link[np.ix_(t, a)])
     return LorentzianReport(
         m, mconvex, mode, len(support), hessians, signatures_ok, crosschecked

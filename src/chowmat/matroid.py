@@ -1,9 +1,10 @@
 """Matroids on small ground sets, with rank/closure oracles and the lattice of flats.
 
 Ground sets are ``{0, 1, ..., n}`` and subsets are machine-word bitmasks, so
-everything here is exact and exhaustive.  Closure, flatness and the lattice of
-flats are read off one numpy rank table over all ``2^|E|`` subsets; the hard
-cap on the ground set size (:data:`MAX_GROUND`) bounds that table.
+everything here is exact and exhaustive.  Ranks are read off one numpy rank
+table over all ``2^|E|`` subsets, and closures in bulk off one closure table
+built from it; the hard cap on the ground set size (:data:`MAX_GROUND`)
+bounds both tables.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ from .errors import (
 )
 
 #: Largest supported ground set.  The rank table has 2^|E| entries (64 KiB of
-#: int8 at 16), so this is a memory and cost guard, not a correctness limit.
+#: int8 at 16), so this is mostly a memory and cost guard; the closure table
+#: holds subsets as uint16, so it is also the widest ground set that fits.
 MAX_GROUND = 16
 
 
@@ -54,11 +56,11 @@ def set_of(mask: int) -> frozenset[int]:
 class Matroid:
     """A matroid given by its set of bases over ``E = {0, ..., n}``.
 
-    Immutable after construction; the rank table and the lattice fill in
-    lazily, and building either twice gives the same result.
+    Immutable after construction; the rank and closure tables and the lattice
+    fill in lazily, and building any of them twice gives the same result.
     """
 
-    __slots__ = ("n_elements", "full_mask", "bases", "rank_full", "_table", "_ranks", "_lattice")
+    __slots__ = ("n_elements", "full_mask", "bases", "rank_full", "_table", "_ranks", "_closure", "_lattice")
 
     def __init__(self, n_elements: int, bases: Iterable[int], *, validate: bool = True):
         if not 1 <= n_elements <= MAX_GROUND:
@@ -75,6 +77,7 @@ class Matroid:
         self.rank_full = popcount(basis_list[0])
         self._table: np.ndarray | None = None
         self._ranks: list[int] | None = None
+        self._closure: np.ndarray | None = None
         self._lattice: FlatLattice | None = None
         if validate:
             self._check_exchange()
@@ -116,6 +119,19 @@ class Matroid:
             self._table = table
         return self._table
 
+    def closure_table(self) -> np.ndarray:
+        """Closures of all ``2^n`` subsets as a read-only uint16 array indexed by bitmask."""
+        if self._closure is None:
+            table = self.rank_table()
+            closure = np.arange(len(table), dtype=np.uint16)
+            for e in range(self.n_elements):
+                # e joins the closure of every S without e that it leaves at the same rank.
+                planes = table.reshape(-1, 2, 1 << e)
+                closure.reshape(-1, 2, 1 << e)[:, 0] |= (planes[:, 1] == planes[:, 0]).astype(np.uint16) << e
+            closure.setflags(write=False)
+            self._closure = closure
+        return self._closure
+
     def rank(self, subset: int) -> int:
         """Rank of a subset: the largest intersection with a basis."""
         # Without a table, scan the bases: a chain's one-question truncations never build one.
@@ -126,6 +142,7 @@ class Matroid:
 
     def closure(self, subset: int) -> int:
         """The largest superset of ``subset`` with the same rank."""
+        # One question reads the rank list; a chain's fresh truncations build no closure table.
         self.rank_table()
         ranks, r = self._ranks, self._ranks[subset]
         return subset | sum(1 << e for e in bits(self.full_mask & ~subset) if ranks[subset | 1 << e] == r)
@@ -170,19 +187,14 @@ class Matroid:
 class FlatLattice:
     """All flats of a matroid, graded by rank, with covers and Möbius values.
 
-    Read off the rank table: ``S`` is a flat iff adding any element outside
-    it raises the rank, one vector comparison per element.
+    The flats are the fixed points of the closure table.
     """
 
     def __init__(self, matroid: Matroid):
         self.matroid = matroid
-        table = matroid.rank_table()
-        flat = np.ones(table.shape, dtype=bool)
-        for e in range(matroid.n_elements):
-            planes = table.reshape(-1, 2, 1 << e)
-            flat.reshape(-1, 2, 1 << e)[:, 0] &= planes[:, 1] > planes[:, 0]
-        masks = np.flatnonzero(flat)
-        ranks = table[masks]
+        closure = matroid.closure_table()
+        masks = np.flatnonzero(closure == np.arange(len(closure), dtype=np.uint16))
+        ranks = matroid.rank_table()[masks]
         # Order flats by (rank, bitmask); this is the canonical order used
         # everywhere downstream.
         order = np.lexsort((masks, ranks))

@@ -3,6 +3,7 @@
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from chowmat import (
@@ -17,8 +18,8 @@ from chowmat import (
     sample_ample,
     uniform,
 )
-from chowmat.chow import ring_for
-from chowmat.errors import InhomogeneousElement, LoopyMatroid, WrongGrade
+from chowmat.chow import ChowRing, imatmul, ring_for
+from chowmat.errors import InhomogeneousElement, InvariantViolation, LoopyMatroid, WrongGrade
 from chowmat.matroid import popcount
 from chowmat.quotients import enumerate_relative_nested
 
@@ -48,13 +49,29 @@ def test_hilbert_examples():
     assert hilbert_function(uniform(1, 4)) == [1]
 
 
-def test_flat_order_rank_compatible():
-    ring = ring_for(U34)
-    order = ring.flat_order
-    for a, b in zip(order, order[1:]):
-        ra, rb = U34.rank(a), U34.rank(b)
-        assert ra > rb or (ra == rb and a < b)
-    assert ring.flat_position[order[0]] == 0
+def test_tinv_inverts_t_on_every_degree(corpus):
+    """A fresh ring per matroid, so that the identity re-check inside
+    tinv_matrix runs on every degree; the left product is checked here."""
+    for name, m in [*corpus, ("U(5,6)", uniform(5, 6)), ("U(6,6)", uniform(6, 6))]:
+        if not m.is_loopless():
+            continue
+        ring = ChowRing(m)
+        for k in range(ring.d + 1):
+            inv = ring.tinv_matrix(k)
+            assert (imatmul(inv, ring.t_matrix(k)) == np.eye(len(inv), dtype=np.int64)).all(), (name, k)
+
+
+@pytest.mark.parametrize("defect", ["diagonal", "cycle"])
+def test_tinv_rejects_a_basis_change_that_is_not_unipotent(monkeypatch, defect):
+    ring = ChowRing(U34)
+    t = ring.t_matrix(1).copy()
+    if defect == "diagonal":
+        t[0, 0] *= 2
+    else:  # the diagonal stays -1, but N = I + T gets a 2-cycle
+        t[0, 1] = t[1, 0] = 1
+    monkeypatch.setattr(ring, "t_matrix", lambda deg: t)
+    with pytest.raises(InvariantViolation, match="not unitriangular"):
+        ring.tinv_matrix(1)
 
 
 def test_hilbert_palindromic_on_corpus():

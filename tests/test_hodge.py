@@ -13,6 +13,7 @@ from chowmat._linalg import signature
 from chowmat.chow import convert_element, normal_form, ring_for
 from chowmat.errors import (
     EmptySetMember,
+    InhomogeneousElement,
     LoopyMatroid,
     NotAFlat,
     NotAProperFlat,
@@ -376,6 +377,10 @@ def test_divisor_coeffs_fall_back_for_other_elements():
         _divisor_coeffs(ring, ChowElement.one("x"))
     with pytest.raises(NotAFlat):
         _divisor_coeffs(ring, ChowElement.variable("x", E4))
+    with pytest.raises(NotAFlat):
+        _divisor_coeffs(ring, ChowElement.variable("h", 0b0111))
+    with pytest.raises(InhomogeneousElement):
+        _divisor_coeffs(ring, ChowElement.variable("h", E4) + ChowElement.variable("h", E4, 2))
     assert _divisor_coeffs(ring, ChowElement.zero("h")) == ({}, 1)
 
 

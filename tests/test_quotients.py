@@ -5,6 +5,7 @@ import itertools
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chowmat import (
     enumerate_relative_nested,
@@ -20,7 +21,7 @@ from chowmat import (
 )
 from chowmat.errors import EmptyFlat, GroundSetMismatch, InvalidRank, NotAFlat
 from chowmat.matroid import Matroid, direct_sum, popcount
-from chowmat.quotients import apply_exponent_chain, nested_exponent_chains
+from chowmat.quotients import apply_exponent_chain, nested_exponent_chains, truncate_by_subset
 
 from _quotient_oracle import relative_nested_quotients
 from conftest import k4, random_truncation_corpus, truncated_booleans
@@ -40,6 +41,55 @@ def test_everything_is_quotient_of_boolean():
 
 def test_rank_increase_is_not_quotient():
     assert is_quotient(uniform(3, 4), uniform(2, 4)) is None
+
+
+def brute_flats(m: Matroid) -> set[int]:
+    def rank(s: int) -> int:
+        return max(popcount(b & s) for b in m.bases)
+
+    return {
+        s
+        for s in range(1 << m.n_elements)
+        if all(rank(s | 1 << e) > rank(s) for e in range(m.n_elements) if not s >> e & 1)
+    }
+
+
+@st.composite
+def truncated_by_subsets(draw, n):
+    """Iterated truncations of the Boolean matroid on n elements by arbitrary
+    subsets of positive rank; rank-1 subsets make loops."""
+    m = uniform(n, n)
+    for _ in range(draw(st.integers(0, n - 1))):
+        m = truncate_by_subset(m, draw(st.sampled_from([s for s in range(1, 1 << n) if m.rank(s)])))
+    return m
+
+
+@st.composite
+def ground_set_pairs(draw):
+    """(lower, upper) on one ground set: a truncation and its source in either
+    order, or two unrelated matroids."""
+    n = draw(st.integers(2, 5))
+    m = draw(truncated_by_subsets(n))
+    kind = draw(st.sampled_from(["truncation below", "truncation above", "unrelated"]))
+    if kind == "unrelated" or m.rank_full == 0:
+        return m, draw(truncated_by_subsets(n))
+    t = truncate_by_subset(m, draw(st.sampled_from([s for s in range(1, 1 << n) if m.rank(s)])))
+    return (t, m) if kind == "truncation below" else (m, t)
+
+
+def test_is_quotient_iff_every_flat_of_lower_is_a_flat_of_upper():
+    outcomes = set()
+
+    @settings(max_examples=80, deadline=None)
+    @given(ground_set_pairs())
+    def check(pair):
+        lower, upper = pair
+        expected = brute_flats(lower) <= brute_flats(upper)
+        assert (is_quotient(lower, upper) is not None) == expected
+        outcomes.add(expected)
+
+    check()
+    assert outcomes == {True, False}
 
 
 def test_quotient_ground_mismatch():

@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -71,12 +72,23 @@ def test_oracles_match_definitions(m):
     assert [fresh.rank(s) for s in subsets] == expected_rank
     assert [fresh.closure(s) for s in subsets] == expected_closure
     assert [fresh.is_flat(s) for s in subsets] == [c == s for s, c in zip(subsets, expected_closure)]
+    # Point queries read the rank list; the closure table is built on demand.
+    assert fresh._closure is None
+    assert fresh.closure_table().tolist() == expected_closure
     assert fresh.spanning_sets() == [s for s in subsets if expected_rank[s] == m.rank_full]
 
     closed = sorted(set(expected_closure), key=lambda f: (expected_rank[f], f))
     lattice = Matroid(m.n_elements, m.bases, validate=False).lattice()
     assert list(lattice.flats) == closed
     assert list(lattice.rank_of) == [expected_rank[f] for f in closed]
+
+
+def test_subsets_at_the_cap_fit_uint16():
+    """The closure table and the DHR union masks hold subsets as uint16."""
+    assert MAX_GROUND <= 16
+    table = uniform(2, MAX_GROUND).closure_table()
+    assert table.dtype == np.uint16
+    assert int(table[0b11]) == (1 << MAX_GROUND) - 1
 
 
 def test_hard_cap_lattices():
