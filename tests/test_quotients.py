@@ -71,7 +71,7 @@ def ground_set_pairs(draw):
     n = draw(st.integers(2, 5))
     m = draw(truncated_by_subsets(n))
     kind = draw(st.sampled_from(["truncation below", "truncation above", "unrelated"]))
-    if kind == "unrelated" or m.rank_full == 0:
+    if kind == "unrelated":
         return m, draw(truncated_by_subsets(n))
     t = truncate_by_subset(m, draw(st.sampled_from([s for s in range(1, 1 << n) if m.rank(s)])))
     return (t, m) if kind == "truncation below" else (m, t)
