@@ -56,7 +56,7 @@ from .errors import (
     WrongGrade,
 )
 from .matroid import Matroid, bits, contract, popcount, restrict
-from .quotients import truncate_by_subset
+from .quotients import truncate_by_subset, truncated_ranks
 
 
 # -- the DHR condition ---------------------------------------------------------
@@ -86,14 +86,14 @@ def dhr_degree(m: Matroid, multiset: list[int]) -> int:
 
 
 def chain_terminates_loopless(m: Matroid, multiset: list[int]) -> bool:
-    """Whether M wedge H_{A_1} wedge ... wedge H_{A_d} equals U_{1,E}."""
-    current = m
+    """Whether M wedge H_{A_1} wedge ... wedge H_{A_d} equals U_{1,E}, the loopless
+    matroid of rank 1, walked on rank tables."""
+    table = m.rank_table()
     for s in multiset:
-        if current.rank(s) < 2:
+        if table[s] < 2:
             return False
-        current = truncate_by_subset(current, s)
-    singles = sorted(1 << e for e in range(m.n_elements))
-    return list(current.bases) == singles
+        table = truncated_ranks(table, s)
+    return table[-1] == 1 and bool((table[1 << np.arange(m.n_elements)] == 1).all())
 
 
 # -- the DHR support --------------------------------------------------------------

@@ -9,6 +9,7 @@ bounds both tables.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable
@@ -82,6 +83,17 @@ class Matroid:
         if validate:
             self._check_exchange()
 
+    @classmethod
+    def from_rank_table(cls, table: np.ndarray) -> "Matroid":
+        """The matroid of an int8 rank table over all ``2^n`` subsets, which it keeps
+        read-only; its bases are the sets whose rank is their size and the full rank."""
+        sizes = np.bitwise_count(np.arange(len(table), dtype=np.uint16))
+        bases = np.flatnonzero((table == table[-1]) & (sizes == table[-1])).tolist()
+        m = cls(len(table).bit_length() - 1, bases, validate=False)
+        table.setflags(write=False)
+        m._table, m._ranks = table, table.tolist()
+        return m
+
     def _check_exchange(self) -> None:
         r = self.rank_full
         for b in self.bases:
@@ -133,16 +145,14 @@ class Matroid:
         return self._closure
 
     def rank(self, subset: int) -> int:
-        """Rank of a subset: the largest intersection with a basis."""
-        # Without a table, scan the bases: a chain's one-question truncations never build one.
-        ranks = self._ranks
-        if ranks is not None:
-            return ranks[subset]
-        return max((b & subset).bit_count() for b in self.bases)
+        """Rank of a subset, read off the rank list."""
+        if self._ranks is None:
+            self.rank_table()
+        return self._ranks[subset]
 
     def closure(self, subset: int) -> int:
         """The largest superset of ``subset`` with the same rank."""
-        # One question reads the rank list; a chain's fresh truncations build no closure table.
+        # One question reads the rank list; it builds no closure table.
         self.rank_table()
         ranks, r = self._ranks, self._ranks[subset]
         return subset | sum(1 << e for e in bits(self.full_mask & ~subset) if ranks[subset | 1 << e] == r)
@@ -204,12 +214,14 @@ class FlatLattice:
         self.by_rank: list[list[int]] = [[] for _ in range(matroid.rank_full + 1)]
         for f, r in zip(self.flats, self.rank_of):
             self.by_rank[r].append(f)
-        self.covers: dict[int, list[int]] = {
-            f: [g for g in self.by_rank[r + 1] if f & ~g == 0]
-            for f, r in zip(self.flats, self.rank_of)
-            if r < matroid.rank_full
-        }
         self._moebius: dict[tuple[int, int], int] = {}
+
+    @functools.cached_property
+    def covers(self) -> dict[int, list[int]]:
+        """The flats covering each flat F other than E, the closures of F + e, on first use."""
+        flats = np.array(self.flats[:-1], dtype=np.uint16)  # E is last in the (rank, bitmask) order
+        joins = self.matroid.closure_table()[flats[:, None] | 1 << np.arange(self.matroid.n_elements)]
+        return {f: sorted(set(row) - {f}) for f, row in zip(flats.tolist(), joins.tolist())}
 
     def interval(self, f: int, g: int) -> list[int]:
         """Flats h with f <= h <= g."""
@@ -343,16 +355,13 @@ class RelabeledMatroid:
 
 def _minor(m: Matroid, elements: list[int], contracted: int) -> RelabeledMatroid:
     """(M / C) restricted to ``elements`` (disjoint from C), relabeled onto
-    {0, ..., len(elements)-1}: its bases are the sets B with B | C spanning
-    ``elements | C`` and |B| = rk(elements | C) - rk(C)."""
-    relabel = {e: i for i, e in enumerate(elements)}
-    target = m.rank(mask_of(elements) | contracted)
-    bases = [
-        mask_of(relabel[e] for e in c)
-        for c in itertools.combinations(elements, target - m.rank(contracted))
-        if m.rank(mask_of(c) | contracted) == target
-    ]
-    return RelabeledMatroid(Matroid(max(len(elements), 1), bases, validate=False), relabel)
+    {0, ..., len(elements)-1}: the rank of X is rk(X | C) - rk(C)."""
+    # spread[Y]: the elements that Y relabels.  With no elements left, one loop keeps n >= 1.
+    spread = np.zeros(1 << max(len(elements), 1), dtype=np.intp)
+    for i, e in enumerate(elements):
+        spread.reshape(-1, 2, 1 << i)[:, 1] |= 1 << e
+    table = m.rank_table()[spread | contracted] - m.rank(contracted)
+    return RelabeledMatroid(Matroid.from_rank_table(table), {e: i for i, e in enumerate(elements)})
 
 
 def restrict(m: Matroid, subset: int) -> RelabeledMatroid:

@@ -10,12 +10,12 @@ images of nested-basis monomials under the cap product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EmptyFlat, GroundSetMismatch, InvalidRank, InvariantViolation, NotAFlat
-from .matroid import Matroid, bits, popcount
+from .matroid import Matroid, popcount
 
 
 @dataclass
@@ -24,14 +24,9 @@ class QuotientWitness:
 
     lower: Matroid
     upper: Matroid
-    _nullity: dict[int, int] = field(default_factory=dict, repr=False)
 
     def nullity(self, subset: int) -> int:
-        cached = self._nullity.get(subset)
-        if cached is None:
-            cached = self.upper.rank(subset) - self.lower.rank(subset)
-            self._nullity[subset] = cached
-        return cached
+        return self.upper.rank(subset) - self.lower.rank(subset)
 
     @property
     def corank(self) -> int:
@@ -71,27 +66,32 @@ def principal_truncation(m: Matroid, flat: int) -> Matroid:
     """
     if flat == 0:
         raise EmptyFlat("cannot truncate along the empty flat")
-    if not m.is_flat(flat):
-        raise NotAFlat(f"{sorted(bits(flat))} is not a flat")
+    if flat & ~m.full_mask or not m.is_flat(flat):
+        raise NotAFlat(f"{flat:#b} is not a flat")
     return truncate_by_subset(m, flat)
 
 
 def truncate_by_subset(m: Matroid, subset: int) -> Matroid:
-    """M wedge H_S for a nonempty subset S, via the direct basis description.
+    """M wedge H_S for a nonempty subset S, read off the rank table.
 
     Equals the principal truncation along cl(S).  The result may have loops
     (exactly when rk(S) = 1); loops then persist under further truncations.
     """
     if subset == 0:
         raise EmptyFlat("subset must be nonempty")
-    new_bases = set()
-    for b in m.bases:
-        for f in bits(b & subset):
-            new_bases.add(b ^ (1 << f))
-    if not new_bases:
+    if subset & ~m.full_mask:
+        raise GroundSetMismatch(f"{subset:#b} is not a subset of the ground set")
+    if m.rank(subset) == 0:
         # S consists of loops of m: every spanning-set intersection keeps rank.
         raise InvalidRank("subset consists of loops; intersection is not rank-decreasing")
-    return Matroid(m.n_elements, new_bases, validate=False)
+    return Matroid.from_rank_table(truncated_ranks(m.rank_table(), subset))
+
+
+def truncated_ranks(table: np.ndarray, subset: int) -> np.ndarray:
+    """The rank table of the truncation along cl(S), rk(S) >= 1: the modular cut [cl S, E]
+    gives r'(X) = min(r(X), r(X | S) - 1).  If S is inside cl X, r(X | S) = r(X) and X loses
+    one rank; otherwise r(X | S) >= r(X) + 1 and X keeps it.  So r' = r - [S <= cl X]."""
+    return np.minimum(table, table[np.arange(len(table), dtype=np.uint16) | subset] - 1)
 
 
 def matroid_intersection(a: Matroid, b: Matroid) -> Matroid:
@@ -134,24 +134,15 @@ def is_relative_nested(w: QuotientWitness) -> bool:
 def higgs_factorization(w: QuotientWitness) -> HiggsChain:
     """Interpolate the quotient by its canonical chain of elementary quotients.
 
-    Stage ``i`` has bases = subsets of size rk(M') + i that span the lower
-    matroid and are independent in the upper one; the cut of each step
-    collects the flats whose f-nullity is still at least the step index.
+    Stage ``i`` is the Higgs lift with rank min(rk_M(X), rk_M'(X) + i): its
+    bases are the subsets of size rk(M') + i that span the lower matroid and
+    are independent in the upper one.  The cut of each step collects the
+    flats whose f-nullity is still at least the step index.
     """
-    corank = w.corank
-    lower, upper = w.lower, w.upper
-    sizes = np.bitwise_count(np.arange(1 << upper.n_elements))
-    candidates = (lower.rank_table() == lower.rank_full) & (upper.rank_table() == sizes)
-    stages = [lower]
-    for i in range(1, corank):
-        bases = np.flatnonzero(candidates & (sizes == lower.rank_full + i)).tolist()
-        stages.append(Matroid(upper.n_elements, bases, validate=False))
-    if corank > 0:
-        stages.append(upper)
-    cuts = []
-    for i in range(1, corank + 1):
-        stage = stages[i]
-        cuts.append(frozenset(g for g in stage.lattice().flats if w.nullity(g) >= i))
+    corank, lower, upper = w.corank, w.lower, w.upper
+    lifts = [np.minimum(upper.rank_table(), lower.rank_table() + i) for i in range(1, corank)]
+    stages = [lower, *map(Matroid.from_rank_table, lifts), upper] if corank else [lower]
+    cuts = [frozenset(f for f in stages[i].lattice().flats if w.nullity(f) >= i) for i in range(1, corank + 1)]
     return HiggsChain(stages, cuts)
 
 

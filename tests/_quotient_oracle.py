@@ -13,9 +13,14 @@ A quotient of corank c is c elementary steps (Higgs).  Loops persist under
 quotients, so loopy stages are dropped; every stage is deduplicated by its
 bases, and the last one is filtered by ``is_relative_nested``.  Slow and
 deliberately simple; nothing in ``src/`` imports it.
+
+:func:`truncated_bases` is the direct basis description of one truncation,
+the oracle for the rank-table truncation in ``src/``.
 """
 
 from __future__ import annotations
+
+from typing import Iterable
 
 import numpy as np
 
@@ -89,4 +94,15 @@ def _linear_subclasses(count: int, lines: list[int]) -> list[int]:
                 extend(i + 1, pick)
 
     extend(0, 0)
+    return out
+
+
+def truncated_bases(bases: Iterable[int], subset: int) -> set[int]:
+    """Bases of the truncation along cl(S), rk(S) >= 1: every basis B gives
+    B - f for each f in B & S."""
+    out = set()
+    for b in bases:
+        for f in range((b & subset).bit_length()):
+            if (b & subset) >> f & 1:
+                out.add(b ^ 1 << f)
     return out

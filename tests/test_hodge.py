@@ -7,10 +7,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chowmat import ChowElement, graphic, sample_ample, uniform
 from chowmat._linalg import signature
 from chowmat.chow import convert_element, normal_form, ring_for
+from chowmat.matroid import direct_sum
 from chowmat.errors import (
     EmptySetMember,
     InhomogeneousElement,
@@ -43,8 +46,9 @@ from chowmat.hodge import (
 )
 
 from _fraction_oracle import rank_exact_fraction
+from _quotient_oracle import truncated_bases
 from _scan_oracle import triple_scan
-from conftest import fano, k4, random_truncation_corpus, small_corpus
+from conftest import fano, k4, random_truncation_corpus, small_corpus, truncated_booleans
 
 U33 = uniform(3, 3)
 U34 = uniform(3, 4)
@@ -76,6 +80,41 @@ def test_dhr_equals_chain_termination():
         assert dhr_degree(U34, list(multiset)) == (
             1 if chain_terminates_loopless(U34, list(multiset)) else 0
         )
+
+
+def chain_walk_on_bases(m, multiset) -> bool:
+    bases = set(m.bases)
+    for s in multiset:
+        if max((b & s).bit_count() for b in bases) < 2:
+            return False
+        bases = truncated_bases(bases, s)
+    return sorted(bases) == [1 << e for e in range(m.n_elements)]
+
+
+@st.composite
+def chain_walks(draw):
+    """A matroid, loops allowed, and a multiset of nonempty subsets; a subset
+    of rank 1 stops the walk."""
+    m = draw(truncated_booleans())
+    if draw(st.booleans()):
+        m = direct_sum(m, uniform(0, 1))
+    subsets = st.integers(1, m.full_mask)
+    return m, draw(st.lists(subsets, min_size=max(m.rank_full - 2, 0), max_size=m.rank_full))
+
+
+def test_chain_termination_walks_tables_like_the_basis_loop():
+    outcomes = set()
+
+    @settings(max_examples=150, deadline=None)
+    @given(chain_walks())
+    def check(case):
+        m, multiset = case
+        expected = chain_walk_on_bases(m, multiset)
+        assert chain_terminates_loopless(m, multiset) == expected
+        outcomes.add(expected)
+
+    check()
+    assert outcomes == {True, False}
 
 
 def test_dhr_triple_report_small():

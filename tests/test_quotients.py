@@ -23,7 +23,7 @@ from chowmat.errors import EmptyFlat, GroundSetMismatch, InvalidRank, NotAFlat
 from chowmat.matroid import Matroid, direct_sum, popcount
 from chowmat.quotients import apply_exponent_chain, nested_exponent_chains, truncate_by_subset
 
-from _quotient_oracle import relative_nested_quotients
+from _quotient_oracle import relative_nested_quotients, truncated_bases
 from conftest import k4, random_truncation_corpus, truncated_booleans
 
 
@@ -114,6 +114,19 @@ def test_principal_truncation_errors():
     with pytest.raises(NotAFlat):
         # {0} is not a flat of the truncation (it closes up to {0,1}).
         principal_truncation(t, 0b0001)
+    # Subsets outside the ground set, negative ints included, get typed errors.
+    for outside in (0b1000, -1):
+        with pytest.raises(NotAFlat):
+            principal_truncation(uniform(2, 3), outside)
+    for outside in (0b1001, -2):
+        with pytest.raises(GroundSetMismatch):
+            truncate_by_subset(uniform(2, 3), outside)
+
+
+def test_truncation_at_the_cap():
+    m = uniform(3, 16)
+    t = truncate_by_subset(m, 0b11)
+    assert t.bases == tuple(sorted(truncated_bases(m.bases, 0b11)))
 
 
 def test_principal_truncation_along_the_loops():

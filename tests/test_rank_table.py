@@ -1,17 +1,21 @@
-"""The rank table against the brute-force definitions, and the hard ground-set cap."""
+"""The rank table and truncations on it against the brute-force definitions, and the hard ground-set cap."""
 
 import json
 import math
 
 import numpy as np
+import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chowmat import Matroid, direct_sum, graphic, uniform
 from chowmat import cli
+from chowmat.errors import InvalidRank
 from chowmat.matroid import MAX_GROUND
-from chowmat.quotients import principal_truncation
+from chowmat.quotients import principal_truncation, truncate_by_subset
+
+from _quotient_oracle import truncated_bases
 
 
 @st.composite
@@ -62,10 +66,8 @@ def test_oracles_match_definitions(m):
     expected_rank = [brute_rank(m, s) for s in subsets]
     expected_closure = [brute_closure(m, s) for s in subsets]
 
-    # Point queries on a fresh copy scan the bases and build no table.
     fresh = Matroid(m.n_elements, m.bases, validate=False)
     assert [fresh.rank(s) for s in subsets] == expected_rank
-    assert fresh._table is None
 
     # Table lookups, for every subset.
     assert fresh.rank_table().tolist() == expected_rank
@@ -81,6 +83,27 @@ def test_oracles_match_definitions(m):
     lattice = Matroid(m.n_elements, m.bases, validate=False).lattice()
     assert list(lattice.flats) == closed
     assert list(lattice.rank_of) == [expected_rank[f] for f in closed]
+    assert lattice.covers == {
+        f: [g for g in closed if expected_rank[g] == expected_rank[f] + 1 and f & ~g == 0]
+        for f in closed
+        if expected_rank[f] < m.rank_full
+    }
+
+
+@settings(max_examples=40, deadline=None)
+@given(matroids)
+def test_truncation_on_tables_matches_the_basis_loop(m):
+    """Truncation along every subset, flat or not, against the basis description;
+    each stage's preset table is the one its bases give."""
+    assert Matroid.from_rank_table(m.rank_table().copy()) == m
+    for s in range(1, 1 << m.n_elements):
+        if m.rank(s) == 0:
+            with pytest.raises(InvalidRank):
+                truncate_by_subset(m, s)
+            continue
+        t = truncate_by_subset(m, s)
+        assert t.bases == tuple(sorted(truncated_bases(m.bases, s)))
+        assert t.rank_table().tolist() == Matroid(m.n_elements, t.bases, validate=False).rank_table().tolist()
 
 
 def test_subsets_at_the_cap_fit_uint16():
