@@ -572,17 +572,38 @@ class ChowRing:
         return coords[0] * (-1) ** self.d
 
     def h_monomial_degree(self, flats: Iterable[int]) -> Fraction:
-        """Degree of a product of simplicial generators, via Groebner reduction."""
+        """Degree of a product of simplicial generators h_{A_1} ... h_{A_d}, via
+        Groebner reduction: 1 in nested z-coordinates is pushed through the h-maps
+        of the closures cl(A_i), degree by degree, and the one coordinate of A^d
+        read off.
+
+        Each member must be a nonempty subset of E.  A step gathers the map's
+        input coordinates and stops at the first zero vector, so no later map is
+        built.  Its dtype comes from the running product of the h-maps' largest
+        absolute row sums, which bounds every partial sum so far: float64, int64
+        or Python ints (:func:`exact_dtype`), rising with the product.
+        """
         flats = list(flats)
         if len(flats) != self.d:
             raise WrongGrade(f"need {self.d} factors, got {len(flats)}")
-        # A float64 column stays float64 while the products fit below 2^53.
-        vec = np.ones((1, 1))
+        self.matroid.check_members(flats)
+        vec, bound = np.array([1.0]), 1
         for deg, f in enumerate(flats):
-            vec = self.h_matrix(self.matroid.closure(f), deg).apply(vec)
-            if not vec.any():
+            h = self.h_matrix(f if f in self.flat_rank else self.matroid.closure(f), deg)
+            x = vec[h.ins]
+            if not np.count_nonzero(x):
                 return Fraction(0)
-        return Fraction(int(vec[0, 0]) * (-1) ** self.d)
+            bound *= h.bound
+            dtype = exact_dtype(bound)
+            if dtype is np.float64:
+                block = h._float_block
+            else:
+                block = h.block.astype(dtype, copy=False)
+                # Floats below 2^53 pass through int64, so object vectors hold Python ints.
+                x = (x.astype(np.int64) if x.dtype == np.float64 else x).astype(dtype, copy=False)
+            vec = np.zeros(h.shape[0], dtype=dtype)
+            vec[h.outs] = block @ x
+        return Fraction(int(vec[0]) * (-1) ** self.d)
 
     def poincare_pairing(self, k: int) -> list[list[Fraction]]:
         """Matrix of int(b_i * b_j) over nested degrees k and d-k (h basis)."""

@@ -33,7 +33,7 @@ matroid is built outside the cross-check.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -44,7 +44,6 @@ import numpy as np
 from . import _linalg
 from .chow import ChowElement, ChowRing, SparseMap, absmax, exact_dtype, imatmul, ring_for
 from .errors import (
-    EmptySetMember,
     InvalidRank,
     InvariantViolation,
     LoopyMatroid,
@@ -63,17 +62,21 @@ from .quotients import truncate_by_subset, truncated_ranks
 
 
 def dhr_check(m: Matroid, multiset: list[int]) -> bool:
-    """rk(union over J) >= |J| + 1 for every nonempty subfamily J."""
+    """rk(union over J) >= |J| + 1 for every nonempty subfamily J.
+
+    The 2^k - 1 subfamilies are the nonzero bitmasks j over the k members,
+    walked upward, so each union is one OR onto a smaller subfamily's:
+    ``unions[j] = unions[j & (j - 1)] | sets[lowest bit of j]``.  The first
+    failing subfamily ends the walk.  Members must be nonempty subsets of E.
+    """
     sets = list(multiset)
-    if any(s == 0 for s in sets):
-        raise EmptySetMember("DHR takes nonempty subsets")
-    for size in range(1, len(sets) + 1):
-        for combo in itertools.combinations(range(len(sets)), size):
-            union = 0
-            for i in combo:
-                union |= sets[i]
-            if m.rank(union) < size + 1:
-                return False
+    m.check_members(sets)
+    unions = [0] * (1 << len(sets))
+    for j in range(1, len(unions)):
+        rest = j & (j - 1)
+        unions[j] = union = unions[rest] | sets[(j ^ rest).bit_length() - 1]
+        if m.rank(union) <= j.bit_count():
+            return False
     return True
 
 
@@ -87,7 +90,8 @@ def dhr_degree(m: Matroid, multiset: list[int]) -> int:
 
 def chain_terminates_loopless(m: Matroid, multiset: list[int]) -> bool:
     """Whether M wedge H_{A_1} wedge ... wedge H_{A_d} equals U_{1,E}, the loopless
-    matroid of rank 1, walked on rank tables."""
+    matroid of rank 1, walked on rank tables.  Members must be nonempty subsets of E."""
+    m.check_members(multiset)
     table = m.rank_table()
     for s in multiset:
         if table[s] < 2:
@@ -577,18 +581,37 @@ def _bitmap(present: np.ndarray) -> np.ndarray:
     return np.packbits(padded, bitorder="little").view("<u8")
 
 
-def _truncate_bitmaps(bm: np.ndarray, flat: int) -> np.ndarray:
-    """Rows of basis bitmaps truncated along ``flat``: every basis B gives the
-    B - f for f in B & flat, so subset s moves down to s - 2^f.  For f < 6
-    that is a shift inside each word, for f >= 6 a move of whole words."""
-    out = np.zeros_like(bm)
-    for f in bits(flat):
-        if f < 6:
-            out |= (bm & _HIGH[f]) >> np.uint64(1 << f)
-        else:
-            halves = (len(bm), -1, 2, 1 << (f - 6))
-            out.reshape(halves)[:, :, 0] |= bm.reshape(halves)[:, :, 1]
-    return out
+@functools.lru_cache(maxsize=None)
+def _moves(words: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """How bitmaps of ``words`` uint64 words move when element f leaves every set,
+    subset s going down to s - 2^f: word w becomes (word src[f, w] & keep[f, w]) >>
+    shift[f].  For f < 6 that is a shift inside each word, for f >= 6 a move of word
+    w + 2^(f - 6) to word w.  The last row moves nothing; it pads element lists."""
+    n = 5 + words.bit_length()
+    w = np.arange(words)
+    src = np.tile(w, (n + 1, 1))
+    keep = np.zeros((n + 1, words), dtype=np.uint64)
+    shift = np.zeros((n + 1, 1), dtype=np.uint64)
+    for f in range(6):
+        keep[f], shift[f] = _HIGH[f], 1 << f
+    for f in range(6, n):
+        low = (w >> (f - 6) & 1) == 0
+        src[f, low] += 1 << (f - 6)
+        keep[f, low] = ~np.uint64(0)
+    for table in (src, keep, shift):
+        table.setflags(write=False)
+    return src, keep, shift
+
+
+def _truncate_bitmaps(bm: np.ndarray, elements: np.ndarray) -> np.ndarray:
+    """Rows of basis bitmaps truncated along the subset with the given elements:
+    every basis B gives the B - f for f in B & S, so the result is the OR of the
+    moves of :func:`_moves` over those f.  ``elements`` of shape (k, *subsets),
+    padded with -1, truncates along several subsets at once, giving
+    (*subsets, rows, words)."""
+    src, keep, shift = _moves(bm.shape[1])
+    moved = ((bm[:, src] & keep) >> shift).transpose(1, 0, 2)
+    return np.bitwise_or.reduce(moved[elements], axis=0)
 
 
 def _triple_scan(m: Matroid) -> TripleScanReport:
@@ -616,7 +639,11 @@ def _triple_scan(m: Matroid) -> TripleScanReport:
     # A^d has one coordinate, so h_{F_u}: A^(d-1) -> A^d is row u of one functional.
     functional = np.hstack([ring.h_matrix(f, d - 1).T.apply(coords) for f in flats]).T
     top_bound = max(ring.h_matrix(f, d - 1).bound for f in flats)
-    holders = [np.flatnonzero(np.array(flats) >> e & 1) for e in range(m.n_elements)]  # the u with e in F_u
+    # Column u lists the elements of F_u, padded with -1; the first widths[u] rows hold those of F_0 .. F_u.
+    elements = np.full((m.n_elements, nvars), -1)
+    for u, f in enumerate(flats):
+        elements[: popcount(f), u] = list(bits(f))
+    widths = np.maximum.accumulate([popcount(f) for f in flats])
     live_leaves = dead = verified = 0
 
     def leaves(co: np.ndarray, outs: np.ndarray, bm: np.ndarray, dhr_ok: np.ndarray, dtype) -> bool:
@@ -629,11 +656,8 @@ def _triple_scan(m: Matroid) -> TripleScanReport:
         for lo in range(0, len(bm), step):
             part = bm[lo : lo + step]
             chain_ok[lo : lo + step] = (part[:, None] & pairs[:count]).any(axis=2)
-            # The truncation along F_u is the OR of those along the elements of F_u.
-            landed = np.zeros((len(part), count, part.shape[1]), dtype=np.uint64)
-            for e, us in enumerate(holders):
-                landed[:, us[: np.searchsorted(us, count)]] |= _truncate_bitmaps(part, 1 << e)[:, None]
-            on_singles[lo : lo + step] = (landed == singles).all(axis=2)
+            landed = _truncate_bitmaps(part, elements[: widths[count - 1], :count])
+            on_singles[lo : lo + step] = (landed == singles).all(axis=2).T
         verified += chain_ok.size
         live_leaves += int(chain_ok.sum())
         dead += int((~chain_ok).sum())
@@ -670,7 +694,7 @@ def _triple_scan(m: Matroid) -> TripleScanReport:
                 return TripleScanReport(m, total, live_leaves, dead, verified, False)
             n_live = int(chain_ok.sum())
             dead += (len(bm) - n_live) * math.comb(v + d - k - 1, v)
-            truncated = _truncate_bitmaps(bm[chain_ok], flats[v])
+            truncated = _truncate_bitmaps(bm[chain_ok], elements[: popcount(flats[v]), v])
             # The live children, in the v-blocked row order of levels[k + 1].
             if fused:
                 block = links[d - 1][end : end + n_live, : v + 1]

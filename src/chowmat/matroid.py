@@ -19,7 +19,9 @@ import numpy as np
 from .errors import (
     EmptyBases,
     EmptyFlat,
+    EmptySetMember,
     ExchangeAxiomViolation,
+    GroundSetMismatch,
     GroundSetTooLarge,
     InvalidRank,
     NotComparable,
@@ -156,6 +158,15 @@ class Matroid:
         self.rank_table()
         ranks, r = self._ranks, self._ranks[subset]
         return subset | sum(1 << e for e in bits(self.full_mask & ~subset) if ranks[subset | 1 << e] == r)
+
+    def check_members(self, members: list[int]) -> None:
+        """Raise unless every member is a nonempty subset of E: ``EmptySetMember``
+        for 0, ``GroundSetMismatch`` for bits outside E, negative ints included."""
+        for s in members:
+            if not 0 < s <= self.full_mask:
+                if s == 0:
+                    raise EmptySetMember("members must be nonempty subsets")
+                raise GroundSetMismatch(f"{s:#b} is not a subset of the ground set")
 
     def is_flat(self, subset: int) -> bool:
         return self.closure(subset) == subset

@@ -91,7 +91,7 @@ def truncated_ranks(table: np.ndarray, subset: int) -> np.ndarray:
     """The rank table of the truncation along cl(S), rk(S) >= 1: the modular cut [cl S, E]
     gives r'(X) = min(r(X), r(X | S) - 1).  If S is inside cl X, r(X | S) = r(X) and X loses
     one rank; otherwise r(X | S) >= r(X) + 1 and X keeps it.  So r' = r - [S <= cl X]."""
-    return np.minimum(table, table[np.arange(len(table), dtype=np.uint16) | subset] - 1)
+    return np.minimum(table, table[np.arange(len(table), dtype=np.intp) | subset] - 1)
 
 
 def matroid_intersection(a: Matroid, b: Matroid) -> Matroid:
@@ -110,15 +110,16 @@ def matroid_intersection(a: Matroid, b: Matroid) -> Matroid:
 
 
 def f_cyclic_flats(w: QuotientWitness) -> list[int]:
-    """Flats of the lower matroid minimal among those sharing their f-nullity."""
-    flats = w.lower.lattice().flats
-    result = []
-    for f in flats:
-        nf = w.nullity(f)
-        if any(g != f and g & ~f == 0 and w.nullity(g) == nf for g in flats):
-            continue
-        result.append(f)
-    return sorted(result, key=lambda f: (popcount(f), f))
+    """Flats of the lower matroid minimal among those sharing their f-nullity.
+
+    The nullities are one difference of the two rank tables; flat i is dropped
+    when some other flat j inside it has its nullity.
+    """
+    flats = np.array(w.lower.lattice().flats, dtype=np.uint16)
+    nullity = w.upper.rank_table()[flats] - w.lower.rank_table()[flats]
+    shadowed = ((flats[None] & ~flats[:, None]) == 0) & (nullity[None] == nullity[:, None])
+    np.fill_diagonal(shadowed, False)
+    return sorted(flats[~shadowed.any(axis=1)].tolist(), key=lambda f: (popcount(f), f))
 
 
 def is_relative_nested(w: QuotientWitness) -> bool:

@@ -18,7 +18,8 @@ from chowmat import (
     sample_ample,
     uniform,
 )
-from chowmat.chow import ChowRing, imatmul, ring_for
+from chowmat import chow
+from chowmat.chow import ChowRing, SparseMap, imatmul, ring_for
 from chowmat.errors import InhomogeneousElement, InvariantViolation, LoopyMatroid, WrongGrade
 from chowmat.matroid import popcount
 from chowmat.quotients import enumerate_relative_nested
@@ -287,6 +288,38 @@ def test_groebner_degree_equals_dhr_small():
     flats = [f for f in U34.lattice().flats if U34.rank(f) >= 2]
     for multiset in itertools.combinations_with_replacement(flats, 2):
         assert ring.h_monomial_degree(multiset) == dhr_degree(U34, list(multiset))
+
+
+@pytest.mark.parametrize("dtype", [np.int64, object])
+def test_groebner_degree_is_the_same_on_wider_products(monkeypatch, dtype):
+    """Every degree-d multiset of nonempty flats of the small corpus, with the
+    Groebner route's one dtype forced off float64."""
+    cases = []
+    for _, m in small_corpus():
+        ring = ring_for(m)
+        multisets = list(itertools.combinations_with_replacement([f for f in m.lattice().flats if f], ring.d))
+        cases.append((ring, multisets, [ring.h_monomial_degree(ms) for ms in multisets]))
+    monkeypatch.setattr(chow, "exact_dtype", lambda bound: dtype)
+    for ring, multisets, expected in cases:
+        assert [ring.h_monomial_degree(ms) for ms in multisets] == expected
+
+
+def test_groebner_degree_stays_exact_past_int64(monkeypatch):
+    """h-maps scaled by 3^19: the running bound passes 2^53 and 2^62 within one
+    product, and every degree is still the exact integer."""
+    m = uniform(4, 5)
+    ring = ring_for(m)
+    multisets = list(itertools.combinations_with_replacement([f for f in m.lattice().flats if f], ring.d))
+    expected = [ring.h_monomial_degree(ms) for ms in multisets]
+    h_matrix, scale = ring.h_matrix, 3**19
+
+    def scaled(f, deg):
+        h = h_matrix(f, deg)
+        return SparseMap(h.shape, h.outs, h.ins, h.block * scale, h.bound * scale)
+
+    monkeypatch.setattr(ring, "h_matrix", scaled)
+    assert [ring.h_monomial_degree(ms) for ms in multisets] == [e * scale**ring.d for e in expected]
+    assert any(expected)
 
 
 def test_normal_form_preserves_ring_class_degree_two():

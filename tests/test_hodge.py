@@ -16,6 +16,7 @@ from chowmat.chow import convert_element, normal_form, ring_for
 from chowmat.matroid import direct_sum
 from chowmat.errors import (
     EmptySetMember,
+    GroundSetMismatch,
     InhomogeneousElement,
     LoopyMatroid,
     NotAFlat,
@@ -45,6 +46,7 @@ from chowmat.hodge import (
     volume_polynomial,
 )
 
+from _dhr_oracle import dhr_check_by_size
 from _fraction_oracle import rank_exact_fraction
 from _quotient_oracle import truncated_bases
 from _scan_oracle import triple_scan
@@ -80,6 +82,81 @@ def test_dhr_equals_chain_termination():
         assert dhr_degree(U34, list(multiset)) == (
             1 if chain_terminates_loopless(U34, list(multiset)) else 0
         )
+
+
+@pytest.mark.parametrize(
+    "members, error",
+    [
+        ([-1, 3], GroundSetMismatch),
+        ([3, -8], GroundSetMismatch),
+        ([16, 3], GroundSetMismatch),
+        ([0, 3], EmptySetMember),
+    ],
+)
+def test_routes_reject_bad_members(members, error):
+    """A member with elements outside E, a negative int included, or an empty
+    member is a typed error in every route, not a read from the end of a table."""
+    ring = ring_for(U34)
+    with pytest.raises(error):
+        dhr_check(U34, members)
+    with pytest.raises(error):
+        dhr_degree(U34, members)
+    with pytest.raises(error):
+        ring.h_monomial_degree(members)
+    with pytest.raises(error):
+        chain_terminates_loopless(U34, members)
+
+
+@st.composite
+def flat_families(draw):
+    """A truncated Boolean on up to six elements and one to five of its nonempty
+    flats, with repeats."""
+    m = draw(truncated_booleans(largest=6))
+    family = draw(st.lists(st.sampled_from([f for f in m.lattice().flats if f]), min_size=1, max_size=4))
+    return m, family + family[: draw(st.integers(0, 1))]
+
+
+def test_dhr_subset_walk_matches_the_definition():
+    outcomes = set()
+
+    @settings(max_examples=200, deadline=None)
+    @given(flat_families())
+    def check(case):
+        m, family = case
+        expected = dhr_check_by_size(m, family)
+        assert dhr_check(m, family) == expected
+        outcomes.add(expected)
+
+    check()
+    assert outcomes == {True, False}
+
+
+@st.composite
+def subset_multisets(draw):
+    """A truncated Boolean of rank r and r - 1 nonempty subsets of E, flats or not."""
+    m = draw(truncated_booleans())
+    d = m.rank_full - 1
+    return m, draw(st.lists(st.integers(1, m.full_mask), min_size=d, max_size=d))
+
+
+def test_three_routes_agree_on_subsets_and_their_closures():
+    outcomes = set()
+
+    @settings(max_examples=150, deadline=None)
+    @given(subset_multisets())
+    def check(case):
+        m, members = case
+        closures = [m.closure(s) for s in members]
+        ring = ring_for(m)
+        dhr = dhr_degree(m, members)
+        assert dhr == ring.h_monomial_degree(members) == int(chain_terminates_loopless(m, members))
+        assert dhr == dhr_degree(m, closures)
+        assert ring.h_monomial_degree(members) == ring.h_monomial_degree(closures)
+        assert chain_terminates_loopless(m, members) == chain_terminates_loopless(m, closures)
+        outcomes.add(dhr)
+
+    check()
+    assert outcomes == {0, 1}
 
 
 def chain_walk_on_bases(m, multiset) -> bool:
