@@ -19,8 +19,9 @@ Multiplication by a generator is a :class:`SparseMap` between the nested
 coordinates of two consecutive degrees: only its nonzero rows and columns
 and the integer block between them are stored, because a Groebner normal
 form touches only the nested monomials above one chain (Feichtner-Yuzvinsky).
-Every product picks float64, int64 or Python-int arithmetic from a bound on
-its entries, so no fixed-width path can wrap.
+Every product picks float32, float64, int64 or Python-int arithmetic from a
+bound on its partial sums (:func:`exact_dtype`), so no fixed-width path can
+round or wrap.
 """
 
 from __future__ import annotations
@@ -155,10 +156,12 @@ class AmpleDivisor(NamedTuple):
     h_form: ChowElement
 
 
-# Guard for exact float64 BLAS matmuls: products and accumulated sums must
-# stay below 2^53 to be exactly representable.
+# Guards for exact float BLAS matmuls: products and accumulated sums must stay
+# below 2^24 (float32) or 2^53 (float64) to be exactly representable.
+_FLOAT32_EXACT = 1 << 24
 _FLOAT_EXACT = 1 << 53
 _INT64_SAFE = 1 << 62
+_FLOATS = (np.float32, np.float64)
 
 
 def absmax(x: np.ndarray) -> int:
@@ -172,7 +175,16 @@ def absmax(x: np.ndarray) -> int:
 
 def exact_dtype(bound: int):
     """The cheapest dtype that holds every partial sum of an integer product
-    exactly, given a bound on the absolute values of those sums."""
+    exactly, given a bound on the absolute values of those sums.
+
+    Below 2^24 that is float32: every product and partial sum is then an
+    integer of absolute value at most ``bound``, which binary32 holds exactly
+    in any summation order, BLAS blocking and fused multiply-adds included.
+    Below 2^53 the same holds for float64, below 2^62 int64 cannot wrap, and
+    beyond that the product runs on Python ints.
+    """
+    if bound < _FLOAT32_EXACT:
+        return np.float32
     return np.float64 if bound < _FLOAT_EXACT else np.int64 if bound < _INT64_SAFE else object
 
 
@@ -185,7 +197,7 @@ def imatmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     else:
         path = exact_dtype(a.shape[1] * absmax(a) * absmax(b))
     prod = a.astype(path) @ b.astype(path)
-    return prod.astype(np.int64) if path is np.float64 else prod
+    return prod.astype(np.int64) if path in _FLOATS else prod
 
 
 class SparseMap:
@@ -205,6 +217,7 @@ class SparseMap:
         self.ins = ins
         self.block = block
         self.bound = bound
+        self._float_blocks: dict[type, np.ndarray] = {}
 
     @classmethod
     def from_columns(cls, n_rows: int, columns: list[dict[int, int]]) -> SparseMap:
@@ -255,29 +268,34 @@ class SparseMap:
         block = self.block.T
         return SparseMap(self.shape[::-1], self.ins, self.outs, block, _row_bound(block))
 
-    @cached_property
-    def _float_block(self) -> np.ndarray:
-        return self.block.astype(np.float64)
+    def float_block(self, dtype) -> np.ndarray:
+        """The integer block as float32 or float64, built once per dtype."""
+        block = self._float_blocks.get(dtype)
+        if block is None:
+            block = self._float_blocks[dtype] = self.block.astype(dtype)
+        return block
 
     def rows(self, x: np.ndarray, xmax: int | None = None) -> np.ndarray:
         """Rows ``outs`` of the exact product M @ x, for an integer block x.
 
         ``x`` is ``(shape[1], N)`` with integer entries held as int64, as
-        float64 below 2^53, or as Python ints; ``xmax`` bounds their absolute
-        values (read off the gathered rows when omitted).  The product runs in
-        float64 when bound * xmax < 2^53, in int64 below 2^62 and on Python
-        ints otherwise.  A float64 x gives a float64 product on the float64
-        path; every other product is int64 or Python ints.
+        float32 below 2^24, as float64 below 2^53, or as Python ints; ``xmax``
+        bounds their absolute values (read off the gathered rows when
+        omitted).  The product runs in float32 when bound * xmax < 2^24, in
+        float64 below 2^53, in int64 below 2^62 and on Python ints otherwise
+        (:func:`exact_dtype`).  A float x gives a float product on the float
+        paths; every other product is int64 or Python ints.
         """
         gathered = x[self.ins]
         if xmax is None:
             xmax = absmax(gathered)
         path = exact_dtype(self.bound * xmax) if self.block.dtype != object else object
-        if x.dtype == np.float64 and path is not np.float64:
+        floats = x.dtype.kind == "f"
+        if floats and path not in _FLOATS:
             gathered = gathered.astype(np.int64)
-        block = self._float_block if path is np.float64 else self.block.astype(path, copy=False)
+        block = self.float_block(path) if path in _FLOATS else self.block.astype(path, copy=False)
         prod = block @ gathered.astype(path, copy=False)
-        return prod.astype(np.int64) if path is np.float64 and x.dtype != np.float64 else prod
+        return prod.astype(np.int64) if path in _FLOATS and not floats else prod
 
     def apply(self, x: np.ndarray, xmax: int | None = None) -> np.ndarray:
         """The exact product M @ x, zero outside the rows ``outs``."""
@@ -580,8 +598,9 @@ class ChowRing:
         Each member must be a nonempty subset of E.  A step gathers the map's
         input coordinates and stops at the first zero vector, so no later map is
         built.  Its dtype comes from the running product of the h-maps' largest
-        absolute row sums, which bounds every partial sum so far: float64, int64
-        or Python ints (:func:`exact_dtype`), rising with the product.
+        absolute row sums, which bounds every partial sum so far: float32,
+        float64, int64 or Python ints (:func:`exact_dtype`), rising with the
+        product.  The float paths read the map's cached float block.
         """
         flats = list(flats)
         if len(flats) != self.d:
@@ -595,12 +614,13 @@ class ChowRing:
                 return Fraction(0)
             bound *= h.bound
             dtype = exact_dtype(bound)
-            if dtype is np.float64:
-                block = h._float_block
+            if dtype in _FLOATS:
+                block = h.float_block(dtype)
+                x = x.astype(dtype, copy=False)
             else:
                 block = h.block.astype(dtype, copy=False)
-                # Floats below 2^53 pass through int64, so object vectors hold Python ints.
-                x = (x.astype(np.int64) if x.dtype == np.float64 else x).astype(dtype, copy=False)
+                # Floats pass through int64, so object vectors hold Python ints.
+                x = (x.astype(np.int64) if x.dtype.kind == "f" else x).astype(dtype, copy=False)
             vec = np.zeros(h.shape[0], dtype=dtype)
             vec[h.outs] = block @ x
         return Fraction(int(vec[0]) * (-1) ** self.d)

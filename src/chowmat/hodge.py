@@ -54,7 +54,7 @@ from .errors import (
     WrongArity,
     WrongGrade,
 )
-from .matroid import Matroid, bits, contract, popcount, restrict
+from .matroid import Matroid, bits, contract, popcount, restrict, subset_index
 from .quotients import truncate_by_subset, truncated_ranks
 
 
@@ -120,15 +120,34 @@ def dhr_levels(m: Matroid, size: int) -> tuple[list[np.ndarray], list[np.ndarray
     rows T of ``levels[k]``.
 
     Each row T carries the unions U_J of its 2^k subfamilies as uint16 masks.
-    As T is DHR, T + e_v fails only on a subfamily J + v with
-    rk(U_J | F_v) = rk(U_J) = |J| + 1: J is tight and F_v lies in cl(U_J).
-    So N(T) is every v outside the union, over the tight J, of the flats
-    below cl(U_J), gathered as bit rows in blocks of rows.  Level k + 1
-    prepends each v to the rows of its link column whose first index is
-    >= v, a suffix of the sorted rows, so the children come out sorted.  The
-    top level keeps no union table.
+    As T is DHR, T + e_j fails only on a subfamily J + j with
+    rk(U_J | F_j) = rk(U_J) = |J| + 1: J is tight and F_j lies in cl(U_J).
+    So N(T) is every j outside the dead set D(T), the union over the tight J
+    of the flats below cl(U_J).  Level k + 1 prepends each v to the rows of
+    its link column whose first index is >= v, a suffix of the sorted rows,
+    so the children come out sorted.  The subfamilies of a child (v, T) are
+    those of T and the J + v, so D(v, T) is D(T) together with the flats
+    below cl(U_J | F_v) over the J with J + v tight, rk(U_J | F_v) = |J| + 2.
+    Each level keeps its dead sets as packed uint64 words, and a child ORs
+    onto its parent's only the bit rows of its 2^k new subfamilies, gathered
+    in blocks of children.  A level whose children get no dead sets keeps no
+    union table.
     """
     return _dhr_levels(m, size, top=True)
+
+
+def _below(m: Matroid) -> np.ndarray:
+    """Bit rows of the rank >= 2 flats below each flat of the lattice, in uint64
+    words, row i + 1 for lattice flat i and row 0 empty; built packed,
+    :data:`_BLOCK` lattice rows at a time."""
+    flats = np.array(_flats_rank2(m), dtype=np.uint16)
+    lattice = np.array(m.lattice().flats, dtype=np.uint16)
+    below = np.zeros((len(lattice) + 1, -(-len(flats) // 64)), dtype=np.uint64)
+    packed = below.view(np.uint8)
+    for lo in range(0, len(lattice), _BLOCK):
+        part = (flats & ~lattice[lo : lo + _BLOCK, None]) == 0
+        packed[lo + 1 : lo + 1 + len(part), : -(-len(flats) // 8)] = np.packbits(part, axis=1)
+    return below
 
 
 def _dhr_levels(m: Matroid, size: int, top: bool) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -136,47 +155,58 @@ def _dhr_levels(m: Matroid, size: int, top: bool) -> tuple[list[np.ndarray], lis
     and leaves out the rows of level ``size``."""
     flats = np.array(_flats_rank2(m), dtype=np.uint16)
     nvars = len(flats)
-    rank = m.rank_table()
-    closure = m.closure_table()
-    # Bit rows of the flats below each flat of the lattice, in uint64 words; row 0 for "not tight".
-    lattice = np.array(m.lattice().flats, dtype=np.uint16)
-    position = np.zeros(len(closure), dtype=np.intp)
+    below = _below(m)
+    # tight[r << n | U]: the row of ``below`` for cl(U) if rk(U) = r, else row 0.
+    lattice = np.array(m.lattice().flats, dtype=np.intp)
+    position = np.zeros(1 << m.n_elements, dtype=np.min_scalar_type(len(lattice)))
     position[lattice] = np.arange(1, len(lattice) + 1)
-    below = np.pad((flats & ~lattice[:, None]) == 0, ((1, 0), (0, -nvars % 64)))
-    below = np.packbits(below, axis=1).view("<u8")
+    rank = m.rank_table()
+    closed = position[m.closure_table()]
+    tight = np.where(rank == np.arange(max(m.rank_full, size) + 1)[:, None], closed, 0).ravel()
     rows = np.zeros((1, 0), dtype=np.uint16)
     unions = np.zeros((1, 1), dtype=np.uint16)
+    dead = np.zeros((1, below.shape[1]), dtype=np.uint64)
     levels = [rows]
     links = []
     for k in range(size):
-        tight_rank = np.array([popcount(s) + 1 for s in range(1 << k)], dtype=np.int8)
-        link = np.empty((len(rows), nvars), dtype=bool)
-        for lo in range(0, len(rows), _BLOCK):
-            un = unions[lo : lo + _BLOCK]
-            hits = np.where(rank[un] == tight_rank, position[closure[un]], 0)
-            dead = np.bitwise_or.reduce(below[hits], axis=1).view(np.uint8)
-            link[lo : lo + _BLOCK] = np.unpackbits(dead, axis=1, count=nvars) == 0
-        links.append(link)
+        links.append(np.unpackbits((~dead).view(np.uint8), axis=1, count=nvars).view(bool))
         if k + 1 == size and not top:
             break
+        link = links[k]
         starts = np.searchsorted(rows[:, 0], np.arange(nvars)) if k else np.zeros(nvars, dtype=int)
         ends = np.cumsum([np.count_nonzero(link[starts[v] :, v]) for v in range(nvars)], dtype=int)
         children = np.empty((ends[-1] if nvars else 0, k + 1), dtype=np.uint16)
-        more = k + 1 < size
-        if more:
-            child_unions = np.empty((len(children), 2 << k), dtype=np.uint16)
+        linked = k + 1 < size  # the children get dead sets
+        if linked:
+            parent = np.empty(len(children), dtype=np.intp)
         for v, end in enumerate(ends):
             x = np.flatnonzero(link[starts[v] :, v]) + starts[v]
             block = slice(end - len(x), end)
             children[block, 0] = v
             children[block, 1:] = rows[x]
-            if more:
-                child_unions[block, : 1 << k] = unions[x]
-                child_unions[block, 1 << k :] = unions[x] | flats[v]
+            if linked:
+                parent[block] = x
+        if linked:
+            # The new subfamilies J + v of the children; J + v is tight iff rk(U_J | F_v) = |J| + 2.
+            half = 1 << k
+            offsets = (subset_index(k)[1].astype(np.intp) + 2) << m.n_elements
+            child_dead = np.empty((len(children), dead.shape[1]), dtype=np.uint64)
+            grow = k + 2 < size  # the children have children with dead sets: keep their unions
+            if grow:
+                child_unions = np.empty((len(children), 2 * half), dtype=np.uint16)
+            for lo in range(0, len(children), _BLOCK):
+                x = parent[lo : lo + _BLOCK]
+                new = unions[x] | flats[children[lo : lo + _BLOCK, 0], None]
+                hits = below[tight[offsets + new]]
+                child_dead[lo : lo + _BLOCK] = dead[x] | np.bitwise_or.reduce(hits, axis=1)
+                if grow:
+                    child_unions[lo : lo + _BLOCK, :half] = unions[x]
+                    child_unions[lo : lo + _BLOCK, half:] = new
+            dead = child_dead
+            if grow:
+                unions = child_unions
         rows = children
         levels.append(rows)
-        if more:
-            unions = child_unions
     return levels, links
 
 
@@ -628,8 +658,7 @@ def _triple_scan(m: Matroid) -> TripleScanReport:
     nvars = len(flats)
     total = math.comb(nvars + d - 1, d)
     levels, links = _dhr_levels(m, d, top=False)
-    subsets = np.arange(1 << m.n_elements)
-    sizes = np.bitwise_count(subsets)
+    subsets, sizes = subset_index(m.n_elements)
     # The subsets meeting each flat twice: a basis among them gives the flat rank >= 2.
     pairs = np.stack([_bitmap(sizes[subsets & f] >= 2) for f in flats])
     singles = _bitmap(sizes == 1)

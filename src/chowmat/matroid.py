@@ -45,6 +45,17 @@ def bits(x: int) -> Iterable[int]:
         x ^= low
 
 
+@functools.lru_cache(maxsize=None)
+def subset_index(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The bitmasks 0 .. 2^n - 1 of the subsets of an n-element ground set, as
+    intp, and their sizes; one read-only pair per n."""
+    subsets = np.arange(1 << n, dtype=np.intp)
+    sizes = np.bitwise_count(subsets)
+    subsets.setflags(write=False)
+    sizes.setflags(write=False)
+    return subsets, sizes
+
+
 def mask_of(elements: Iterable[int]) -> int:
     m = 0
     for e in elements:
@@ -71,27 +82,35 @@ class Matroid:
         basis_list = sorted(set(bases))
         if not basis_list:
             raise EmptyBases("a matroid needs at least one basis")
+        full_mask = (1 << n_elements) - 1
+        for b in basis_list:
+            if b & ~full_mask:
+                raise ExchangeAxiomViolation(f"basis {b:b} not contained in the ground set")
+        self._fill(n_elements, tuple(basis_list))
+        if validate:
+            self._check_exchange()
+
+    def _fill(self, n_elements: int, bases: tuple[int, ...]) -> None:
+        """Set the fields from checked bases: sorted, unique, nonempty and inside E."""
         self.n_elements = n_elements
         self.full_mask = (1 << n_elements) - 1
-        for b in basis_list:
-            if b & ~self.full_mask:
-                raise ExchangeAxiomViolation(f"basis {b:b} not contained in the ground set")
-        self.bases: tuple[int, ...] = tuple(basis_list)
-        self.rank_full = popcount(basis_list[0])
+        self.bases: tuple[int, ...] = bases
+        self.rank_full = popcount(bases[0])
         self._table: np.ndarray | None = None
         self._ranks: list[int] | None = None
         self._closure: np.ndarray | None = None
         self._lattice: FlatLattice | None = None
-        if validate:
-            self._check_exchange()
 
     @classmethod
     def from_rank_table(cls, table: np.ndarray) -> "Matroid":
         """The matroid of an int8 rank table over all ``2^n`` subsets, which it keeps
-        read-only; its bases are the sets whose rank is their size and the full rank."""
-        sizes = np.bitwise_count(np.arange(len(table), dtype=np.uint16))
+        read-only; its bases are the sets whose rank is their size and the full rank.
+        They come out of the table ascending and unique, so they are not re-sorted."""
+        n = len(table).bit_length() - 1
+        sizes = subset_index(n)[1]
         bases = np.flatnonzero((table == table[-1]) & (sizes == table[-1])).tolist()
-        m = cls(len(table).bit_length() - 1, bases, validate=False)
+        m = cls.__new__(cls)
+        m._fill(n, tuple(bases))
         table.setflags(write=False)
         m._table, m._ranks = table, table.tolist()
         return m

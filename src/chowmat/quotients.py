@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyFlat, GroundSetMismatch, InvalidRank, InvariantViolation, NotAFlat
-from .matroid import Matroid, popcount
+from .matroid import Matroid, popcount, subset_index
 
 
 @dataclass
@@ -91,7 +91,7 @@ def truncated_ranks(table: np.ndarray, subset: int) -> np.ndarray:
     """The rank table of the truncation along cl(S), rk(S) >= 1: the modular cut [cl S, E]
     gives r'(X) = min(r(X), r(X | S) - 1).  If S is inside cl X, r(X | S) = r(X) and X loses
     one rank; otherwise r(X | S) >= r(X) + 1 and X keeps it.  So r' = r - [S <= cl X]."""
-    return np.minimum(table, table[np.arange(len(table), dtype=np.intp) | subset] - 1)
+    return np.minimum(table, table[subset_index(len(table).bit_length() - 1)[0] | subset] - 1)
 
 
 def matroid_intersection(a: Matroid, b: Matroid) -> Matroid:

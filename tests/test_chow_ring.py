@@ -290,10 +290,10 @@ def test_groebner_degree_equals_dhr_small():
         assert ring.h_monomial_degree(multiset) == dhr_degree(U34, list(multiset))
 
 
-@pytest.mark.parametrize("dtype", [np.int64, object])
+@pytest.mark.parametrize("dtype", [np.float64, np.int64, object])
 def test_groebner_degree_is_the_same_on_wider_products(monkeypatch, dtype):
     """Every degree-d multiset of nonempty flats of the small corpus, with the
-    Groebner route's one dtype forced off float64."""
+    Groebner route's one dtype forced off float32."""
     cases = []
     for _, m in small_corpus():
         ring = ring_for(m)

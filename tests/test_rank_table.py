@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from chowmat import Matroid, direct_sum, graphic, uniform
 from chowmat import cli
 from chowmat.errors import InvalidRank
-from chowmat.matroid import MAX_GROUND
+from chowmat.matroid import MAX_GROUND, subset_index
 from chowmat.quotients import principal_truncation, truncate_by_subset
 
 from _quotient_oracle import truncated_bases
@@ -104,6 +104,13 @@ def test_truncation_on_tables_matches_the_basis_loop(m):
         t = truncate_by_subset(m, s)
         assert t.bases == tuple(sorted(truncated_bases(m.bases, s)))
         assert t.rank_table().tolist() == Matroid(m.n_elements, t.bases, validate=False).rank_table().tolist()
+
+
+def test_one_read_only_subset_index_per_ground_set():
+    subsets, sizes = subset_index(5)
+    assert subset_index(5)[0] is subsets
+    assert subsets.tolist() == list(range(32)) and sizes.tolist() == [s.bit_count() for s in range(32)]
+    assert not subsets.flags.writeable and not sizes.flags.writeable
 
 
 def test_subsets_at_the_cap_fit_uint16():

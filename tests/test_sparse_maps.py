@@ -128,6 +128,36 @@ def test_apply_paths_stay_exact(entry, value, dtype):
     assert got.tolist() == expected
 
 
+@pytest.mark.parametrize(
+    "entry, value, dtype",
+    [
+        (3, 5_592_405, np.float32),  # bound * xmax = 2^24 - 1
+        (97, 172_961, np.float64),  # bound * xmax = 2^24 + 1, which float32 rounds to 2^24
+    ],
+)
+def test_float32_tier_ends_at_2_to_the_24(entry, value, dtype):
+    m = SparseMap.from_columns(1, [{0: entry}])
+    expected = [[entry * value]]
+    assert entry * value in (2**24 - 1, 2**24 + 1)
+    # Integer input comes back int64 and exact from either float tier.
+    got = m.apply(np.array([[value]], dtype=np.int64))
+    assert got.dtype == np.int64 and got.tolist() == expected
+    # Float input keeps the tier's float dtype.
+    for x_dtype in (np.float32, np.float64):
+        got = m.rows(np.array([[value]], dtype=x_dtype))
+        assert got.dtype == dtype and got.tolist() == expected
+    got = imatmul(np.array([[entry]], dtype=np.int64), np.array([[value]], dtype=np.int64))
+    assert got.dtype == np.int64 and got.tolist() == expected
+
+
+def test_float_blocks_are_cached_per_dtype():
+    m = SparseMap.from_columns(2, [{1: -2}, {0: 3}])
+    small, wide = m.rows(np.array([[1.0], [4.0]])), m.rows(np.array([[1.0], [2.0**40]]))
+    assert small.dtype == np.float32 and wide.dtype == np.float64
+    for dtype in (np.float32, np.float64):
+        assert m.float_block(dtype) is m.float_block(dtype) and m.float_block(dtype).dtype == dtype
+
+
 def test_float64_block_stays_float64():
     m = SparseMap.from_columns(2, [{1: -2}, {0: 3}])
     x = np.array([[1.0, 2.0], [4.0, 2.0**40]])
