@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _linalg
-from .errors import LoopyMatroid, NotAFlat, WrongDimension
+from .errors import InvalidRank, LoopyMatroid, NotAFlat, WrongDimension
 from .matroid import Matroid, bits
-from .quotients import principal_truncation
+from .quotients import apply_exponent_chain, principal_truncation
 
 #: A cone of the braid fan: a strictly increasing chain of nonempty proper
 #: subsets, stored as a tuple of bitmasks.
@@ -152,19 +152,12 @@ def cap_with_h(flat: int, source: Matroid) -> MinkowskiWeight:
 def cap_weight_with_monomial(
     m: Matroid, chain: tuple[tuple[int, int], ...]
 ) -> MinkowskiWeight:
-    """Iterated cap product of a nested monomial with the Bergman class of m.
-
-    Applies the largest flat first, mirroring the iterated principal
-    truncation reading of the monomial.
-    """
-    current = m
-    steps = sum(a for _, a in chain)
-    for f, a in reversed(chain):
-        for _ in range(a):
-            if current.rank(f) <= 1:
-                return MinkowskiWeight(m.n_elements, m.rank_full - 1 - steps, {})
-            current = principal_truncation(current, f)
-    return bergman_class(current)
+    """Iterated cap product of a nested monomial with the Bergman class of m: the Bergman
+    class of its quotient, or zero where a step meets a flat of rank < 2 and no quotient exists."""
+    try:
+        return bergman_class(apply_exponent_chain(m, chain))
+    except InvalidRank:
+        return MinkowskiWeight(m.n_elements, m.rank_full - 1 - sum(a for _, a in chain), {})
 
 
 def degree_of_point(w: MinkowskiWeight) -> int:

@@ -50,26 +50,25 @@ def load_matroid(path: str, max_ground: int) -> Matroid:
     if not isinstance(doc, dict) or "type" not in doc:
         raise ParseError('spec must be an object with a "type" field')
     kind = doc["type"]
+    if kind not in ("uniform", "bases", "graphic"):
+        raise ParseError(f"unknown matroid type {kind!r}")
     try:
+        # The declared size meets the cap before anything is built.
+        size = len(doc["edges"]) if kind == "graphic" else int(doc["n" if kind == "uniform" else "ground"])
+        if size > max_ground:
+            raise ParseError(
+                f"ground set of size {size} exceeds the cap {max_ground} "
+                "(raise with --max-ground or CHOWMAT_MAX_GROUND)"
+            )
         if kind == "uniform":
-            m = uniform(int(doc["r"]), int(doc["n"]))
-        elif kind == "bases":
-            ground = int(doc["ground"])
-            m = matroid_from_bases(ground, [mask_of(map(int, b)) for b in doc["bases"]])
-        elif kind == "graphic":
-            m = graphic(int(doc["vertices"]), [tuple(map(int, e)) for e in doc["edges"]])
-        else:
-            raise ParseError(f"unknown matroid type {kind!r}")
+            return uniform(int(doc["r"]), size)
+        if kind == "bases":
+            return matroid_from_bases(size, [mask_of(map(int, b)) for b in doc["bases"]])
+        return graphic(int(doc["vertices"]), [tuple(map(int, e)) for e in doc["edges"]])
     except KeyError as exc:
         raise ParseError(f"missing field {exc} for type {kind!r}") from exc
     except (TypeError, ValueError) as exc:
         raise ParseError(f"invalid spec: {exc}") from exc
-    if m.n_elements > max_ground:
-        raise ParseError(
-            f"ground set of size {m.n_elements} exceeds the cap {max_ground} "
-            "(raise with --max-ground or CHOWMAT_MAX_GROUND)"
-        )
-    return m
 
 
 def matroid_summary(m: Matroid) -> dict:

@@ -17,6 +17,10 @@ class InvalidRank(ChowmatError):
     pass
 
 
+class InvalidEdge(ChowmatError):
+    pass
+
+
 class GroundSetTooLarge(ChowmatError):
     pass
 

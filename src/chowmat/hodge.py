@@ -55,7 +55,7 @@ from .errors import (
     WrongGrade,
 )
 from .matroid import Matroid, bits, contract, popcount, restrict, subset_index
-from .quotients import truncate_by_subset, truncated_ranks
+from .quotients import truncate_along, truncate_by_subset
 
 
 # -- the DHR condition ---------------------------------------------------------
@@ -92,12 +92,8 @@ def chain_terminates_loopless(m: Matroid, multiset: list[int]) -> bool:
     """Whether M wedge H_{A_1} wedge ... wedge H_{A_d} equals U_{1,E}, the loopless
     matroid of rank 1, walked on rank tables.  Members must be nonempty subsets of E."""
     m.check_members(multiset)
-    table = m.rank_table()
-    for s in multiset:
-        if table[s] < 2:
-            return False
-        table = truncated_ranks(table, s)
-    return table[-1] == 1 and bool((table[1 << np.arange(m.n_elements)] == 1).all())
+    table = truncate_along(m.rank_table(), multiset)
+    return table is not None and table[-1] == 1 and bool((table[1 << np.arange(m.n_elements)] == 1).all())
 
 
 # -- the DHR support --------------------------------------------------------------

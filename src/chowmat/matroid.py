@@ -23,6 +23,7 @@ from .errors import (
     ExchangeAxiomViolation,
     GroundSetMismatch,
     GroundSetTooLarge,
+    InvalidEdge,
     InvalidRank,
     NotComparable,
 )
@@ -70,8 +71,8 @@ def set_of(mask: int) -> frozenset[int]:
 class Matroid:
     """A matroid given by its set of bases over ``E = {0, ..., n}``.
 
-    Immutable after construction; the rank and closure tables and the lattice
-    fill in lazily, and building any of them twice gives the same result.
+    Immutable after construction; the rank and closure tables, the rank list and
+    the lattice fill in lazily, and building any of them twice gives the same result.
     """
 
     __slots__ = ("n_elements", "full_mask", "bases", "rank_full", "_table", "_ranks", "_closure", "_lattice")
@@ -112,7 +113,7 @@ class Matroid:
         m = cls.__new__(cls)
         m._fill(n, tuple(bases))
         table.setflags(write=False)
-        m._table, m._ranks = table, table.tolist()
+        m._table = table
         return m
 
     def _check_exchange(self) -> None:
@@ -148,7 +149,6 @@ class Matroid:
                 planes = table.reshape(-1, 2, 1 << e)
                 np.maximum(planes[:, 1], planes[:, 0], out=planes[:, 1])
             table.setflags(write=False)
-            self._ranks = table.tolist()
             self._table = table
         return self._table
 
@@ -166,16 +166,16 @@ class Matroid:
         return self._closure
 
     def rank(self, subset: int) -> int:
-        """Rank of a subset, read off the rank list."""
+        """Rank of a subset, read off the rank list, which the first point query builds."""
         if self._ranks is None:
-            self.rank_table()
+            self._ranks = self.rank_table().tolist()
         return self._ranks[subset]
 
     def closure(self, subset: int) -> int:
         """The largest superset of ``subset`` with the same rank."""
         # One question reads the rank list; it builds no closure table.
-        self.rank_table()
-        ranks, r = self._ranks, self._ranks[subset]
+        r = self.rank(subset)
+        ranks = self._ranks
         return subset | sum(1 << e for e in bits(self.full_mask & ~subset) if ranks[subset | 1 << e] == r)
 
     def check_members(self, members: list[int]) -> None:
@@ -299,8 +299,6 @@ class FlatLattice:
 def matroid_from_bases(n_elements: int, bases: Iterable[Iterable[int] | int]) -> Matroid:
     """Build a matroid from explicit bases, verifying the exchange axiom."""
     masks = [b if isinstance(b, int) else mask_of(b) for b in bases]
-    if not masks:
-        raise EmptyBases("a matroid needs at least one basis")
     return Matroid(n_elements, masks, validate=True)
 
 
@@ -308,22 +306,26 @@ def uniform(r: int, n_elements: int) -> Matroid:
     """The uniform matroid U_{r, n_elements}: every r-subset is a basis."""
     if not 0 <= r <= n_elements:
         raise InvalidRank(f"rank {r} outside 0..{n_elements}")
+    if n_elements > MAX_GROUND:  # before C(n, r) bases are enumerated
+        raise GroundSetTooLarge(f"ground set size {n_elements} outside 1..{MAX_GROUND}")
     bases = [mask_of(c) for c in itertools.combinations(range(n_elements), r)]
     return Matroid(n_elements, bases, validate=False)
 
 
 def graphic(vertices: int, edges: list[tuple[int, int]]) -> Matroid:
-    """The cycle matroid of a multigraph; ground set = edge indices.
-
-    Bases are the maximal spanning forests, found by exhausting edge subsets.
-    """
+    """The cycle matroid of a multigraph on the vertices 0 .. vertices - 1; ground set =
+    edge indices.  Bases are the maximal spanning forests, found by exhausting edge
+    subsets with a union-find over the endpoints that occur."""
     if not edges:
         raise EmptyBases("need at least one edge")
     if len(edges) > MAX_GROUND:
         raise GroundSetTooLarge(f"{len(edges)} edges exceeds the cap {MAX_GROUND}")
+    ends = {x for edge in edges for x in edge}
+    if min(ends) < 0 or max(ends) >= vertices:
+        raise InvalidEdge(f"edge endpoints must lie in 0..{vertices - 1}")
 
     def forest_size(subset: int) -> int:
-        parent = list(range(vertices))
+        parent = {x: x for x in ends}
 
         def find(x: int) -> int:
             while parent[x] != x:

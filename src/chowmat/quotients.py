@@ -11,6 +11,7 @@ images of nested-basis monomials under the cap product.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -64,23 +65,15 @@ def principal_truncation(m: Matroid, flat: int) -> Matroid:
     Bases are ``{B \\ f : B a basis of M, f in B & F}``; the result is
     loopless iff rk(F) > 1.
     """
-    if flat == 0:
-        raise EmptyFlat("cannot truncate along the empty flat")
-    if flat & ~m.full_mask or not m.is_flat(flat):
-        raise NotAFlat(f"{flat:#b} is not a flat")
+    if not 0 < flat <= m.full_mask or not m.is_flat(flat):
+        raise (EmptyFlat if flat == 0 else NotAFlat)(f"{flat:#b} is not a nonempty flat")
     return truncate_by_subset(m, flat)
 
 
 def truncate_by_subset(m: Matroid, subset: int) -> Matroid:
-    """M wedge H_S for a nonempty subset S, read off the rank table.
-
-    Equals the principal truncation along cl(S).  The result may have loops
-    (exactly when rk(S) = 1); loops then persist under further truncations.
-    """
-    if subset == 0:
-        raise EmptyFlat("subset must be nonempty")
-    if subset & ~m.full_mask:
-        raise GroundSetMismatch(f"{subset:#b} is not a subset of the ground set")
+    """M wedge H_S for a nonempty subset S, read off the rank table: the principal
+    truncation along cl(S), with loops exactly when rk(S) = 1."""
+    m.check_members([subset])
     if m.rank(subset) == 0:
         # S consists of loops of m: every spanning-set intersection keeps rank.
         raise InvalidRank("subset consists of loops; intersection is not rank-decreasing")
@@ -92,6 +85,18 @@ def truncated_ranks(table: np.ndarray, subset: int) -> np.ndarray:
     gives r'(X) = min(r(X), r(X | S) - 1).  If S is inside cl X, r(X | S) = r(X) and X loses
     one rank; otherwise r(X | S) >= r(X) + 1 and X keeps it.  So r' = r - [S <= cl X]."""
     return np.minimum(table, table[subset_index(len(table).bit_length() - 1)[0] | subset] - 1)
+
+
+def truncate_along(table: np.ndarray, subsets: Iterable[int]) -> np.ndarray | None:
+    """The rank table after truncating along each subset in turn, or None once one has rank
+    < 2 in its stage.  The order is free: steps along S and T give min(r(X), r(X | S) - 1,
+    r(X | T) - 1, r(X | S | T) - 2), symmetric in S and T; a step of rank >= 2 creates no loop
+    and one of rank <= 1 a loop (or a negative rank) that persists, so it stops in every order or none."""
+    for s in subsets:
+        if table[s] < 2:
+            return None
+        table = truncated_ranks(table, s)
+    return table
 
 
 def matroid_intersection(a: Matroid, b: Matroid) -> Matroid:
@@ -124,12 +129,9 @@ def f_cyclic_flats(w: QuotientWitness) -> list[int]:
 
 def is_relative_nested(w: QuotientWitness) -> bool:
     """True iff the f-cyclic flats are totally ordered by inclusion."""
+    # Sorted by (size, mask), they form a chain iff each lies inside the next.
     cyc = f_cyclic_flats(w)
-    for i, f in enumerate(cyc):
-        for g in cyc[i + 1 :]:
-            if f & ~g and g & ~f:
-                return False
-    return True
+    return all(f & ~g == 0 for f, g in zip(cyc, cyc[1:]))
 
 
 def higgs_factorization(w: QuotientWitness) -> HiggsChain:
@@ -180,12 +182,15 @@ def _nested_chain_levels(m: Matroid, depth: int) -> list[list[tuple[tuple[int, i
 
 
 def apply_exponent_chain(m: Matroid, chain: tuple[tuple[int, int], ...]) -> Matroid:
-    """Iterated principal truncation, largest flat first with multiplicity."""
-    current = m
-    for f, a in reversed(chain):
-        for _ in range(a):
-            current = principal_truncation(current, f)
-    return current
+    """The quotient of M truncated a_i times along each F_i of the chain, in one walk on rank
+    tables.  Every F_i must be a nonempty flat of M, checked once, and no step may have rank < 2."""
+    for f, _ in chain:
+        if not 0 < f <= m.full_mask or not m.is_flat(f):
+            raise (EmptyFlat if f == 0 else NotAFlat)(f"{f:#b} is not a nonempty flat")
+    table = truncate_along(m.rank_table(), [f for f, a in chain for _ in range(a)])
+    if table is None:
+        raise InvalidRank(f"chain {chain} truncates along a flat of rank < 2")
+    return Matroid.from_rank_table(table) if chain else m
 
 
 def enumerate_relative_nested(m: Matroid, corank: int) -> list[Matroid]:

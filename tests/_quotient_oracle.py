@@ -15,7 +15,9 @@ bases, and the last one is filtered by ``is_relative_nested``.  Slow and
 deliberately simple; nothing in ``src/`` imports it.
 
 :func:`truncated_bases` is the direct basis description of one truncation,
-the oracle for the rank-table truncation in ``src/``.
+the oracle for the rank-table truncation in ``src/``.  :func:`truncate_by_stages`
+and :func:`apply_exponent_chain_by_stages` build one matroid per truncation
+step, the oracles for the table walk ``quotients.truncate_along``.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import Iterable
 import numpy as np
 
 from chowmat.matroid import Matroid
-from chowmat.quotients import is_quotient, is_relative_nested
+from chowmat.quotients import is_quotient, is_relative_nested, principal_truncation, truncate_by_subset
 
 
 def relative_nested_quotients(m: Matroid) -> list[set[tuple[int, ...]]]:
@@ -106,3 +108,22 @@ def truncated_bases(bases: Iterable[int], subset: int) -> set[int]:
             if (b & subset) >> f & 1:
                 out.add(b ^ 1 << f)
     return out
+
+
+def truncate_by_stages(m: Matroid, subsets: Iterable[int]) -> Matroid | None:
+    """One matroid per step along the subsets in the given order, or None at the
+    first subset of rank < 2 in its stage."""
+    for s in subsets:
+        if m.rank(s) < 2:
+            return None
+        m = truncate_by_subset(m, s)
+    return m
+
+
+def apply_exponent_chain_by_stages(m: Matroid, chain: tuple[tuple[int, int], ...]) -> Matroid:
+    """Iterated principal truncation, one matroid per stage, largest flat first
+    with multiplicity; every flat must be a flat of its stage."""
+    for f, a in reversed(chain):
+        for _ in range(a):
+            m = principal_truncation(m, f)
+    return m

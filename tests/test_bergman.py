@@ -147,6 +147,14 @@ def test_iterated_caps_realize_monomial_chains():
                 assert capped == bergman_class(apply_exponent_chain(m, chain))
 
 
+def test_cap_with_a_non_nested_monomial_is_zero():
+    """h_F^2 with rk F = 2 is not nested: its second step meets F at rank 1."""
+    for m in [uniform(3, 4), uniform(4, 5), k4()]:
+        for f in m.lattice().by_rank[2]:
+            w = cap_weight_with_monomial(m, ((f, 2),))
+            assert w.is_zero() and w.dim == m.rank_full - 3
+
+
 def test_degree_of_point_linearity():
     w = bergman_class(uniform(1, 3))
     assert degree_of_point(w.scale(3)) == 3

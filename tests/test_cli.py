@@ -2,6 +2,7 @@
 
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -102,6 +103,53 @@ def test_bad_ground_cap_in_the_environment_exits_2(runner, u34_spec, monkeypatch
     assert "CHOWMAT_MAX_GROUND" in err["message"]
     # The option overrides the environment, so it is never read.
     assert runner.invoke(cli.main, ["info", u34_spec, "--max-ground", "12"]).exit_code == 0
+
+
+@pytest.mark.parametrize(
+    "vertices, edges",
+    [(3, [[0, 5]]), (-2, [[0, 5]]), (-2, [[0, 1]]), (3, [[-1, 0], [0, 1]])],
+)
+def test_graphic_endpoints_outside_the_vertices_exit_2(runner, tmp_path, vertices, edges):
+    """A bad endpoint is an input error: no traceback, and no wrap-around of negative ints."""
+    spec = write_spec(tmp_path, "bad.json", {"type": "graphic", "vertices": vertices, "edges": edges})
+    result = runner.invoke(cli.main, ["info", spec])
+    assert result.exit_code == 2
+    assert json.loads(result.stderr)["error"] == "InvalidEdge"
+
+
+def test_graphic_vertex_count_only_bounds_the_endpoints(runner, tmp_path):
+    """The forests run over the endpoints that occur, so a huge vertex count costs nothing."""
+    triangle = [[0, 1], [1, 2], [0, 2]]
+    spec = write_spec(tmp_path, "k3.json", {"type": "graphic", "vertices": 2**70, "edges": triangle})
+    result = invoke(runner, ["info", spec])
+    assert result.exit_code == 0
+    assert json.loads(result.output)["matroid"]["flats_by_rank"] == [1, 3, 1]
+
+
+@pytest.mark.parametrize(
+    "doc, argv, message",
+    [
+        ({"type": "uniform", "r": 3, "n": 200}, [], "exceeds the cap 12"),
+        ({"type": "uniform", "r": 20, "n": 40}, ["--max-ground", "40"], "outside 1..16"),
+        ({"type": "bases", "ground": 10**9, "bases": [[0]]}, [], "exceeds the cap 12"),
+    ],
+)
+def test_ground_size_is_checked_before_the_matroid_is_built(tmp_path, doc, argv, message):
+    """Oversized specs exit 2 at once, inside a memory limit and a timeout that
+    enumerating their bases would break."""
+    spec = write_spec(tmp_path, "wide.json", doc)
+    src = os.path.dirname(os.path.dirname(chowmat.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "chowmat.cli", "info", spec, *argv],
+        capture_output=True, env=env, timeout=60, preexec_fn=limit_memory,
+    )
+    assert proc.returncode == 2, proc.stderr.decode()[-2000:]
+    assert message in json.loads(proc.stderr)["message"]
 
 
 def test_degree_examples(runner, u33_spec):

@@ -17,6 +17,7 @@ from chowmat.errors import (
     EmptyBases,
     ExchangeAxiomViolation,
     GroundSetTooLarge,
+    InvalidEdge,
     InvalidRank,
     NotComparable,
 )
@@ -80,6 +81,15 @@ def test_graphic_k4_is_rank3_with_16_bases():
     m = k4()
     assert m.rank_full == 3
     assert len(m.bases) == 16  # Cayley: 4^2 spanning trees
+
+
+def test_graphic_endpoints_must_be_vertices():
+    """Negative endpoints do not wrap around to the last vertices."""
+    for vertices, edges in [(3, [(-1, 0), (0, 1)]), (3, [(0, 3)]), (0, [(0, 0)])]:
+        with pytest.raises(InvalidEdge):
+            graphic(vertices, edges)
+    # The vertices only bound the endpoints: isolated vertices change nothing.
+    assert graphic(10**6, [(7, 900_000), (900_000, 3), (3, 7)]) == graphic(3, [(0, 1), (1, 2), (2, 0)])
 
 
 def test_graphic_parallel_edges():

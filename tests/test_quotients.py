@@ -92,6 +92,35 @@ def test_is_quotient_iff_every_flat_of_lower_is_a_flat_of_upper():
     assert outcomes == {True, False}
 
 
+def pairwise_nested(w) -> bool:
+    """The definition: no two f-cyclic flats are incomparable."""
+    cyc = f_cyclic_flats(w)
+    return all(not (f & ~g and g & ~f) for f, g in itertools.combinations(cyc, 2))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(2, 5).flatmap(truncated_by_subsets), ground_set_pairs())
+def test_relative_nested_in_one_pass_matches_the_pairwise_definition(m, pair):
+    """The f-cyclic flats come sorted by (size, mask), so consecutive containment
+    decides the chain."""
+    for lower, upper in [(m, uniform(m.n_elements, m.n_elements)), pair]:
+        w = is_quotient(lower, upper)
+        if w is not None:
+            assert is_relative_nested(w) == pairwise_nested(w)
+
+
+def test_relative_nested_on_every_elementary_quotient():
+    """Both verdicts, on the elementary quotients of U(3,4) from all its modular cuts."""
+    m = uniform(3, 4)
+    verdicts = set()
+    for cut in _modular_cuts(m):
+        w = is_quotient(_elementary_quotient_from_cut(m, cut), m)
+        if w is not None:
+            assert is_relative_nested(w) == pairwise_nested(w)
+            verdicts.add(pairwise_nested(w))
+    assert verdicts == {True, False}
+
+
 def test_quotient_ground_mismatch():
     with pytest.raises(GroundSetMismatch):
         is_quotient(uniform(2, 3), uniform(2, 4))
@@ -397,4 +426,23 @@ def test_enumerate_relative_nested_loopless():
 
 def test_apply_exponent_chain_identity():
     m = uniform(3, 4)
-    assert apply_exponent_chain(m, ()) == m
+    assert apply_exponent_chain(m, ()) is m
+
+
+def test_apply_exponent_chain_errors():
+    """Every flat is checked once against M; a step along a flat of rank < 2 in
+    its stage is refused, not turned into a loopy quotient."""
+    m = uniform(3, 4)
+    with pytest.raises(EmptyFlat):
+        apply_exponent_chain(m, ((0, 1),))
+    for outside in (0b10000, 0b10011, -1):
+        with pytest.raises(NotAFlat):
+            apply_exponent_chain(m, ((0b0011, 1), (outside, 1)))
+    with pytest.raises(NotAFlat):
+        apply_exponent_chain(uniform(2, 4), ((0b0011, 1),))  # pairs are not flats of U(2,4)
+    with pytest.raises(InvalidRank):
+        apply_exponent_chain(m, ((0b0001, 1),))  # rank 1 in M
+    with pytest.raises(InvalidRank):
+        apply_exponent_chain(m, ((0b0011, 2),))  # rank 1 in the second stage
+    with pytest.raises(InvalidRank):
+        apply_exponent_chain(m, ((0b0011, 1), (0b1111, 2)))  # not nested: a_2 >= rk E - rk F_1

@@ -13,9 +13,15 @@ from chowmat import Matroid, direct_sum, graphic, uniform
 from chowmat import cli
 from chowmat.errors import InvalidRank
 from chowmat.matroid import MAX_GROUND, subset_index
-from chowmat.quotients import principal_truncation, truncate_by_subset
+from chowmat.quotients import (
+    apply_exponent_chain,
+    nested_exponent_chains,
+    principal_truncation,
+    truncate_along,
+    truncate_by_subset,
+)
 
-from _quotient_oracle import truncated_bases
+from _quotient_oracle import apply_exponent_chain_by_stages, truncate_by_stages, truncated_bases
 
 
 @st.composite
@@ -104,6 +110,78 @@ def test_truncation_on_tables_matches_the_basis_loop(m):
         t = truncate_by_subset(m, s)
         assert t.bases == tuple(sorted(truncated_bases(m.bases, s)))
         assert t.rank_table().tolist() == Matroid(m.n_elements, t.bases, validate=False).rank_table().tolist()
+
+
+@settings(max_examples=40, deadline=None)
+@given(matroids.filter(lambda m: m.n_elements <= 6))
+def test_exponent_chains_walk_like_the_stages(m):
+    """Every nested exponent chain gives the matroid of the per-stage route, and
+    its image holds no rank list, because no stage is a matroid."""
+    for c in range(m.rank_full):
+        for chain in nested_exponent_chains(m, c):
+            q = apply_exponent_chain(m, chain)
+            expected = apply_exponent_chain_by_stages(m, chain)
+            assert q == expected
+            assert (q.rank_table() == expected.rank_table()).all()
+            assert q._ranks is None or not chain
+
+
+@st.composite
+def walks(draw):
+    """A matroid and nonempty subsets to truncate along, some of rank < 2 in their
+    stage and some made of loops, with a shuffled copy of the steps."""
+    m = draw(matroids)
+    steps = draw(st.lists(st.integers(1, m.full_mask), min_size=1, max_size=m.rank_full + 1))
+    return m, steps, draw(st.permutations(steps))
+
+
+def test_walk_order_is_free():
+    stopped = set()
+
+    @settings(max_examples=150, deadline=None)
+    @given(walks())
+    def check(case):
+        m, steps, shuffled = case
+        table = truncate_along(m.rank_table(), steps)
+        other = truncate_along(m.rank_table(), shuffled)
+        assert (table is None) == (other is None)
+        assert table is None or (table == other).all()
+        stopped.add(table is None)
+
+    check()
+    assert stopped == {True, False}
+
+
+def test_walk_stops_where_the_stages_meet_rank_below_two():
+    stopped = set()
+
+    @settings(max_examples=150, deadline=None)
+    @given(walks())
+    def check(case):
+        m, steps, _ = case
+        table = truncate_along(m.rank_table(), steps)
+        expected = truncate_by_stages(m, steps)
+        assert (table is None) == (expected is None)
+        assert table is None or table.tolist() == expected.rank_table().tolist()
+        stopped.add(table is None)
+
+    check()
+    assert stopped == {True, False}
+
+
+def test_rank_lists_are_built_on_the_first_point_query():
+    """A table-built matroid holds no rank list until ``rank`` or ``closure`` asks;
+    both then agree with its table."""
+    for m in [uniform(3, 5), graphic(4, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 3)]), direct_sum(uniform(2, 3), uniform(0, 1))]:
+        subsets = range(1 << m.n_elements)
+        for query in ("rank", "closure"):
+            t = Matroid.from_rank_table(m.rank_table().copy())
+            table, closure = t.rank_table(), t.closure_table()
+            assert t._ranks is None
+            assert getattr(t, query)(subsets[-1]) == (t.rank_full if query == "rank" else t.full_mask)
+            assert t._ranks == table.tolist()
+            assert [t.rank(s) for s in subsets] == table.tolist()
+            assert [t.closure(s) for s in subsets] == closure.tolist()
 
 
 def test_one_read_only_subset_index_per_ground_set():
