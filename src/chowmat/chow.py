@@ -13,7 +13,13 @@ Reduction to the nested monomial basis runs in the ``z`` alphabet, rewriting
 along the known Groebner basis of the defining ideal (incomparable quadrics,
 ``z_F * (sum_{H >= G} z_H)^(rk G - rk F)`` for ``F < G``, and
 ``(sum_{H >= G} z_H)^(rk G)``), whose standard monomials are exactly the
-nested monomials.  All arithmetic is integer or rational.
+nested monomials.  All arithmetic is integer or rational.  A product z_F * m
+whose chain m holds a flat incomparable with F is zero, because z_F z_G for
+incomparable F and G generates the ideal (Feichtner-Yuzvinsky, Invent. Math.
+2004): the multiplication maps read those products off chain membership and
+never reduce them, and the reduction drops every child that is not a chain.
+So nearly every zero is found at sight, and the normal-form memo holds
+nonzero results only.
 
 Multiplication by a generator is a :class:`SparseMap` between the nested
 coordinates of two consecutive degrees: only its nonzero rows and columns
@@ -349,6 +355,7 @@ class ChowRing:
             {mono: i for i, mono in enumerate(level)} for level in self.nested
         ]
         self._nf_memo: dict[Monomial, dict[int, int]] = {}
+        self._chains: dict[int, np.ndarray] = {}
         self._zmap: dict[tuple[int, int], SparseMap] = {}
         self._hmap: dict[tuple[int, int], SparseMap] = {}
         self._t: dict[int, np.ndarray] = {}
@@ -364,33 +371,64 @@ class ChowRing:
     # -- Groebner reduction in the z alphabet ---------------------------------
 
     def _violation(self, mono: Monomial) -> int | None:
-        """Index of the first exponent-constraint violation, None if standard.
-
-        Returns -1 for monomials killed by the incomparability quadrics.
+        """Index of the first exponent violation, None if the monomial is nested,
+        and -1 if it is zero at sight: when its flats are not a chain, or when
+        some flat P of the chain, or P = 0, has at least rk E - rk P of the
+        degree on the flats above it (see :meth:`_nf`).
         """
-        prev_mask, prev_rank = 0, 0
+        above, top = sum(e for _, e in mono), self.d + 1
+        first, prev_mask, prev_rank = None, 0, 0
         for j, (mask, exp) in enumerate(mono):
             r = self.flat_rank.get(mask)
             if r is None:
                 raise NotAFlat(f"{sorted(bits(mask))} is not a nonempty flat")
-            if prev_mask and (r == prev_rank or prev_mask & ~mask):
+            # Flats in (size, mask) order form a chain iff each lies in the next.
+            if prev_mask & ~mask or above >= top - prev_rank:
                 return -1
-            if exp >= r - prev_rank:
-                return j
+            if first is None and exp >= r - prev_rank:
+                first = j
+            above -= exp
             prev_mask, prev_rank = mask, r
-        return None
+        return first
 
     def _nf(self, mono: Monomial) -> dict[int, int]:
-        """Normal form of a z-monomial on the nested basis of its degree."""
+        """Normal form of a z-monomial on the nested basis of its degree.
+
+        A step rewrites the first exponent violation z_F^e of a chain, e >= c =
+        rk F - rk F' for the flat F' before F (or 0), along the Groebner
+        element ``z_F' (sum_{H >= F} z_H)^c`` (without z_F' when F is first):
+        z_F^c becomes minus the other degree-c monomials in the flats G >= F,
+        with multinomial coefficients.  Two kinds of monomials are zero at
+        sight and never recurse (:meth:`_violation`):
+
+        * those whose flats are not a chain: they are multiples of z_F z_G for
+          incomparable F and G, a generator of the ideal (Feichtner-Yuzvinsky).
+          The children of a step that are not chains are dropped before they
+          are built.
+        * chains F_1 < ... < F_m with sum_{t >= i} e_t >= rk E - rk F_{i-1}
+          for some i (F_0 = 0): the degree above F_{i-1} exceeds the top
+          degree of the contraction M / F_{i-1}.  A step keeps this true: it
+          moves degree from F_j onto flats G >= F_j, so the degree above
+          F_{i-1} does not fall while F_{i-1} stays, and a step that removes
+          F_{i-1} (e = c) leaves at least (rk F_{i-1} - rk F_{i-2}) + (rk E -
+          rk F_{i-1}) above F_{i-2}.  A nested monomial has e_t < rk F_t -
+          rk F_{t-1} for every t, so it never meets the bound, and the
+          reduction, which ends in nested monomials, gives zero.
+
+        Only nonzero results are memoized: the zero products of
+        :meth:`z_matrix` and the zeros above cost one pass over the monomial
+        to find again.  (Memoizing every result while every product was
+        reduced held 1.2 M monomials on U(5,10), 98.6 % of them zero.)
+        """
         cached = self._nf_memo.get(mono)
         if cached is not None:
             return cached
         j = self._violation(mono)
+        if j == -1:
+            return {}
         if j is None:
             deg = sum(e for _, e in mono)
             result = {self.nested_index[deg][mono]: 1}
-        elif j == -1:
-            result = {}
         else:
             mask, exp = mono[j]
             prev_rank = self.flat_rank[mono[j - 1][0]] if j else 0
@@ -398,10 +436,16 @@ class ChowRing:
             stripped = _canon(
                 (m, e - c if m == mask else e) for m, e in mono
             )
-            sups = self.supersets[mask]
+            # The flats G >= F comparable with the flats above F in the chain,
+            # so that every child built from them and from stripped is a chain.
+            above = [f for f, _ in mono[j + 1:]]
+            sups = [g for g in self.supersets[mask] if all(g & ~f == 0 or f & ~g == 0 for f in above)]
             result: dict[int, int] = {}
             for combo in itertools.combinations_with_replacement(sups, c):
-                if all(g == mask for g in combo):
+                # combo is in (rank, mask) order with F first: it is F^c, the
+                # leading term, iff its last flat is F, and a chain iff each
+                # flat lies in the next.
+                if combo[-1] == mask or any(a & ~b for a, b in itertools.pairwise(combo)):
                     continue
                 coeff = _multinomial(combo)
                 child = _canon(itertools.chain(stripped, ((g, 1) for g in combo)))
@@ -411,11 +455,34 @@ class ChowRing:
                         result[idx] = acc
                     else:
                         result.pop(idx, None)
-        self._nf_memo[mono] = result
+        if result:
+            self._nf_memo[mono] = result
         return result
+
+    def _check_flat(self, mask: int) -> None:
+        if mask not in self.flat_rank:
+            raise NotAFlat(f"{sorted(bits(mask))} is not a nonempty flat")
+
+    def _chain_positions(self, deg: int) -> np.ndarray:
+        """Row i: the lattice positions of the flats of the i-th nested monomial
+        of degree ``deg``, padded to ``deg`` columns with 0, the empty flat."""
+        cached = self._chains.get(deg)
+        if cached is None:
+            index = self.lattice.index
+            rows = [[index[f] for f, _ in mono] + [0] * (deg - len(mono)) for mono in self.nested[deg]]
+            cached = np.array(rows, dtype=np.intp).reshape(len(rows), deg)
+            self._chains[deg] = cached
+        return cached
+
+    @cached_property
+    def _lattice_masks(self) -> np.ndarray:
+        return np.array(self.lattice.flats, dtype=np.int64)
 
     def reduce_z_terms(self, terms: dict[Monomial, Fraction]) -> list[Fraction]:
         """Reduce a z-polynomial (assumed homogeneous) to nested z-coordinates."""
+        for mono in terms:
+            for mask, _ in mono:
+                self._check_flat(mask)
         degrees = {sum(e for _, e in m) for m in terms}
         if len(degrees) > 1:
             raise InhomogeneousElement(f"mixed degrees {sorted(degrees)}")
@@ -444,12 +511,25 @@ class ChowRing:
     # -- matrices -------------------------------------------------------------
 
     def z_matrix(self, flat: int, deg: int) -> SparseMap:
-        """Multiplication by z_flat as a map of nested z-coordinates, deg -> deg+1."""
+        """Multiplication by z_flat as a map of nested z-coordinates, deg -> deg+1.
+
+        The product with a nested monomial whose chain holds a flat
+        incomparable with ``flat`` is zero, since z_F z_G for incomparable F
+        and G generates the ideal (Feichtner-Yuzvinsky).  Those columns are
+        one boolean product, the incomparability vector of ``flat`` over the
+        lattice gathered through the chain positions of the degree, and
+        never reach :meth:`_nf`.
+        """
         key = (flat, deg)
         cached = self._zmap.get(key)
         if cached is None:
+            self._check_flat(flat)
+            masks = self._lattice_masks
+            incomparable = (masks & ~flat != 0) & (masks & flat != flat)
+            zero = incomparable[self._chain_positions(deg)].any(axis=1).tolist()
             columns = [
-                self._nf(_canon(itertools.chain(mono, ((flat, 1),)))) for mono in self.nested[deg]
+                {} if dead else self._nf(_canon(itertools.chain(mono, ((flat, 1),))))
+                for mono, dead in zip(self.nested[deg], zero)
             ]
             cached = SparseMap.from_columns(len(self.nested[deg + 1]), columns)
             self._zmap[key] = cached
@@ -460,6 +540,7 @@ class ChowRing:
         key = (flat, deg)
         cached = self._hmap.get(key)
         if cached is None:
+            self._check_flat(flat)
             cached = self.divisor_matrix({g: -1 for g in self.supersets[flat]}, deg)
             self._hmap[key] = cached
         return cached

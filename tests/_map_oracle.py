@@ -1,25 +1,82 @@
-"""Dense multiplication matrices built straight from the normal forms, used
-only by the tests.
+"""Dense multiplication matrices built from an independent normal-form
+recursion, used only by the tests.
 
 The library stores each multiplication map compressed to its nonzero rows and
-columns (``chowmat.chow.SparseMap``); these are the plain dense matrices it
-must equal, with Python-int entries.
+columns (``chowmat.chow.SparseMap``) and skips the products it knows to be
+zero; these are the plain dense matrices it must equal, with Python-int
+entries, from a recursion that skips nothing.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import weakref
+from collections import Counter
 
 import numpy as np
 
-from chowmat.chow import ChowRing, SparseMap, _canon
+from chowmat.chow import ChowRing, Monomial, SparseMap, _canon
+
+_memos: weakref.WeakKeyDictionary[ChowRing, dict[Monomial, dict[int, int]]] = weakref.WeakKeyDictionary()
+
+
+def _first_violation(ring: ChowRing, mono: Monomial) -> int | None:
+    """Index of the first exponent violation, -1 for two consecutive flats
+    that are not nested, None for a nested monomial."""
+    prev_mask, prev_rank = 0, 0
+    for j, (mask, exp) in enumerate(mono):
+        r = ring.flat_rank[mask]
+        if prev_mask and (r == prev_rank or prev_mask & ~mask):
+            return -1
+        if exp >= r - prev_rank:
+            return j
+        prev_mask, prev_rank = mask, r
+    return None
+
+
+def nf_by_recursion(ring: ChowRing, mono: Monomial) -> dict[int, int]:
+    """Normal form of a z-monomial on the nested basis of its degree, by the
+    plain Groebner recursion: every child is reduced, whether or not its flats
+    form a chain, and every result, zero included, is memoized per ring."""
+    memo = _memos.setdefault(ring, {})
+    cached = memo.get(mono)
+    if cached is not None:
+        return cached
+    j = _first_violation(ring, mono)
+    if j is None:
+        deg = sum(e for _, e in mono)
+        result = {ring.nested_index[deg][mono]: 1}
+    elif j == -1:
+        result = {}
+    else:
+        mask, exp = mono[j]
+        prev_rank = ring.flat_rank[mono[j - 1][0]] if j else 0
+        c = ring.flat_rank[mask] - prev_rank
+        stripped = _canon((m, e - c if m == mask else e) for m, e in mono)
+        result = {}
+        for combo in itertools.combinations_with_replacement(ring.supersets[mask], c):
+            if all(g == mask for g in combo):
+                continue
+            coeff = math.factorial(c)
+            for count in Counter(combo).values():
+                coeff //= math.factorial(count)
+            child = _canon(itertools.chain(stripped, ((g, 1) for g in combo)))
+            for idx, v in nf_by_recursion(ring, child).items():
+                acc = result.get(idx, 0) - coeff * v
+                if acc:
+                    result[idx] = acc
+                else:
+                    result.pop(idx, None)
+    memo[mono] = result
+    return result
 
 
 def dense_z(ring: ChowRing, flat: int, deg: int) -> np.ndarray:
     """Column c: the normal form of z_flat times the c-th nested monomial of degree deg."""
     mat = np.zeros((len(ring.nested[deg + 1]), len(ring.nested[deg])), dtype=object)
     for col, mono in enumerate(ring.nested[deg]):
-        for idx, v in ring._nf(_canon(itertools.chain(mono, ((flat, 1),)))).items():
+        for idx, v in nf_by_recursion(ring, _canon(itertools.chain(mono, ((flat, 1),)))).items():
             mat[idx, col] = v
     return mat
 

@@ -3,12 +3,18 @@
 from __future__ import annotations
 
 import itertools
+import os
 import random
+import resource
+import subprocess
+import sys
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
 
+import chowmat
 from chowmat import Matroid, graphic, matroid_from_bases, uniform
 from chowmat.quotients import principal_truncation
 
@@ -89,6 +95,44 @@ def full_corpus() -> list[tuple[str, Matroid]]:
 
 def small_corpus(max_elements: int = 5) -> list[tuple[str, Matroid]]:
     return [(name, m) for name, m in full_corpus() if m.n_elements <= max_elements]
+
+
+_PEAK_PROBE = """
+import resource, sys
+try:
+    with open('/proc/self/status') as fh:
+        peak_kb = next(int(line.split()[1]) for line in fh if line.startswith('VmHWM:'))
+except (OSError, StopIteration):
+    peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(peak_kb, file=sys.stderr)
+"""
+
+
+def child_peak_mb(probe: str, timeout: float) -> tuple[str, float]:
+    """Run ``probe`` in a fresh interpreter under a 3 GB address-space limit,
+    and return its stdout and its peak RSS in MB.
+
+    The peak is the child's VmHWM, the high-water mark of the address space
+    the interpreter was exec'd into.  Its ``ru_maxrss`` would not do: Linux
+    keeps the peak of the process it was forked from across exec, so it reads
+    at least the RSS of the test session itself.
+    """
+    src = str(Path(chowmat.__file__).parents[1])
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+
+    def limit_memory():  # a regression fails here instead of exhausting the host
+        resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+    done = subprocess.run(
+        [sys.executable, "-c", probe + _PEAK_PROBE],
+        capture_output=True,
+        env=env,
+        timeout=timeout,
+        preexec_fn=limit_memory,
+    )
+    assert done.returncode == 0, done.stderr.decode()[-2000:]
+    return done.stdout.decode(), int(done.stderr.decode().split()[-1]) / 1024
 
 
 def pytest_addoption(parser):

@@ -4,12 +4,7 @@ Hessians, against brute-force definitions and the truncated-matroid route."""
 import itertools
 import json
 import math
-import os
 import random
-import resource
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +12,6 @@ from click.testing import CliRunner
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-import chowmat
 from chowmat import cli, graphic, hodge, uniform
 from chowmat._linalg import signature
 from chowmat.chow import SparseMap, ring_for
@@ -42,7 +36,7 @@ from chowmat.quotients import principal_truncation, truncate_by_subset
 
 from _scan_oracle import triple_scan
 from _volume_oracle import dhr_multisets, volume_terms
-from conftest import small_corpus, truncated_booleans
+from conftest import child_peak_mb, small_corpus, truncated_booleans
 
 
 @st.composite
@@ -239,26 +233,15 @@ def test_triple_scan_is_the_same_on_wider_products(monkeypatch, dtype):
 def test_triple_scan_u66_in_a_child_process():
     """5,949,147 multisets with no coordinate block past level d - 2."""
     probe = (
-        "import resource, sys\n"
         "from chowmat import uniform\n"
         "from chowmat.hodge import dhr_triple_report\n"
         "report = dhr_triple_report(uniform(6, 6))\n"
-        "print(report.ok, report.total_multisets, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        "print(report.ok, report.total_multisets)\n"
     )
-    src = str(Path(chowmat.__file__).parents[1])
-    paths = [src, os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
-
-    def limit_memory():  # a regression fails here instead of exhausting the host
-        resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
-
-    done = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, env=env, timeout=600, preexec_fn=limit_memory
-    )
-    assert done.returncode == 0, done.stderr.decode()[-2000:]
-    ok, total, peak_kb = done.stdout.decode().split()
+    out, peak_mb = child_peak_mb(probe, timeout=600)
+    ok, total = out.split()
     assert ok == "True" and int(total) == 5_949_147
-    assert int(peak_kb) < 180 << 10, f"peak RSS {int(peak_kb) / 1024:.0f} MB"
+    assert peak_mb < 144, f"peak RSS {peak_mb:.0f} MB"
 
 
 # -- the volume polynomial --------------------------------------------------------

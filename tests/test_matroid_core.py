@@ -4,6 +4,8 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chowmat import (
     direct_sum,
@@ -23,7 +25,7 @@ from chowmat.errors import (
 )
 from chowmat.matroid import MAX_GROUND, bits, popcount
 
-from conftest import k4, k4_edges, random_truncation_corpus
+from conftest import k4, k4_edges, random_truncation_corpus, truncated_booleans
 
 E3 = 0b111
 
@@ -36,6 +38,9 @@ def test_from_bases_uniform23():
 def test_from_bases_unequal_cardinality_rejected():
     with pytest.raises(ExchangeAxiomViolation):
         matroid_from_bases(3, [{0, 1}, {2}])
+    # Its rank table, max |X ∩ B|, is that of U(1,1) plus a loop.
+    with pytest.raises(ExchangeAxiomViolation):
+        matroid_from_bases(2, [{0}, {0, 1}])
 
 
 def test_from_bases_exchange_violation_rejected():
@@ -47,6 +52,69 @@ def test_from_bases_exchange_violation_rejected():
 def test_from_bases_empty_rejected():
     with pytest.raises(EmptyBases):
         matroid_from_bases(3, [])
+
+
+def exchange_by_pairs(bases: list[int]) -> bool:
+    """The basis exchange axiom, pair by pair: for bases A != B and e in A - B
+    some f in B - A makes A - e + f a basis."""
+    base_set = set(bases)
+    return all(
+        any((a ^ (1 << e)) | (1 << f) in base_set for f in bits(b & ~a))
+        for a, b in itertools.permutations(base_set, 2)
+        for e in bits(a & ~b)
+    )
+
+
+@st.composite
+def equal_size_families(draw):
+    """Families of equal-size subsets: the bases of a truncated Boolean or a
+    graphic matroid with a few sets dropped or added, or random sets."""
+    kind = draw(st.sampled_from(["truncation", "graphic", "random"]))
+    if kind == "truncation":
+        m = draw(truncated_booleans(largest=6))
+    elif kind == "graphic":
+        pairs = list(itertools.combinations(range(4), 2))
+        m = graphic(4, draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=6)))
+    if kind == "random":
+        n = draw(st.integers(1, 6))
+        r = draw(st.integers(0, n))
+        family = set()
+    else:
+        n, r, family = m.n_elements, m.rank_full, set(m.bases)
+    sets = [mask_of(c) for c in itertools.combinations(range(n), r)]
+    family ^= set(draw(st.lists(st.sampled_from(sets), max_size=3)))
+    if not family:
+        family = {draw(st.sampled_from(sets))}
+    return n, sorted(family)
+
+
+def test_exchange_check_matches_the_pairwise_axiom():
+    verdicts = set()
+
+    @settings(max_examples=300, deadline=None)
+    @given(equal_size_families())
+    def check(case):
+        n, bases = case
+        try:
+            m = matroid_from_bases(n, bases)
+        except ExchangeAxiomViolation:
+            valid = False
+        else:
+            valid = True
+            assert m.bases == tuple(bases)
+        assert valid == exchange_by_pairs(bases)
+        verdicts.add(valid)
+
+    check()
+    assert verdicts == {True, False}
+
+
+def test_exchange_check_reaches_the_first_pair():
+    # r(X + a) + r(X + b) >= r(X + a + b) + r(X) fails only for {a, b} = {0, 1}.
+    bases = [mask_of(b) for b in ({0, 1}, {0, 3}, {1, 3}, {2, 3})]
+    assert not exchange_by_pairs(bases)
+    with pytest.raises(ExchangeAxiomViolation, match=r"r\(X \+ 0\) \+ r\(X \+ 1\)"):
+        matroid_from_bases(4, bases)
 
 
 def test_from_bases_all_triples_is_u34():

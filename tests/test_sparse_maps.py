@@ -4,36 +4,32 @@ maps) and their apply kernel."""
 import itertools
 import json
 import math
-import os
-import resource
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-import chowmat
 from chowmat import graphic, uniform
-from chowmat.chow import SparseMap, absmax, imatmul, ring_for
+from chowmat.chow import ChowRing, SparseMap, _canon, absmax, imatmul, ring_for
+from chowmat.errors import NotAFlat
 from chowmat.quotients import principal_truncation
 
-from _map_oracle import dense_h, dense_z, densify
+from _map_oracle import dense_h, dense_z, densify, nf_by_recursion
+from conftest import child_peak_mb
 
 
 @st.composite
-def small_matroids(draw):
-    """Truncated Boolean matroids and loopless graphic matroids on at most 7
-    elements, of rank at most 4 on 7 elements."""
+def small_matroids(draw, largest=7):
+    """Truncated Boolean matroids and loopless graphic matroids on at most
+    ``largest`` elements, of rank at most 4 on 7 elements."""
     if draw(st.booleans()):
         vertices = draw(st.integers(3, 5))
         pairs = list(itertools.combinations(range(vertices), 2))
-        m = graphic(vertices, draw(st.lists(st.sampled_from(pairs), min_size=2, max_size=7)))
+        m = graphic(vertices, draw(st.lists(st.sampled_from(pairs), min_size=2, max_size=largest)))
         assume(m.rank_full >= 2)
         return m
-    n = draw(st.integers(2, 7))
+    n = draw(st.integers(2, largest))
     m = uniform(n, n)
     for _ in range(draw(st.integers(max(0, n - 4) if n == 7 else 0, max(0, n - 2)))):
         flats = [f for f in m.lattice().flats if m.rank(f) >= 2]
@@ -68,6 +64,62 @@ def test_compressed_maps_equal_dense_normal_forms(m, data):
     for deg in range(ring.d):
         dense = sum(c * dense_z(ring, f, deg) for f, c in coeffs.items())
         _check_compressed(ring.divisor_matrix(coeffs, deg), dense)
+
+
+def _check_every_map(m, with_h: bool = True) -> None:
+    """Every z-map (and h-map) of a fresh ring equals the dense maps of the
+    recursion oracle, entry for entry."""
+    ring = ChowRing(m)
+    for deg in range(ring.d):
+        dense = {f: dense_z(ring, f, deg) for f in ring.flats_nonempty}
+        for f in ring.flats_nonempty:
+            assert (densify(ring.z_matrix(f, deg)) == dense[f]).all(), (f, deg)
+            if with_h:
+                h = -sum(dense[g] for g in ring.supersets[f])
+                assert (densify(ring.h_matrix(f, deg)) == h).all(), (f, deg)
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_matroids(largest=6))
+def test_every_map_equals_the_recursion_oracle(m):
+    _check_every_map(m)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_matroids(largest=6), st.data())
+def test_any_monomial_reduces_like_the_recursion_oracle(m, data):
+    """Monomials of up to four flats, chains or not, of every degree up to d."""
+    ring = ChowRing(m)
+    flats = st.sampled_from(ring.flats_nonempty)
+    pairs = data.draw(st.lists(st.tuples(flats, st.integers(1, 3)), min_size=1, max_size=4, unique_by=lambda t: t[0]))
+    assume(sum(e for _, e in pairs) <= ring.d)
+    mono = _canon(pairs)
+    expected = nf_by_recursion(ring, mono)
+    coords = ring.reduce_z_terms({mono: 1})
+    assert {i: int(v) for i, v in enumerate(coords) if v} == expected
+
+
+@pytest.mark.slow
+def test_every_z_map_of_rank_5_equals_the_recursion_oracle():
+    k6_minus_triangle = graphic(6, [e for e in itertools.combinations(range(6), 2) if not set(e) <= {0, 1, 2}])
+    for m in (uniform(5, 8), k6_minus_triangle):
+        _check_every_map(m, with_h=False)
+
+
+def test_maps_of_a_non_flat_raise():
+    ring = ChowRing(uniform(3, 4))
+    # {0, 1, 2} spans E; 0 is the empty flat; bit 4 lies outside E.
+    for mask in (0b0111, 0, 0b10000):
+        for deg in range(ring.d):
+            with pytest.raises(NotAFlat):
+                ring.z_matrix(mask, deg)
+            with pytest.raises(NotAFlat):
+                ring.h_matrix(mask, deg)
+        with pytest.raises(NotAFlat):
+            ring.reduce_z_terms({((mask, 1),): 1})
+    # Also when two earlier flats already make the monomial zero.
+    with pytest.raises(NotAFlat):
+        ring.reduce_z_terms({((0b0001, 1), (0b0010, 1), (0b0111, 1)): 1})
 
 
 def test_from_columns_keeps_the_nonzero_rows_and_columns():
@@ -178,38 +230,35 @@ def test_absmax_of_the_most_negative_int64():
     assert imatmul(x, np.array([[3], [1]], dtype=np.int64)).tolist() == [[-3 * 2**63 + 5]]
 
 
-@pytest.mark.slow
-def test_charpoly_u510_stays_below_a_gigabyte(tmp_path):
-    """The dense maps of U(5,10) would need 3.9 GB; the compressed ones fit in 1 GB."""
+def test_charpoly_u510_stays_below_150_mb(tmp_path):
+    """The dense maps of U(5,10) would need 3.9 GB.  The compressed ones, with
+    the zero products never reduced and only nonzero normal forms memoized,
+    keep the cold command near 70 MB; memoizing every normal form took 464 MB."""
     spec = tmp_path / "u510.json"
     spec.write_text(json.dumps({"type": "uniform", "r": 5, "n": 10}))
     probe = (
-        "import resource, runpy, sys\n"
+        "import runpy, sys\n"
         f"sys.argv = ['chowmat', 'charpoly', {str(spec)!r}]\n"
-        "code = 0\n"
         "try:\n"
         "    runpy.run_module('chowmat.cli', run_name='__main__')\n"
         "except SystemExit as e:\n"
-        "    code = e.code\n"
-        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
-        "sys.exit(code)\n"
+        "    assert not e.code, e.code\n"
     )
-    src = str(Path(chowmat.__file__).parents[1])
-    paths = [src, os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
-
-    def limit_memory():  # a regression fails here instead of exhausting the host
-        resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
-
-    done = subprocess.run(
-        [sys.executable, "-c", probe],
-        capture_output=True,
-        env=env,
-        timeout=900,
-        preexec_fn=limit_memory,
-    )
-    assert done.returncode == 0, done.stderr.decode()[-2000:]
-    result = json.loads(done.stdout)["result"]
+    out, peak_mb = child_peak_mb(probe, timeout=300)
+    result = json.loads(out)["result"]
     assert result["mu_chow"] == [math.comb(9, k) for k in range(5)]
-    peak_kb = int(done.stderr.decode().split()[-1])
-    assert peak_kb < 1 << 20, f"peak RSS {peak_kb / 1024:.0f} MB"
+    assert peak_mb < 150, f"peak RSS {peak_mb:.0f} MB"
+
+
+def test_every_z_map_of_u58_stays_below_64_mb():
+    """All 652 z-maps of U(5,8); memoizing every normal form took 100 MB."""
+    probe = (
+        "from chowmat import uniform\n"
+        "from chowmat.chow import ChowRing\n"
+        "ring = ChowRing(uniform(5, 8))\n"
+        "maps = [ring.z_matrix(f, k) for k in range(ring.d) for f in ring.flats_nonempty]\n"
+        "print(len(maps), sum(int(m.block.astype(bool).sum()) for m in maps))\n"
+    )
+    out, peak_mb = child_peak_mb(probe, timeout=300)
+    assert out.split() == ["652", "25292"]  # maps and nonzero entries
+    assert peak_mb < 64, f"peak RSS {peak_mb:.0f} MB"
