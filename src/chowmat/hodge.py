@@ -127,7 +127,8 @@ def dhr_levels(m: Matroid, size: int) -> tuple[list[np.ndarray], list[np.ndarray
     Each level keeps its dead sets as packed uint64 words, and a child ORs
     onto its parent's only the bit rows of its 2^k new subfamilies, gathered
     in blocks of children.  A level whose children get no dead sets keeps no
-    union table.
+    union table.  ``links[k]`` unpacks those words: j is in N(T) iff bit j of
+    T's dead set is clear.
     """
     return _dhr_levels(m, size, top=True)
 
@@ -147,8 +148,11 @@ def _below(m: Matroid) -> np.ndarray:
 
 
 def _dhr_levels(m: Matroid, size: int, top: bool) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """:func:`dhr_levels`; without ``top``, it stops after ``links[size - 1]``
-    and leaves out the rows of level ``size``."""
+    """:func:`dhr_levels`; without ``top``, it leaves out the rows of level
+    ``size``, and ``links[size - 1]`` is the packed ``(N_{size-1}, ceil(nvars / 64))``
+    uint64 dead-set words of level size - 1 instead of their boolean table:
+    bit j of row T, in the bit order of ``np.unpackbits`` over the words' bytes,
+    is set iff T + e_j is not DHR (:func:`_unpack_links`)."""
     flats = np.array(_flats_rank2(m), dtype=np.uint16)
     nvars = len(flats)
     below = _below(m)
@@ -165,10 +169,11 @@ def _dhr_levels(m: Matroid, size: int, top: bool) -> tuple[list[np.ndarray], lis
     levels = [rows]
     links = []
     for k in range(size):
-        links.append(np.unpackbits((~dead).view(np.uint8), axis=1, count=nvars).view(bool))
         if k + 1 == size and not top:
+            links.append(dead)
             break
-        link = links[k]
+        link = _unpack_links(dead, nvars)
+        links.append(link)
         starts = np.searchsorted(rows[:, 0], np.arange(nvars)) if k else np.zeros(nvars, dtype=int)
         ends = np.cumsum([np.count_nonzero(link[starts[v] :, v]) for v in range(nvars)], dtype=int)
         children = np.empty((ends[-1] if nvars else 0, k + 1), dtype=np.uint16)
@@ -204,6 +209,11 @@ def _dhr_levels(m: Matroid, size: int, top: bool) -> tuple[list[np.ndarray], lis
         rows = children
         levels.append(rows)
     return levels, links
+
+
+def _unpack_links(dead: np.ndarray, count: int) -> np.ndarray:
+    """The boolean link table over the first ``count`` flats of packed dead-set words."""
+    return np.unpackbits((~dead).view(np.uint8), axis=1, count=count).view(bool)
 
 
 def _keys(rows: np.ndarray) -> np.ndarray:
@@ -640,12 +650,30 @@ def _truncate_bitmaps(bm: np.ndarray, elements: np.ndarray) -> np.ndarray:
     return np.bitwise_or.reduce(moved[elements], axis=0)
 
 
+def _storage_dtype(bound: int):
+    """The narrowest signed integer dtype holding every integer of absolute value
+    at most ``bound``; Python ints beyond int64."""
+    for dtype in (np.int8, np.int16, np.int32, np.int64):
+        if bound <= np.iinfo(dtype).max:
+            return dtype
+    return object
+
+
 def _triple_scan(m: Matroid) -> TripleScanReport:
     """Level-batched scan: the link tables of :func:`dhr_levels` for the DHR
     route, rows of basis bitmaps for the chain route, and for the Groebner
     route one nested z-coordinate column per node up to level d - 2, put
     through the sparse h-maps of the ring.  Level d - 1 comes out of level
-    d - 2 in blocks T[0] = v, each checked at once with every u <= v."""
+    d - 2 in blocks T[0] = v, each checked at once with every u <= v.
+
+    Each level stores its coordinates in the narrowest integer dtype of
+    :func:`_storage_dtype` that holds them; only the rows a product gathers
+    are cast to its :func:`exact_dtype`, and the product stays in that dtype
+    until it is stored into the level below.  Every flat's product runs over
+    its suffix of nodes :data:`_BLOCK` columns at a time, which bounds the
+    gathered rows, the products and the leaf's tables.  The link table of
+    level d - 1 stays as the packed dead-set words of :func:`_dhr_levels`,
+    and the leaf unpacks only the (nodes, v + 1) block it checks."""
     ring = ring_for(m)
     d = ring.d
     if d == 0:
@@ -671,11 +699,12 @@ def _triple_scan(m: Matroid) -> TripleScanReport:
     widths = np.maximum.accumulate([popcount(f) for f in flats])
     live_leaves = dead = verified = 0
 
-    def leaves(co: np.ndarray, outs: np.ndarray, bm: np.ndarray, dhr_ok: np.ndarray, dtype) -> bool:
-        """Checks the T + e_u, u < dhr_ok.shape[1], for a block of nodes T of level d - 1."""
+    def leaves(co: np.ndarray, outs: np.ndarray, bm: np.ndarray, dead_words: np.ndarray, count: int, dtype) -> bool:
+        """Checks the T + e_u, u < count, for a block of nodes T of level d - 1
+        with the packed dead sets ``dead_words``."""
         nonlocal live_leaves, dead, verified
-        count = dhr_ok.shape[1]
-        degree = (functional[:count, outs].astype(dtype) @ co.astype(dtype, copy=False)).T
+        dhr_ok = _unpack_links(dead_words, count)
+        degree = (functional[:count, outs].astype(dtype) @ co).T
         chain_ok, on_singles = np.empty((2, *dhr_ok.shape), dtype=bool)
         step = max(1, _BLOCK * 64 // (count * bm.shape[1]))  # about 2^17 (node, u, word) triples
         for lo in range(0, len(bm), step):
@@ -690,45 +719,49 @@ def _triple_scan(m: Matroid) -> TripleScanReport:
         agree = ((chain_ok == dhr_ok) & (dhr_ok == (degree != 0))).all()
         return bool(agree and (degree[chain_ok] == (-1) ** d).all() and on_singles[chain_ok].all())
 
-    if d == 1 and not leaves(coords, [0], bitmaps, links[0], exact_dtype(top_bound)):  # the root
-        return TripleScanReport(m, total, live_leaves, dead, verified, False)
+    if d == 1:  # the root
+        dtype = exact_dtype(top_bound)
+        ok = leaves(coords.astype(dtype), [0], bitmaps, links[0], nvars, dtype)
+        return TripleScanReport(m, total, live_leaves, dead, verified, ok)
     for k in range(d - 1):
         rows, link = levels[k], links[k]
         fused = k + 2 == d
         hmaps = [ring.h_matrix(f, k) for f in flats]
-        # One bound per level picks the dtype every product of the level, the leaf's included, fits in.
-        xmax = absmax(coords)
-        dtype = exact_dtype(max(h.bound for h in hmaps) * xmax * (top_bound if fused else 1))
-        coords = coords.astype(dtype, copy=False)
+        # One bound per level: the children's coordinates are at most ``bound``, and the
+        # products of the level, the leaf's included, fit in ``dtype``.
+        bound = max(h.bound for h in hmaps) * absmax(coords)
+        dtype = exact_dtype(bound * (top_bound if fused else 1))
         # The nodes with T[0] >= v, a suffix of the sorted rows, take v.
         starts = np.searchsorted(rows[:, 0], np.arange(nvars)) if k else np.zeros(nvars, dtype=int)
         if not fused:
             child_bitmaps = np.empty((len(levels[k + 1]), bitmaps.shape[1]), dtype=np.uint64)
-            child_coords = np.zeros((hmaps[0].shape[0], len(levels[k + 1])), dtype=dtype)
+            child_coords = np.zeros((hmaps[0].shape[0], len(levels[k + 1])), dtype=_storage_dtype(bound))
         end = 0
         for v, start in enumerate(starts):
             h = hmaps[v]
-            bm = bitmaps[start:]
-            chain_ok = (bm & pairs[v]).any(axis=1)
-            dhr_ok = link[start:, v]
-            # Rows h.outs of the products; every other row is zero.
-            new_co = h.rows(coords[:, start:], xmax)
-            nf_ok = new_co.any(axis=0)
-            verified += len(bm)
-            if not ((chain_ok == dhr_ok) & (dhr_ok == nf_ok)).all():
-                return TripleScanReport(m, total, live_leaves, dead, verified, False)
-            n_live = int(chain_ok.sum())
-            dead += (len(bm) - n_live) * math.comb(v + d - k - 1, v)
-            truncated = _truncate_bitmaps(bm[chain_ok], elements[: popcount(flats[v]), v])
-            # The live children, in the v-blocked row order of levels[k + 1].
-            if fused:
-                block = links[d - 1][end : end + n_live, : v + 1]
-                if not leaves(new_co[:, chain_ok], h.outs, truncated, block, dtype):
+            block = h.float_block(dtype) if dtype in (np.float32, np.float64) else h.block.astype(dtype, copy=False)
+            for lo in range(start, len(rows), _BLOCK):
+                bm = bitmaps[lo : lo + _BLOCK]
+                chain_ok = (bm & pairs[v]).any(axis=1)
+                dhr_ok = link[lo : lo + _BLOCK, v]
+                # Rows h.outs of the products; every other row is zero.
+                new_co = block @ coords[h.ins, lo : lo + _BLOCK].astype(dtype)
+                nf_ok = new_co.any(axis=0)
+                verified += len(bm)
+                if not ((chain_ok == dhr_ok) & (dhr_ok == nf_ok)).all():
                     return TripleScanReport(m, total, live_leaves, dead, verified, False)
-            else:
-                child_bitmaps[end : end + n_live] = truncated
-                child_coords[h.outs, end : end + n_live] = new_co[:, chain_ok]
-            end += n_live
+                n_live = int(chain_ok.sum())
+                dead += (len(bm) - n_live) * math.comb(v + d - k - 1, v)
+                truncated = _truncate_bitmaps(bm[chain_ok], elements[: popcount(flats[v]), v])
+                # The live children, in the v-blocked row order of levels[k + 1].
+                if fused:
+                    words = links[d - 1][end : end + n_live]
+                    if not leaves(new_co[:, chain_ok], h.outs, truncated, words, v + 1, dtype):
+                        return TripleScanReport(m, total, live_leaves, dead, verified, False)
+                else:
+                    child_bitmaps[end : end + n_live] = truncated
+                    child_coords[h.outs, end : end + n_live] = new_co[:, chain_ok]
+                end += n_live
         if not fused:
             bitmaps, coords = child_bitmaps, child_coords
     return TripleScanReport(m, total, live_leaves, dead, verified, True)

@@ -79,10 +79,14 @@ def test_enumerator_matches_dhr_check(m):
         assert link.shape == (len(rows), len(flats))
         for tee, row in zip(rows.tolist(), link):
             assert [dhr_check(m, [flats[i] for i in tee + [j]]) for j in range(len(flats))] == row.tolist()
-    # The scan's call builds no level d, and the same links.
+    # The scan's call builds no level d, and the same links: the last level as packed dead-set words.
     short_levels, short_links = hodge._dhr_levels(m, d, top=False)
     assert [rows.tolist() for rows in short_levels[:d]] == [rows.tolist() for rows in levels[:d]]
-    assert [link.tolist() for link in short_links] == [link.tolist() for link in links]
+    assert [link.tolist() for link in short_links[:-1]] == [link.tolist() for link in links[:-1]]
+    words = short_links[-1]
+    assert words.dtype == np.uint64 and words.shape == (len(levels[d - 1]), -(-len(flats) // 64))
+    unpacked = np.unpackbits((~words).view(np.uint8), axis=1, count=len(flats)).view(bool)
+    assert unpacked.tolist() == links[d - 1].tolist()
 
 
 def test_levels_are_the_same_in_small_blocks(monkeypatch):
@@ -188,8 +192,9 @@ def test_triple_scan_sees_a_corrupted_leaf(monkeypatch, m, route):
         real = hodge._dhr_levels
 
         def corrupted(*args, **kwargs):
+            # The scan's last level is packed dead-set words: mark u dead for row i.
             levels, links = real(*args, **kwargs)
-            links[d - 1][i, u] = False
+            links[d - 1].view(np.uint8)[i, u // 8] |= np.uint8(0x80 >> u % 8)
             return levels, links
 
         monkeypatch.setattr(hodge, "_dhr_levels", corrupted)
@@ -220,18 +225,87 @@ def test_triple_scan_sees_a_corrupted_leaf(monkeypatch, m, route):
     assert not dhr_triple_report(m, spot_checks=0).ok
 
 
+_SCAN_CASES = [
+    uniform(2, 5),
+    uniform(3, 3),
+    uniform(4, 5),
+    uniform(4, 7),
+    graphic(4, list(itertools.combinations(range(4), 2))),
+    graphic(5, list(itertools.combinations(range(5), 2))),
+]
+
+
 @pytest.mark.parametrize("dtype", [np.float64, np.int64, object])
 def test_triple_scan_is_the_same_on_wider_products(monkeypatch, dtype):
     """Every product of the scan, the leaf's included, forced off float32."""
-    ms = [uniform(2, 5), uniform(3, 3), uniform(4, 5), uniform(4, 7), graphic(4, list(itertools.combinations(range(4), 2)))]
-    expected = [dhr_triple_report(m, spot_checks=0) for m in ms]
+    expected = [dhr_triple_report(m, spot_checks=0) for m in _SCAN_CASES]
     monkeypatch.setattr(hodge, "exact_dtype", lambda bound: dtype)
-    assert [dhr_triple_report(m, spot_checks=0) for m in ms] == expected
+    assert [dhr_triple_report(m, spot_checks=0) for m in _SCAN_CASES] == expected
 
 
-@pytest.mark.slow
+@pytest.mark.parametrize(
+    "name, value",
+    [("_BLOCK", 3), ("_storage_dtype", lambda bound: np.int64), ("_storage_dtype", lambda bound: object)],
+    ids=["block-3", "int64-storage", "object-storage"],
+)
+def test_triple_scan_is_the_same_in_tiny_blocks_and_wide_storage(monkeypatch, name, value):
+    """Products in blocks of 3 nodes, the leaf's links unpacked 3 nodes at a
+    time, and coordinates stored as int64 or as Python ints."""
+    expected = [dhr_triple_report(m, spot_checks=0) for m in _SCAN_CASES]
+    monkeypatch.setattr(hodge, name, value)
+    assert [dhr_triple_report(m, spot_checks=0) for m in _SCAN_CASES] == expected
+
+
+@pytest.mark.parametrize(
+    "bound, dtype",
+    [
+        (0, np.int8),
+        (127, np.int8),
+        (128, np.int16),
+        (32767, np.int16),
+        (32768, np.int32),
+        ((1 << 31) - 1, np.int32),
+        (1 << 31, np.int64),
+        ((1 << 63) - 1, np.int64),
+        (1 << 63, object),
+    ],
+)
+def test_storage_dtype_holds_its_bound(bound, dtype):
+    assert hodge._storage_dtype(bound) is dtype
+    if dtype is not object:
+        assert np.array([bound, -bound], dtype=dtype).tolist() == [bound, -bound]
+
+
+def test_triple_scan_stores_small_coordinates_in_int8(monkeypatch):
+    """U(4,7)'s level-1 coordinates are at most 1, so they take one byte each."""
+    chosen = []
+    real = hodge._storage_dtype
+
+    def recording(bound):
+        chosen.append(real(bound))
+        return chosen[-1]
+
+    monkeypatch.setattr(hodge, "_storage_dtype", recording)
+    assert dhr_triple_report(uniform(4, 7), spot_checks=0).ok
+    assert chosen == [np.int8]  # level 1 = d - 2, the only level past the root that holds coordinates
+
+
+@pytest.mark.parametrize("route", ["dhr", "groebner", "chain"])
+def test_triple_scan_sees_a_corrupted_route_in_tiny_blocks(monkeypatch, route):
+    monkeypatch.setattr(hodge, "_BLOCK", 3)
+    test_triple_scan_sees_a_corrupted_route(monkeypatch, route)
+
+
+@pytest.mark.parametrize("m", [uniform(4, 5), uniform(3, 7), uniform(2, 4)], ids=["U(4,5)", "U(3,7)", "U(2,4)"])
+@pytest.mark.parametrize("route", ["dhr", "groebner", "degree", "chain"])
+def test_triple_scan_sees_a_corrupted_leaf_in_tiny_blocks(monkeypatch, m, route):
+    monkeypatch.setattr(hodge, "_BLOCK", 3)
+    test_triple_scan_sees_a_corrupted_leaf(monkeypatch, m, route)
+
+
 def test_triple_scan_u66_in_a_child_process():
-    """5,949,147 multisets with no coordinate block past level d - 2."""
+    """5,949,147 multisets with no coordinate block past level d - 2, int8
+    coordinates, blocked products and a packed leaf link table."""
     probe = (
         "from chowmat import uniform\n"
         "from chowmat.hodge import dhr_triple_report\n"
@@ -241,7 +315,7 @@ def test_triple_scan_u66_in_a_child_process():
     out, peak_mb = child_peak_mb(probe, timeout=600)
     ok, total = out.split()
     assert ok == "True" and int(total) == 5_949_147
-    assert peak_mb < 144, f"peak RSS {peak_mb:.0f} MB"
+    assert peak_mb < 90, f"peak RSS {peak_mb:.0f} MB"
 
 
 # -- the volume polynomial --------------------------------------------------------
