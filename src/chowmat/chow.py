@@ -274,8 +274,12 @@ class SparseMap:
         block = self.block.T
         return SparseMap(self.shape[::-1], self.ins, self.outs, block, _row_bound(block))
 
-    def float_block(self, dtype) -> np.ndarray:
-        """The integer block as float32 or float64, built once per dtype."""
+    def block_as(self, dtype) -> np.ndarray:
+        """The block in a product dtype of :func:`exact_dtype`: float32 and
+        float64 copies are built once and kept, int64 and object casts are
+        made per call."""
+        if dtype not in _FLOATS:
+            return self.block.astype(dtype, copy=False)
         block = self._float_blocks.get(dtype)
         if block is None:
             block = self._float_blocks[dtype] = self.block.astype(dtype)
@@ -299,8 +303,7 @@ class SparseMap:
         floats = x.dtype.kind == "f"
         if floats and path not in _FLOATS:
             gathered = gathered.astype(np.int64)
-        block = self.float_block(path) if path in _FLOATS else self.block.astype(path, copy=False)
-        prod = block @ gathered.astype(path, copy=False)
+        prod = self.block_as(path) @ gathered.astype(path, copy=False)
         return prod.astype(np.int64) if path in _FLOATS and not floats else prod
 
     def apply(self, x: np.ndarray, xmax: int | None = None) -> np.ndarray:
@@ -681,7 +684,8 @@ class ChowRing:
         built.  Its dtype comes from the running product of the h-maps' largest
         absolute row sums, which bounds every partial sum so far: float32,
         float64, int64 or Python ints (:func:`exact_dtype`), rising with the
-        product.  The float paths read the map's cached float block.
+        product.  The float paths read the map's cached float block
+        (:meth:`SparseMap.block_as`).
         """
         flats = list(flats)
         if len(flats) != self.d:
@@ -695,15 +699,11 @@ class ChowRing:
                 return Fraction(0)
             bound *= h.bound
             dtype = exact_dtype(bound)
-            if dtype in _FLOATS:
-                block = h.float_block(dtype)
-                x = x.astype(dtype, copy=False)
-            else:
-                block = h.block.astype(dtype, copy=False)
+            if x.dtype.kind == "f" and dtype not in _FLOATS:
                 # Floats pass through int64, so object vectors hold Python ints.
-                x = (x.astype(np.int64) if x.dtype.kind == "f" else x).astype(dtype, copy=False)
+                x = x.astype(np.int64)
             vec = np.zeros(h.shape[0], dtype=dtype)
-            vec[h.outs] = block @ x
+            vec[h.outs] = h.block_as(dtype) @ x.astype(dtype, copy=False)
         return Fraction(int(vec[0]) * (-1) ** self.d)
 
     def poincare_pairing(self, k: int) -> list[list[Fraction]]:

@@ -17,7 +17,8 @@ level, each with its link table N(T) = {j : T + e_j is DHR}.
 :func:`dhr_triple_report` verifies all three routes agree on every degree-d
 multiset of rank >= 2 flats.  Its nodes are the rows of :func:`dhr_levels`
 and its DHR route is their link tables; every candidate extension is also
-pushed through the chain route (basis bitmaps) and the Groebner route.  Once
+pushed through the chain route (rank tables, truncated by
+:func:`~chowmat.quotients.truncated_ranks`) and the Groebner route.  Once
 a candidate dies in all three routes at once, every extension dies in all
 three for route-internal reasons (a failing subfamily stays failing, loops
 persist under further intersections, and zero stays zero under
@@ -33,7 +34,6 @@ matroid is built outside the cross-check.
 
 from __future__ import annotations
 
-import functools
 import math
 import random
 from dataclasses import dataclass
@@ -54,8 +54,8 @@ from .errors import (
     WrongArity,
     WrongGrade,
 )
-from .matroid import Matroid, bits, contract, popcount, restrict, subset_index
-from .quotients import truncate_along, truncate_by_subset
+from .matroid import Matroid, bits, contract, restrict, subset_index
+from .quotients import truncate_along, truncate_by_subset, truncated_ranks
 
 
 # -- the DHR condition ---------------------------------------------------------
@@ -588,66 +588,21 @@ def dhr_triple_report(m: Matroid, spot_checks: int = 50, seed: int = 0) -> Tripl
     The nodes are the DHR multisets of :func:`dhr_levels`, level by level, and
     each (k+1)-multiset is some v prepended to a k-multiset T with v <= T[0].
     Every such candidate of every node is evaluated through all three routes:
-    the link table of T (DHR), whether the truncation of M along T's flats
-    gives F_v rank >= 2 (chain), and whether T's product times h_{F_v} is
-    nonzero (Groebner).  A candidate dead in all three at once proves its
+    the link table of T (DHR), whether the rank table of M truncated along
+    T's flats gives F_v rank >= 2 (chain), and whether T's product times
+    h_{F_v} is nonzero (Groebner).  A candidate dead in all three at once proves its
     whole subtree dead in all three (monotonicity within each route), so the
     subtree - the C(v + r, r) ways to prepend r more indices <= v - is
     counted, not walked.  A seeded sample of dead multisets is still
     evaluated directly through all three routes as a spot check of that
-    argument.  Coordinate blocks stop at level d - 2; the last step takes one
-    product per parent block.
+    argument.  Coordinate blocks and rank tables stop at level d - 2; the
+    last step takes one product and one truncation per parent block.
     """
     if not m.is_loopless():
         raise LoopyMatroid("the scan is defined for loopless matroids")
     report = _triple_scan(m)
     report.boundary_checked = _spot_check_dead(m, spot_checks, seed)
     return report
-
-
-#: ``_HIGH[f]`` marks the bit positions p of a bitmap word with bit f of p set, f < 6.
-_HIGH = [np.uint64(sum(1 << p for p in range(64) if p >> f & 1)) for f in range(6)]
-
-
-def _bitmap(present: np.ndarray) -> np.ndarray:
-    """A boolean vector over the 2^n subsets as ceil(2^n / 64) uint64 words:
-    subset s is bit s & 63 of word s >> 6."""
-    padded = np.zeros(max(len(present), 64), dtype=bool)
-    padded[: len(present)] = present
-    return np.packbits(padded, bitorder="little").view("<u8")
-
-
-@functools.lru_cache(maxsize=None)
-def _moves(words: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """How bitmaps of ``words`` uint64 words move when element f leaves every set,
-    subset s going down to s - 2^f: word w becomes (word src[f, w] & keep[f, w]) >>
-    shift[f].  For f < 6 that is a shift inside each word, for f >= 6 a move of word
-    w + 2^(f - 6) to word w.  The last row moves nothing; it pads element lists."""
-    n = 5 + words.bit_length()
-    w = np.arange(words)
-    src = np.tile(w, (n + 1, 1))
-    keep = np.zeros((n + 1, words), dtype=np.uint64)
-    shift = np.zeros((n + 1, 1), dtype=np.uint64)
-    for f in range(6):
-        keep[f], shift[f] = _HIGH[f], 1 << f
-    for f in range(6, n):
-        low = (w >> (f - 6) & 1) == 0
-        src[f, low] += 1 << (f - 6)
-        keep[f, low] = ~np.uint64(0)
-    for table in (src, keep, shift):
-        table.setflags(write=False)
-    return src, keep, shift
-
-
-def _truncate_bitmaps(bm: np.ndarray, elements: np.ndarray) -> np.ndarray:
-    """Rows of basis bitmaps truncated along the subset with the given elements:
-    every basis B gives the B - f for f in B & S, so the result is the OR of the
-    moves of :func:`_moves` over those f.  ``elements`` of shape (k, *subsets),
-    padded with -1, truncates along several subsets at once, giving
-    (*subsets, rows, words)."""
-    src, keep, shift = _moves(bm.shape[1])
-    moved = ((bm[:, src] & keep) >> shift).transpose(1, 0, 2)
-    return np.bitwise_or.reduce(moved[elements], axis=0)
 
 
 def _storage_dtype(bound: int):
@@ -659,21 +614,37 @@ def _storage_dtype(bound: int):
     return object
 
 
+def _lands_on_rank_one(tables: np.ndarray) -> np.ndarray:
+    """For each column r of a (2^n, N) stack of rank tables, whether one more
+    truncation, along any F_u with r(F_u) >= 2, gives U(1,E).  Like
+    :func:`chain_terminates_loopless`, it reads the last table
+    r'(X) = min(r(X), r(X | F_u) - 1) only at E and at the singletons, and
+    there it does not depend on u: r'(E) = r(E) - 1, and
+    r({e} | F_u) - 1 >= r(F_u) - 1 >= 1 >= r({e}) gives r'({e}) = r({e})."""
+    singletons = 1 << np.arange(len(tables).bit_length() - 1)
+    return (tables[-1] == 2) & (tables[singletons] == 1).all(axis=0)
+
+
 def _triple_scan(m: Matroid) -> TripleScanReport:
     """Level-batched scan: the link tables of :func:`dhr_levels` for the DHR
-    route, rows of basis bitmaps for the chain route, and for the Groebner
-    route one nested z-coordinate column per node up to level d - 2, put
-    through the sparse h-maps of the ring.  Level d - 1 comes out of level
-    d - 2 in blocks T[0] = v, each checked at once with every u <= v.
+    route; for the chain route one int8 rank table per node up to level
+    d - 2, a column of a (2^n, N_k) block, where a candidate's test is the row
+    gather r(F_v) >= 2 and a live child's table is :func:`truncated_ranks` of
+    its parent's along F_v (the leaf reads it only at E and the singletons,
+    :func:`_lands_on_rank_one`); and for the Groebner route one nested
+    z-coordinate column per node up to level d - 2, put through the sparse
+    h-maps of the ring.  Level d - 1 comes out of level d - 2 in blocks
+    T[0] = v, each checked at once with every u <= v.
 
     Each level stores its coordinates in the narrowest integer dtype of
     :func:`_storage_dtype` that holds them; only the rows a product gathers
     are cast to its :func:`exact_dtype`, and the product stays in that dtype
-    until it is stored into the level below.  Every flat's product runs over
-    its suffix of nodes :data:`_BLOCK` columns at a time, which bounds the
-    gathered rows, the products and the leaf's tables.  The link table of
-    level d - 1 stays as the packed dead-set words of :func:`_dhr_levels`,
-    and the leaf unpacks only the (nodes, v + 1) block it checks."""
+    until it is stored into the level below.  Every flat's product and
+    truncation runs over its suffix of nodes :data:`_BLOCK` columns at a time,
+    which bounds the gathered rows, the products, the truncated tables and
+    the leaf's tables.  The link table of level d - 1 stays as the packed
+    dead-set words of :func:`_dhr_levels`, and the leaf unpacks only the
+    (nodes, v + 1) block it checks."""
     ring = ring_for(m)
     d = ring.d
     if d == 0:
@@ -682,46 +653,33 @@ def _triple_scan(m: Matroid) -> TripleScanReport:
     nvars = len(flats)
     total = math.comb(nvars + d - 1, d)
     levels, links = _dhr_levels(m, d, top=False)
-    subsets, sizes = subset_index(m.n_elements)
-    # The subsets meeting each flat twice: a basis among them gives the flat rank >= 2.
-    pairs = np.stack([_bitmap(sizes[subsets & f] >= 2) for f in flats])
-    singles = _bitmap(sizes == 1)
-    bitmaps = _bitmap((m.rank_table() == sizes) & (sizes == m.rank_full))[None]
+    # (2^n, N_k): column i holds the rank table of M truncated along the flats of row i of levels[k].
+    tables = m.rank_table()[:, None]
     # (dim A^k, N_k): column i holds the nested z-coordinates of row i of levels[k].
     coords = np.ones((1, 1), dtype=np.int64)
     # A^d has one coordinate, so h_{F_u}: A^(d-1) -> A^d is row u of one functional.
     functional = np.hstack([ring.h_matrix(f, d - 1).T.apply(coords) for f in flats]).T
     top_bound = max(ring.h_matrix(f, d - 1).bound for f in flats)
-    # Column u lists the elements of F_u, padded with -1; the first widths[u] rows hold those of F_0 .. F_u.
-    elements = np.full((m.n_elements, nvars), -1)
-    for u, f in enumerate(flats):
-        elements[: popcount(f), u] = list(bits(f))
-    widths = np.maximum.accumulate([popcount(f) for f in flats])
     live_leaves = dead = verified = 0
 
-    def leaves(co: np.ndarray, outs: np.ndarray, bm: np.ndarray, dead_words: np.ndarray, count: int, dtype) -> bool:
+    def leaves(co: np.ndarray, outs: np.ndarray, tab: np.ndarray, dead_words: np.ndarray, count: int, dtype) -> bool:
         """Checks the T + e_u, u < count, for a block of nodes T of level d - 1
-        with the packed dead sets ``dead_words``."""
+        with the rank tables ``tab`` and the packed dead sets ``dead_words``."""
         nonlocal live_leaves, dead, verified
         dhr_ok = _unpack_links(dead_words, count)
         degree = (functional[:count, outs].astype(dtype) @ co).T
-        chain_ok, on_singles = np.empty((2, *dhr_ok.shape), dtype=bool)
-        step = max(1, _BLOCK * 64 // (count * bm.shape[1]))  # about 2^17 (node, u, word) triples
-        for lo in range(0, len(bm), step):
-            part = bm[lo : lo + step]
-            chain_ok[lo : lo + step] = (part[:, None] & pairs[:count]).any(axis=2)
-            landed = _truncate_bitmaps(part, elements[: widths[count - 1], :count])
-            on_singles[lo : lo + step] = (landed == singles).all(axis=2).T
+        chain_ok = (tab[flats[:count]] >= 2).T
         verified += chain_ok.size
         live_leaves += int(chain_ok.sum())
         dead += int((~chain_ok).sum())
         # The routes agree, the degree (the one coordinate of A^d) is (-1)^d, the chain lands on U(1,E).
         agree = ((chain_ok == dhr_ok) & (dhr_ok == (degree != 0))).all()
-        return bool(agree and (degree[chain_ok] == (-1) ** d).all() and on_singles[chain_ok].all())
+        landed = _lands_on_rank_one(tab)[chain_ok.any(axis=1)]
+        return bool(agree and (degree[chain_ok] == (-1) ** d).all() and landed.all())
 
     if d == 1:  # the root
         dtype = exact_dtype(top_bound)
-        ok = leaves(coords.astype(dtype), [0], bitmaps, links[0], nvars, dtype)
+        ok = leaves(coords.astype(dtype), [0], tables, links[0], nvars, dtype)
         return TripleScanReport(m, total, live_leaves, dead, verified, ok)
     for k in range(d - 1):
         rows, link = levels[k], links[k]
@@ -734,36 +692,37 @@ def _triple_scan(m: Matroid) -> TripleScanReport:
         # The nodes with T[0] >= v, a suffix of the sorted rows, take v.
         starts = np.searchsorted(rows[:, 0], np.arange(nvars)) if k else np.zeros(nvars, dtype=int)
         if not fused:
-            child_bitmaps = np.empty((len(levels[k + 1]), bitmaps.shape[1]), dtype=np.uint64)
+            child_tables = np.empty((len(tables), len(levels[k + 1])), dtype=tables.dtype)
             child_coords = np.zeros((hmaps[0].shape[0], len(levels[k + 1])), dtype=_storage_dtype(bound))
         end = 0
         for v, start in enumerate(starts):
             h = hmaps[v]
-            block = h.float_block(dtype) if dtype in (np.float32, np.float64) else h.block.astype(dtype, copy=False)
+            block = h.block_as(dtype)
             for lo in range(start, len(rows), _BLOCK):
-                bm = bitmaps[lo : lo + _BLOCK]
-                chain_ok = (bm & pairs[v]).any(axis=1)
+                tab = tables[:, lo : lo + _BLOCK]
+                chain_ok = tab[flats[v]] >= 2
                 dhr_ok = link[lo : lo + _BLOCK, v]
                 # Rows h.outs of the products; every other row is zero.
                 new_co = block @ coords[h.ins, lo : lo + _BLOCK].astype(dtype)
                 nf_ok = new_co.any(axis=0)
-                verified += len(bm)
+                verified += len(chain_ok)
                 if not ((chain_ok == dhr_ok) & (dhr_ok == nf_ok)).all():
                     return TripleScanReport(m, total, live_leaves, dead, verified, False)
                 n_live = int(chain_ok.sum())
-                dead += (len(bm) - n_live) * math.comb(v + d - k - 1, v)
-                truncated = _truncate_bitmaps(bm[chain_ok], elements[: popcount(flats[v]), v])
+                dead += (len(chain_ok) - n_live) * math.comb(v + d - k - 1, v)
+                # Compressed, not masked: the gathers of a contiguous block are much faster.
+                truncated = truncated_ranks(np.compress(chain_ok, tab, axis=1), flats[v])
                 # The live children, in the v-blocked row order of levels[k + 1].
                 if fused:
                     words = links[d - 1][end : end + n_live]
                     if not leaves(new_co[:, chain_ok], h.outs, truncated, words, v + 1, dtype):
                         return TripleScanReport(m, total, live_leaves, dead, verified, False)
                 else:
-                    child_bitmaps[end : end + n_live] = truncated
+                    child_tables[:, end : end + n_live] = truncated
                     child_coords[h.outs, end : end + n_live] = new_co[:, chain_ok]
                 end += n_live
         if not fused:
-            bitmaps, coords = child_bitmaps, child_coords
+            tables, coords = child_tables, child_coords
     return TripleScanReport(m, total, live_leaves, dead, verified, True)
 
 

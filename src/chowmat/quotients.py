@@ -65,9 +65,15 @@ def principal_truncation(m: Matroid, flat: int) -> Matroid:
     Bases are ``{B \\ f : B a basis of M, f in B & F}``; the result is
     loopless iff rk(F) > 1.
     """
-    if not 0 < flat <= m.full_mask or not m.is_flat(flat):
-        raise (EmptyFlat if flat == 0 else NotAFlat)(f"{flat:#b} is not a nonempty flat")
+    _check_flats(m, [flat])
     return truncate_by_subset(m, flat)
+
+
+def _check_flats(m: Matroid, flats: list[int]) -> None:
+    """Raise EmptyFlat or NotAFlat unless every member is a nonempty flat of M."""
+    for f in flats:
+        if not 0 < f <= m.full_mask or not m.is_flat(f):
+            raise (EmptyFlat if f == 0 else NotAFlat)(f"{f:#b} is not a nonempty flat")
 
 
 def truncate_by_subset(m: Matroid, subset: int) -> Matroid:
@@ -83,7 +89,9 @@ def truncate_by_subset(m: Matroid, subset: int) -> Matroid:
 def truncated_ranks(table: np.ndarray, subset: int) -> np.ndarray:
     """The rank table of the truncation along cl(S), rk(S) >= 1: the modular cut [cl S, E]
     gives r'(X) = min(r(X), r(X | S) - 1).  If S is inside cl X, r(X | S) = r(X) and X loses
-    one rank; otherwise r(X | S) >= r(X) + 1 and X keeps it.  So r' = r - [S <= cl X]."""
+    one rank; otherwise r(X | S) >= r(X) + 1 and X keeps it.  So r' = r - [S <= cl X].
+    A (2^n, N) stack of tables, one per column, truncates column by column, as
+    ``table[subsets | S]`` gathers whole rows."""
     return np.minimum(table, table[subset_index(len(table).bit_length() - 1)[0] | subset] - 1)
 
 
@@ -184,9 +192,7 @@ def _nested_chain_levels(m: Matroid, depth: int) -> list[list[tuple[tuple[int, i
 def apply_exponent_chain(m: Matroid, chain: tuple[tuple[int, int], ...]) -> Matroid:
     """The quotient of M truncated a_i times along each F_i of the chain, in one walk on rank
     tables.  Every F_i must be a nonempty flat of M, checked once, and no step may have rank < 2."""
-    for f, _ in chain:
-        if not 0 < f <= m.full_mask or not m.is_flat(f):
-            raise (EmptyFlat if f == 0 else NotAFlat)(f"{f:#b} is not a nonempty flat")
+    _check_flats(m, [f for f, _ in chain])
     table = truncate_along(m.rank_table(), [f for f, a in chain for _ in range(a)])
     if table is None:
         raise InvalidRank(f"chain {chain} truncates along a flat of rank < 2")

@@ -172,7 +172,8 @@ def test_triple_scan_sees_a_corrupted_route(monkeypatch, route):
 
         monkeypatch.setattr(ring, "h_matrix", corrupted)
     else:
-        monkeypatch.setattr(hodge, "_truncate_bitmaps", lambda bm, flat: np.zeros_like(bm))
+        # Every truncation loses the flats' ranks.
+        monkeypatch.setattr(hodge, "truncated_ranks", lambda table, subset: np.zeros_like(table))
     report = dhr_triple_report(m, spot_checks=0)
     assert not report.agree and not report.ok
 
@@ -182,7 +183,7 @@ def test_triple_scan_sees_a_corrupted_route(monkeypatch, route):
 def test_triple_scan_sees_a_corrupted_leaf(monkeypatch, m, route):
     """A fault that only the last step reads: a link entry of level d - 1, an
     h-map into the top degree (zeroed, or doubled so that degrees are +-2),
-    or a truncation onto singletons."""
+    or the last truncation, onto U(1,E), read at the root when d = 1."""
     d = m.rank_full - 1
     if route == "dhr":
         levels, links = dhr_levels(m, d)
@@ -211,17 +212,15 @@ def test_triple_scan_sees_a_corrupted_leaf(monkeypatch, m, route):
 
         monkeypatch.setattr(ring, "h_matrix", corrupted)
     else:
-        real = hodge._truncate_bitmaps
-        singles = hodge._bitmap(np.bitwise_count(np.arange(1 << m.n_elements)) == 1)
+        real = hodge._lands_on_rank_one
 
-        def corrupted(bm, flat):
-            # Only a truncation onto singletons, the last one of a chain, loses {0}.
-            out = real(bm, flat)
-            if out.any() and not (out & ~singles).any():
-                out[:, 0] &= ~np.uint64(0b10)
-            return out
+        def corrupted(tables):
+            # The last truncation of every chain, read at E and the singletons, leaves {0} a loop.
+            tables = tables.copy()
+            tables[0b1] = 0
+            return real(tables)
 
-        monkeypatch.setattr(hodge, "_truncate_bitmaps", corrupted)
+        monkeypatch.setattr(hodge, "_lands_on_rank_one", corrupted)
     assert not dhr_triple_report(m, spot_checks=0).ok
 
 
@@ -316,6 +315,21 @@ def test_triple_scan_u66_in_a_child_process():
     ok, total = out.split()
     assert ok == "True" and int(total) == 5_949_147
     assert peak_mb < 90, f"peak RSS {peak_mb:.0f} MB"
+
+
+def test_triple_scan_u412_in_a_child_process():
+    """4,096-row rank tables, where the recursive oracle is too slow: the counts
+    are pinned, and the leaf truncates one block of nodes at a time (the
+    whole (2^12, 41,262) stack of level d - 1 would take 161 MiB)."""
+    probe = (
+        "from chowmat import uniform\n"
+        "from chowmat.hodge import dhr_triple_report\n"
+        "r = dhr_triple_report(uniform(4, 12), spot_checks=0)\n"
+        "print(r.ok, r.total_multisets, r.live_leaves, r.dead_counted, r.verified_nodes)\n"
+    )
+    out, peak_mb = child_peak_mb(probe, timeout=600)
+    assert out.split() == ["True", "3981264", "3960562", "20702", "4020668"]
+    assert peak_mb < 80, f"peak RSS {peak_mb:.0f} MB"
 
 
 # -- the volume polynomial --------------------------------------------------------

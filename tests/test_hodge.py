@@ -204,7 +204,7 @@ def test_dhr_triple_report_small():
 
 def test_triple_scan_batched_matches_plain_reference():
     """The level-batched scan agrees with the straightforward recursion, also
-    on ground sets past six elements (basis bitmaps of several words) and on
+    on ground sets past six elements (rank tables of 2^|E| rows) and on
     rank 2, where the root is the one block of level d - 1."""
     k5 = graphic(5, list(itertools.combinations(range(5), 2)))
     more = [uniform(2, 5), uniform(2, 16), uniform(3, 7), uniform(3, 9), uniform(4, 8)]

@@ -207,7 +207,7 @@ def test_float_blocks_are_cached_per_dtype():
     small, wide = m.rows(np.array([[1.0], [4.0]])), m.rows(np.array([[1.0], [2.0**40]]))
     assert small.dtype == np.float32 and wide.dtype == np.float64
     for dtype in (np.float32, np.float64):
-        assert m.float_block(dtype) is m.float_block(dtype) and m.float_block(dtype).dtype == dtype
+        assert m.block_as(dtype) is m.block_as(dtype) and m.block_as(dtype).dtype == dtype
 
 
 def test_float64_block_stays_float64():
