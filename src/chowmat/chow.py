@@ -22,12 +22,13 @@ So nearly every zero is found at sight, and the normal-form memo holds
 nonzero results only.
 
 Multiplication by a generator is a :class:`SparseMap` between the nested
-coordinates of two consecutive degrees: only its nonzero rows and columns
-and the integer block between them are stored, because a Groebner normal
-form touches only the nested monomials above one chain (Feichtner-Yuzvinsky).
-Every product picks float32, float64, int64 or Python-int arithmetic from a
-bound on its partial sums (:func:`exact_dtype`), so no fixed-width path can
-round or wrap.
+coordinates of two consecutive degrees: only its nonzero entries are stored,
+as (row, column, value) triples, because a Groebner normal form touches only
+the nested monomials above one chain (Feichtner-Yuzvinsky).  Products with
+vectors and blocks gather and sum those entries; a dense block is built only
+at the point of use of a GEMM, and not kept.  Every product picks float32,
+float64, int64 or Python-int arithmetic from a bound on its partial sums
+(:func:`exact_dtype`), so no fixed-width path can round or wrap.
 """
 
 from __future__ import annotations
@@ -206,39 +207,39 @@ def imatmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return prod.astype(np.int64) if path in _FLOATS else prod
 
 
-class SparseMap:
-    """An integer matrix stored as the block between its nonzero rows and columns.
+#: Largest (entries x columns) temporary of one block product; a block is
+#: taken this many gathered elements at a time.
+_CHUNK = 1 << 20
 
-    ``outs`` and ``ins`` are the ascending indices of the rows and columns
-    holding a nonzero entry, ``block`` the entries between them (int64, or
-    Python ints when some entry does not fit), and ``bound`` the largest
-    absolute row sum of ``block``, so that max |M x| <= bound * max |x|.
+
+class SparseMap:
+    """An integer matrix stored as its nonzero entries.
+
+    ``rows``, ``cols`` and ``vals`` hold the entries sorted by row, and by
+    column within a row: intp indices, and values as int64, or as Python ints
+    when some value does not fit.  ``bound`` is the largest absolute row sum,
+    so that max |M x| <= bound * max |x|.  Products gather and sum the
+    entries (:meth:`apply`); a dense block exists only where a caller builds
+    one for a GEMM (:meth:`dense_block`), and nothing keeps it.
     """
 
     def __init__(
-        self, shape: tuple[int, int], outs: np.ndarray, ins: np.ndarray, block: np.ndarray, bound: int
+        self, shape: tuple[int, int], rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, bound: int
     ) -> None:
         self.shape = shape
-        self.outs = outs
-        self.ins = ins
-        self.block = block
+        self.rows = rows
+        self.cols = cols
+        self.vals = vals
         self.bound = bound
-        self._float_blocks: dict[type, np.ndarray] = {}
 
     @classmethod
     def from_columns(cls, n_rows: int, columns: list[dict[int, int]]) -> SparseMap:
         """The map whose column c holds the nonzero entries ``columns[c]``, row -> value."""
-        ins = [c for c, col in enumerate(columns) if col]
-        outs = sorted(set().union(*columns))
-        where = {r: i for i, r in enumerate(outs)}
-        rows = [where[r] for c in ins for r in columns[c]]
-        cols = [j for j, c in enumerate(ins) for _ in columns[c]]
-        vals = [v for c in ins for v in columns[c].values()]
+        rows = np.array([r for col in columns for r in col], dtype=np.intp)
+        cols = np.array([c for c, col in enumerate(columns) for _ in col], dtype=np.intp)
+        vals = [v for col in columns for v in col.values()]
         fits = all(abs(v) < _INT64_SAFE for v in vals)
-        block = np.zeros((len(outs), len(ins)), dtype=np.int64 if fits else object)
-        block[rows, cols] = vals
-        outs, ins = np.array(outs, dtype=np.intp), np.array(ins, dtype=np.intp)
-        return cls((n_rows, len(columns)), outs, ins, block, _row_bound(block))
+        return cls._from_entries((n_rows, len(columns)), rows, cols, np.array(vals, dtype=np.int64 if fits else object))
 
     @classmethod
     def combination(cls, shape: tuple[int, int], terms: list[tuple[int, SparseMap]]) -> SparseMap:
@@ -246,71 +247,92 @@ class SparseMap:
         terms = [(c, m) for c, m in terms if c and m.bound]
         # Every entry of the sum is at most sum |c| * bound(M).
         fits = sum(abs(c) * m.bound for c, m in terms) < _INT64_SAFE
-        dtype = np.int64 if fits and all(m.block.dtype != object for _, m in terms) else object
-        parts = [m.entries for _, m in terms] or [np.zeros((3, 0), dtype=np.intp)]
-        rows, cols, vals = np.concatenate(parts, axis=1)
-        coeffs = np.array([c for c, _ in terms], dtype=dtype)
-        vals = vals.astype(dtype) * np.repeat(coeffs, [m.entries.shape[1] for _, m in terms])
-        outs, r = _positions(rows.astype(np.intp, copy=False), shape[0])
-        ins, c = _positions(cols.astype(np.intp, copy=False), shape[1])
-        block = np.zeros((len(outs), len(ins)), dtype=dtype)
-        np.add.at(block, (r, c), vals)
-        # Drop the rows and columns whose entries all cancelled.
-        live_rows, live_cols = block.any(axis=1), block.any(axis=0)
-        if not (live_rows.all() and live_cols.all()):
-            block, outs, ins = block[np.ix_(live_rows, live_cols)], outs[live_rows], ins[live_cols]
-        return cls(shape, outs, ins, block, _row_bound(block))
+        dtype = np.int64 if fits and all(m.vals.dtype != object for _, m in terms) else object
+        empty = np.zeros(0, dtype=np.intp)
+        rows = np.concatenate([m.rows for _, m in terms] + [empty])
+        cols = np.concatenate([m.cols for _, m in terms] + [empty])
+        vals = np.concatenate([c * m.vals.astype(dtype, copy=False) for c, m in terms] + [empty.astype(dtype)])
+        return cls._from_entries(shape, rows, cols, vals)
 
-    @cached_property
-    def entries(self) -> np.ndarray:
-        """The nonzero entries as the columns (row, column, value), in matrix indices."""
-        r, c = np.nonzero(self.block)
-        return np.stack([self.outs[r], self.ins[c], self.block[r, c]])
+    @classmethod
+    def _from_entries(cls, shape: tuple[int, int], rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> SparseMap:
+        """The map of entries given in any order: one sort by position, the
+        entries at one position summed and the zero sums dropped."""
+        width = max(shape[1], 1)
+        key = rows * width + cols
+        order = np.argsort(key)
+        key, vals = key[order], vals[order]
+        first = np.flatnonzero(np.diff(key, prepend=-1))
+        if len(first) < len(key):
+            key, vals = key[first], np.add.reduceat(vals, first)
+        live = vals != 0
+        rows, cols = np.divmod(key[live], width)
+        vals = vals[live]
+        return cls(shape, rows.astype(np.intp, copy=False), cols.astype(np.intp, copy=False), vals, _row_bound(rows, vals))
 
-    @cached_property
+    @property
     def T(self) -> SparseMap:
-        """The transpose, for row vectors: ``M.T.apply(w)`` is ``(w.T @ M).T``.
-        Its block is a view of this one."""
-        block = self.block.T
-        return SparseMap(self.shape[::-1], self.ins, self.outs, block, _row_bound(block))
+        """The transpose, for row vectors: ``M.T.apply(w)`` is ``(w.T @ M).T``."""
+        order = np.argsort(self.cols, kind="stable")
+        rows, cols, vals = self.cols[order], self.rows[order], self.vals[order]
+        return SparseMap(self.shape[::-1], rows, cols, vals, _row_bound(rows, vals))
 
-    def block_as(self, dtype) -> np.ndarray:
-        """The block in a product dtype of :func:`exact_dtype`: float32 and
-        float64 copies are built once and kept, int64 and object casts are
-        made per call."""
-        if dtype not in _FLOATS:
-            return self.block.astype(dtype, copy=False)
-        block = self._float_blocks.get(dtype)
-        if block is None:
-            block = self._float_blocks[dtype] = self.block.astype(dtype)
-        return block
+    @cached_property
+    def _segments(self) -> tuple[np.ndarray, np.ndarray]:
+        """The nonzero rows, ascending, and the position of each one's first entry."""
+        first = np.flatnonzero(np.diff(self.rows, prepend=-1))
+        return self.rows[first], first
 
-    def rows(self, x: np.ndarray, xmax: int | None = None) -> np.ndarray:
-        """Rows ``outs`` of the exact product M @ x, for an integer block x.
-
-        ``x`` is ``(shape[1], N)`` with integer entries held as int64, as
-        float32 below 2^24, as float64 below 2^53, or as Python ints; ``xmax``
-        bounds their absolute values (read off the gathered rows when
-        omitted).  The product runs in float32 when bound * xmax < 2^24, in
-        float64 below 2^53, in int64 below 2^62 and on Python ints otherwise
-        (:func:`exact_dtype`).  A float x gives a float product on the float
-        paths; every other product is int64 or Python ints.
-        """
-        gathered = x[self.ins]
-        if xmax is None:
-            xmax = absmax(gathered)
-        path = exact_dtype(self.bound * xmax) if self.block.dtype != object else object
-        floats = x.dtype.kind == "f"
-        if floats and path not in _FLOATS:
-            gathered = gathered.astype(np.int64)
-        prod = self.block_as(path) @ gathered.astype(path, copy=False)
-        return prod.astype(np.int64) if path in _FLOATS and not floats else prod
+    def dense_block(self, dtype=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(outs, ins, block)``: the ascending nonzero rows and columns and the
+        dense block between them, in ``dtype`` (the entries' own by default).
+        It is built anew on every call, for a dense product at its point of use."""
+        outs, r = _positions(self.rows, self.shape[0])
+        ins, c = _positions(self.cols, self.shape[1])
+        block = np.zeros((len(outs), len(ins)), dtype=dtype or self.vals.dtype)
+        block[r, c] = self.vals
+        return outs, ins, block
 
     def apply(self, x: np.ndarray, xmax: int | None = None) -> np.ndarray:
-        """The exact product M @ x, zero outside the rows ``outs``."""
-        prod = self.rows(x, xmax)
-        out = np.zeros((self.shape[0], x.shape[1]), dtype=prod.dtype)
-        out[self.outs] = prod
+        """The exact product M @ x, for an integer vector or block x.
+
+        ``x`` is ``(shape[1],)`` or ``(shape[1], N)`` with integer entries held
+        as int64, as float32 below 2^24, as float64 below 2^53, or as Python
+        ints; ``xmax`` bounds their absolute values (read off x when omitted).
+        Each entry of M is multiplied by its gathered row of x and the
+        products are summed per row of M, so every partial sum is at most
+        bound * xmax: the product runs in float32 when that is below 2^24, in
+        float64 below 2^53, in int64 below 2^62 and on Python ints otherwise
+        (:func:`exact_dtype`).  A vector on the float paths is one
+        ``np.bincount``, in float64; every other product sums with
+        ``np.add.reduceat``, and a block is taken a few columns at a time, so
+        that no gathered temporary exceeds :data:`_CHUNK` elements.  A float x
+        gives a float product on the float paths (float64 for a vector);
+        every other product is int64 or Python ints.
+        """
+        if xmax is None:
+            xmax = absmax(x)
+        path = exact_dtype(self.bound * xmax) if self.vals.dtype != object else object
+        floats = x.dtype.kind == "f"
+        if floats and path not in _FLOATS or x.dtype == object and path in _FLOATS:
+            # Floats reach the integer paths, and Python ints the float paths, as int64.
+            x = x.astype(np.int64)
+        if x.ndim == 1 and path in _FLOATS:
+            # Every product and partial sum is an integer below 2^53: exact in
+            # bincount's float64 (int64 when M has no entries).
+            prod = np.bincount(self.rows, self.vals * x[self.cols], self.shape[0])
+            return prod.astype(np.float64 if floats else np.int64, copy=False)
+        if x.ndim == 1:
+            return self.apply(x[:, None], xmax)[:, 0]
+        out = np.zeros((self.shape[0], x.shape[1]), dtype=path if floats or path not in _FLOATS else np.int64)
+        outs, first = self._segments
+        if not len(first):
+            return out
+        vals = self.vals.astype(path)[:, None]
+        step = max(1, _CHUNK // len(vals))
+        for lo in range(0, x.shape[1], step):
+            gathered = x[self.cols, lo : lo + step].astype(path, copy=False)
+            out[outs, lo : lo + step] = np.add.reduceat(vals * gathered, first, axis=0)
         return out
 
 
@@ -322,16 +344,19 @@ def _positions(indices: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
     return np.flatnonzero(present), (np.cumsum(present) - 1)[indices]
 
 
-def _row_bound(block: np.ndarray) -> int:
-    """The largest absolute row sum of an integer block, exactly."""
-    if block.size == 0:
+def _row_bound(rows: np.ndarray, vals: np.ndarray) -> int:
+    """The largest absolute row sum of the entries ``(rows, vals)``, exactly."""
+    if not len(vals):
         return 0
-    if block.dtype != object:
+    if vals.dtype != object:
         # Sums of nonnegative integers stay exact in float64 while below 2^53.
-        bound = float(np.abs(block).sum(axis=1, dtype=np.float64).max())
+        bound = float(np.bincount(rows, weights=np.abs(vals)).max())
         if bound < _FLOAT_EXACT:
             return int(bound)
-    return max(sum(abs(int(v)) for v in row) for row in block)
+    sums: dict[int, int] = {}
+    for r, v in zip(rows.tolist(), vals.tolist()):
+        sums[r] = sums.get(r, 0) + abs(v)
+    return max(sums.values())
 
 
 class ChowRing:
@@ -679,13 +704,12 @@ class ChowRing:
         of the closures cl(A_i), degree by degree, and the one coordinate of A^d
         read off.
 
-        Each member must be a nonempty subset of E.  A step gathers the map's
-        input coordinates and stops at the first zero vector, so no later map is
-        built.  Its dtype comes from the running product of the h-maps' largest
-        absolute row sums, which bounds every partial sum so far: float32,
-        float64, int64 or Python ints (:func:`exact_dtype`), rising with the
-        product.  The float paths read the map's cached float block
-        (:meth:`SparseMap.block_as`).
+        Each member must be a nonempty subset of E.  A step is the map's own
+        product (:meth:`SparseMap.apply`) and the walk stops at the first zero
+        vector, so no later map is built.  The product's dtype comes from the
+        running product of the h-maps' largest absolute row sums, which bounds
+        every partial sum so far: float32, float64, int64 or Python ints
+        (:func:`exact_dtype`), rising with the product.
         """
         flats = list(flats)
         if len(flats) != self.d:
@@ -693,17 +717,11 @@ class ChowRing:
         self.matroid.check_members(flats)
         vec, bound = np.array([1.0]), 1
         for deg, f in enumerate(flats):
-            h = self.h_matrix(f if f in self.flat_rank else self.matroid.closure(f), deg)
-            x = vec[h.ins]
-            if not np.count_nonzero(x):
+            if not np.count_nonzero(vec):
                 return Fraction(0)
+            h = self.h_matrix(f if f in self.flat_rank else self.matroid.closure(f), deg)
+            vec = h.apply(vec, bound)
             bound *= h.bound
-            dtype = exact_dtype(bound)
-            if x.dtype.kind == "f" and dtype not in _FLOATS:
-                # Floats pass through int64, so object vectors hold Python ints.
-                x = x.astype(np.int64)
-            vec = np.zeros(h.shape[0], dtype=dtype)
-            vec[h.outs] = h.block_as(dtype) @ x.astype(dtype, copy=False)
         return Fraction(int(vec[0]) * (-1) ** self.d)
 
     def poincare_pairing(self, k: int) -> list[list[Fraction]]:

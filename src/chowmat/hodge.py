@@ -529,9 +529,9 @@ def star_factorization_check(m: Matroid, flat: int) -> StarFactorizationReport:
     d = ring.d
     quotient_dims = []
     for k in range(d):
-        # The rank of x_F: the compressed block has the same rank as the map.
-        z = ring.z_matrix(flat, k)
-        quotient_dims.append(len(z.ins) - _linalg.nullity_int(z.block))
+        # The rank of x_F: the block between its nonzero rows and columns has the same rank.
+        _, ins, block = ring.z_matrix(flat, k).dense_block()
+        quotient_dims.append(len(ins) - _linalg.nullity_int(block))
     restricted = restrict(m, flat)
     contracted = contract(m, flat)
     ha = ring_for(restricted.matroid).hilbert_function()
@@ -634,7 +634,11 @@ def _triple_scan(m: Matroid) -> TripleScanReport:
     :func:`_lands_on_rank_one`); and for the Groebner route one nested
     z-coordinate column per node up to level d - 2, put through the sparse
     h-maps of the ring.  Level d - 1 comes out of level d - 2 in blocks
-    T[0] = v, each checked at once with every u <= v.
+    T[0] = v, each checked at once with every u <= v.  The products are
+    GEMMs: each flat's h-map is densified once per level
+    (:meth:`~chowmat.chow.SparseMap.dense_block`), into the block between
+    its nonzero rows and columns in the level's product dtype, and that
+    block is dropped when the flat's nodes are done.
 
     Each level stores its coordinates in the narrowest integer dtype of
     :func:`_storage_dtype` that holds them; only the rows a product gathers
@@ -696,14 +700,13 @@ def _triple_scan(m: Matroid) -> TripleScanReport:
             child_coords = np.zeros((hmaps[0].shape[0], len(levels[k + 1])), dtype=_storage_dtype(bound))
         end = 0
         for v, start in enumerate(starts):
-            h = hmaps[v]
-            block = h.block_as(dtype)
+            outs, ins, block = hmaps[v].dense_block(dtype)
             for lo in range(start, len(rows), _BLOCK):
                 tab = tables[:, lo : lo + _BLOCK]
                 chain_ok = tab[flats[v]] >= 2
                 dhr_ok = link[lo : lo + _BLOCK, v]
-                # Rows h.outs of the products; every other row is zero.
-                new_co = block @ coords[h.ins, lo : lo + _BLOCK].astype(dtype)
+                # Rows outs of the products; every other row is zero.
+                new_co = block @ coords[ins, lo : lo + _BLOCK].astype(dtype)
                 nf_ok = new_co.any(axis=0)
                 verified += len(chain_ok)
                 if not ((chain_ok == dhr_ok) & (dhr_ok == nf_ok)).all():
@@ -715,11 +718,11 @@ def _triple_scan(m: Matroid) -> TripleScanReport:
                 # The live children, in the v-blocked row order of levels[k + 1].
                 if fused:
                     words = links[d - 1][end : end + n_live]
-                    if not leaves(new_co[:, chain_ok], h.outs, truncated, words, v + 1, dtype):
+                    if not leaves(new_co[:, chain_ok], outs, truncated, words, v + 1, dtype):
                         return TripleScanReport(m, total, live_leaves, dead, verified, False)
                 else:
                     child_tables[:, end : end + n_live] = truncated
-                    child_coords[h.outs, end : end + n_live] = new_co[:, chain_ok]
+                    child_coords[outs, end : end + n_live] = new_co[:, chain_ok]
                 end += n_live
         if not fused:
             tables, coords = child_tables, child_coords

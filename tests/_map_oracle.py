@@ -87,6 +87,7 @@ def dense_h(ring: ChowRing, flat: int, deg: int) -> np.ndarray:
 
 
 def densify(m: SparseMap) -> np.ndarray:
+    """The matrix of a map's entries, as Python ints; entries at one position add."""
     out = np.zeros(m.shape, dtype=object)
-    out[np.ix_(m.outs, m.ins)] = m.block.astype(object)
+    np.add.at(out, (m.rows, m.cols), m.vals.astype(object))
     return out

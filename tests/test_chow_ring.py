@@ -315,7 +315,7 @@ def test_groebner_degree_stays_exact_past_int64(monkeypatch):
 
     def scaled(f, deg):
         h = h_matrix(f, deg)
-        return SparseMap(h.shape, h.outs, h.ins, h.block * scale, h.bound * scale)
+        return SparseMap(h.shape, h.rows, h.cols, h.vals * scale, h.bound * scale)
 
     monkeypatch.setattr(ring, "h_matrix", scaled)
     assert [ring.h_monomial_degree(ms) for ms in multisets] == [e * scale**ring.d for e in expected]

@@ -4,6 +4,7 @@ maps) and their apply kernel."""
 import itertools
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from chowmat import graphic, uniform
-from chowmat.chow import ChowRing, SparseMap, _canon, absmax, imatmul, ring_for
+from chowmat import chow
+from chowmat.chow import ChowRing, SparseMap, _canon, absmax, exact_dtype, imatmul, ring_for
 from chowmat.errors import NotAFlat
 from chowmat.quotients import principal_truncation
 
@@ -40,10 +42,10 @@ def small_matroids(draw, largest=7):
 def _check_compressed(m: SparseMap, dense: np.ndarray) -> None:
     assert m.shape == dense.shape
     assert (densify(m) == dense).all()
-    # outs and ins are exactly the nonzero rows and columns, ascending.
-    assert m.outs.tolist() == np.flatnonzero(dense.any(axis=1)).tolist()
-    assert m.ins.tolist() == np.flatnonzero(dense.any(axis=0)).tolist()
-    assert m.block.dtype == np.int64
+    # The entries are exactly the nonzero ones, sorted by row and then by column.
+    rows, cols = np.nonzero(dense)
+    assert m.rows.tolist() == rows.tolist() and m.cols.tolist() == cols.tolist()
+    assert m.vals.dtype == np.int64
     assert m.bound == max((sum(abs(v) for v in row) for row in dense), default=0)
 
 
@@ -125,12 +127,14 @@ def test_maps_of_a_non_flat_raise():
 def test_from_columns_keeps_the_nonzero_rows_and_columns():
     m = SparseMap.from_columns(4, [{}, {}, {3: 7}, {}, {1: 5, 3: -2}])
     assert m.shape == (4, 5)
-    assert m.outs.tolist() == [1, 3] and m.ins.tolist() == [2, 4]
-    assert m.block.tolist() == [[0, 5], [7, -2]]
+    assert (m.rows.tolist(), m.cols.tolist(), m.vals.tolist()) == ([1, 3, 3], [4, 2, 4], [5, 7, -2])
+    outs, ins, block = m.dense_block()
+    assert outs.tolist() == [1, 3] and ins.tolist() == [2, 4]
+    assert block.tolist() == [[0, 5], [7, -2]]
     assert m.bound == 9
-    assert m.T.shape == (5, 4) and m.T.bound == 7 and m.T.block.tolist() == [[0, 7], [5, -2]]
+    assert m.T.shape == (5, 4) and m.T.bound == 7 and m.T.dense_block()[2].tolist() == [[0, 7], [5, -2]]
     empty = SparseMap.from_columns(2, [{}, {}, {}])
-    assert empty.block.shape == (0, 0) and empty.bound == 0
+    assert empty.dense_block()[2].shape == (0, 0) and empty.bound == 0
     assert (empty.apply(np.ones((3, 2), dtype=np.int64)) == 0).all()
 
 
@@ -160,6 +164,103 @@ def test_apply_matches_python_ints(map_bits, x_bits, seed):
         assert got.dtype == (np.int64 if fits else object)
         assert (got == expected).all()
     assert (m.T.apply(expected) == dense.T @ expected).all()
+
+
+@st.composite
+def integer_maps(draw, shape=None):
+    """``(dense, map)``: a matrix of Python ints and its SparseMap.  A few
+    entries land on random positions (some on one position, where they add up
+    or cancel), so most rows and columns stay empty; with 70 bits the values
+    leave int64 and the map holds Python ints."""
+    if shape is None:
+        shape = (draw(st.integers(0, 6)), draw(st.integers(0, 6)))
+    dense = np.zeros(shape, dtype=object)
+    if 0 not in shape:
+        bits = draw(st.sampled_from([1, 4, 12, 30, 61, 70]))
+        cells = st.tuples(st.integers(0, shape[0] - 1), st.integers(0, shape[1] - 1), st.integers(-(2**bits), 2**bits))
+        for r, c, v in draw(st.lists(cells, max_size=10)):
+            dense[r, c] += v
+    columns = [{r: dense[r, c] for r in range(shape[0]) if dense[r, c]} for c in range(shape[1])]
+    return dense, SparseMap.from_columns(shape[0], columns)
+
+
+def _product(dense: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """dense @ x in Python ints, for a vector or a block x of Python ints."""
+    out = np.zeros(dense.shape[:1] + x.shape[1:], dtype=object)
+    for (i, j), a in np.ndenumerate(dense):
+        out[i] += a * x[j]
+    return out
+
+
+def _row_sums(dense: np.ndarray) -> int:
+    return max((sum(abs(v) for v in row) for row in dense.tolist()), default=0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(integer_maps(), st.sampled_from([24, 53, 62]), st.booleans(), st.sampled_from([0, 1, 3]), st.data())
+def test_products_match_python_ints_on_both_sides_of_each_tier(mapped, edge, above, width, data):
+    """M @ x for vectors (width 0) and blocks, each given as Python ints and in
+    every narrower dtype that holds it, with the largest |x| chosen so that
+    bound * max |x| lands just below 2^edge or just above it.  Blocks are also
+    taken one and five gathered elements at a time."""
+    dense, m = mapped
+    n_rows, n_cols = dense.shape
+    assert m.bound == _row_sums(dense)
+    xmax = max(1, (2**edge - 1) // max(m.bound, 1) + above)
+    shape = (n_cols, width) if width else (n_cols,)
+    flat = data.draw(st.lists(st.integers(-xmax, xmax), min_size=math.prod(shape), max_size=math.prod(shape)))
+    if flat:
+        flat[data.draw(st.integers(0, len(flat) - 1))] = data.draw(st.sampled_from([xmax, -xmax]))
+    x = np.array(flat, dtype=object).reshape(shape)
+    expected = _product(dense, x)
+    path = exact_dtype(m.bound * xmax) if m.vals.dtype != object else object
+    given_xs = [x]
+    for dtype, limit in ((np.int64, 2**63), (np.float64, 2**53), (np.float32, 2**24)):
+        if xmax < limit:
+            given_xs.append(x.astype(dtype))
+    chunk = data.draw(st.sampled_from([1, 5, chow._CHUNK]))
+    with mock.patch.object(chow, "_CHUNK", chunk):
+        for given_x in given_xs:
+            got = m.apply(given_x)
+            if path not in (np.float32, np.float64):
+                assert got.dtype == path
+            elif given_x.dtype.kind == "f":
+                assert got.dtype == (path if width else np.float64)
+            else:
+                assert got.dtype == np.int64
+            assert got.shape == expected.shape
+            assert [int(v) for v in got.flat] == list(expected.flat)
+    # The transpose, on an input of the row side.
+    t_rows, t_cols = np.nonzero(dense.T)
+    assert m.T.rows.tolist() == t_rows.tolist() and m.T.cols.tolist() == t_cols.tolist()
+    assert (densify(m.T) == dense.T).all() and m.T.bound == _row_sums(dense.T)
+    y = np.resize(x, (n_rows,) + shape[1:])
+    assert [int(v) for v in m.T.apply(y).flat] == list(_product(dense.T, y).flat)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 5), st.integers(0, 5), st.data())
+def test_combination_matches_python_ints(n_rows, n_cols, data):
+    """Sums of maps with coefficients, one of them cancelled by its negative:
+    the entries are the nonzero sums, sorted, the bound is the largest absolute
+    row sum, and values leave int64 only when the bound says they might."""
+    maps = data.draw(st.lists(integer_maps((n_rows, n_cols)), min_size=1, max_size=3))
+    coeffs = data.draw(st.lists(st.integers(-(2**40), 2**40), min_size=len(maps), max_size=len(maps)))
+    terms = list(zip(coeffs, maps)) + [(-coeffs[0], maps[0])]
+    got = SparseMap.combination((n_rows, n_cols), [(c, m) for c, (_, m) in terms])
+    expected = sum((c * dense for c, (dense, _) in terms), start=np.zeros((n_rows, n_cols), dtype=object))
+    assert got.shape == (n_rows, n_cols)
+    assert (densify(got) == expected).all()
+    rows, cols = np.nonzero(expected)
+    assert got.rows.tolist() == rows.tolist() and got.cols.tolist() == cols.tolist()
+    assert got.bound == _row_sums(expected)
+    live = [(c, m) for c, (_, m) in terms if c and m.bound]
+    fits = sum(abs(c) * m.bound for c, m in live) < 2**62 and all(m.vals.dtype != object for _, m in live)
+    assert got.vals.dtype == (np.int64 if fits else object)
+    outs, ins, block = got.dense_block()
+    assert outs.tolist() == np.flatnonzero(expected.any(axis=1)).tolist()
+    assert ins.tolist() == np.flatnonzero(expected.any(axis=0)).tolist()
+    assert (block == expected[np.ix_(outs, ins)]).all()
 
 
 @pytest.mark.parametrize(
@@ -196,30 +297,22 @@ def test_float32_tier_ends_at_2_to_the_24(entry, value, dtype):
     assert got.dtype == np.int64 and got.tolist() == expected
     # Float input keeps the tier's float dtype.
     for x_dtype in (np.float32, np.float64):
-        got = m.rows(np.array([[value]], dtype=x_dtype))
+        got = m.apply(np.array([[value]], dtype=x_dtype))
         assert got.dtype == dtype and got.tolist() == expected
     got = imatmul(np.array([[entry]], dtype=np.int64), np.array([[value]], dtype=np.int64))
     assert got.dtype == np.int64 and got.tolist() == expected
 
 
-def test_float_blocks_are_cached_per_dtype():
-    m = SparseMap.from_columns(2, [{1: -2}, {0: 3}])
-    small, wide = m.rows(np.array([[1.0], [4.0]])), m.rows(np.array([[1.0], [2.0**40]]))
-    assert small.dtype == np.float32 and wide.dtype == np.float64
-    for dtype in (np.float32, np.float64):
-        assert m.block_as(dtype) is m.block_as(dtype) and m.block_as(dtype).dtype == dtype
-
-
 def test_float64_block_stays_float64():
     m = SparseMap.from_columns(2, [{1: -2}, {0: 3}])
     x = np.array([[1.0, 2.0], [4.0, 2.0**40]])
-    got = m.rows(x, xmax=2**40)
+    got = m.apply(x, xmax=2**40)
     assert got.dtype == np.float64
     assert got.tolist() == [[12.0, 3.0 * 2**40], [-2.0, -4.0]]
     # Past 2^62 the float64 input leaves float64 for Python ints, exactly.
     big = SparseMap.from_columns(2, [{1: 1}, {0: 2**20 + 1}])
     y = np.array([[1.0], [2.0**52 + 1]])
-    assert big.rows(y).tolist() == [[(2**20 + 1) * (2**52 + 1)], [1]]
+    assert big.apply(y).tolist() == [[(2**20 + 1) * (2**52 + 1)], [1]]
 
 
 def test_absmax_of_the_most_negative_int64():
@@ -230,10 +323,12 @@ def test_absmax_of_the_most_negative_int64():
     assert imatmul(x, np.array([[3], [1]], dtype=np.int64)).tolist() == [[-3 * 2**63 + 5]]
 
 
-def test_charpoly_u510_stays_below_150_mb(tmp_path):
-    """The dense maps of U(5,10) would need 3.9 GB.  The compressed ones, with
-    the zero products never reduced and only nonzero normal forms memoized,
-    keep the cold command near 70 MB; memoizing every normal form took 464 MB."""
+def test_charpoly_u510_stays_below_60_mb(tmp_path):
+    """The dense maps of U(5,10) would need 3.9 GB.  Maps stored as their
+    nonzero entries, with the zero products never reduced and only nonzero
+    normal forms memoized, keep the cold command near 45 MB; dense blocks
+    between the nonzero rows and columns took 70 MB, and memoizing every
+    normal form 464 MB."""
     spec = tmp_path / "u510.json"
     spec.write_text(json.dumps({"type": "uniform", "r": 5, "n": 10}))
     probe = (
@@ -247,17 +342,18 @@ def test_charpoly_u510_stays_below_150_mb(tmp_path):
     out, peak_mb = child_peak_mb(probe, timeout=300)
     result = json.loads(out)["result"]
     assert result["mu_chow"] == [math.comb(9, k) for k in range(5)]
-    assert peak_mb < 150, f"peak RSS {peak_mb:.0f} MB"
+    assert peak_mb < 60, f"peak RSS {peak_mb:.0f} MB"
 
 
 def test_every_z_map_of_u58_stays_below_64_mb():
     """All 652 z-maps of U(5,8); memoizing every normal form took 100 MB."""
     probe = (
+        "import numpy as np\n"
         "from chowmat import uniform\n"
         "from chowmat.chow import ChowRing\n"
         "ring = ChowRing(uniform(5, 8))\n"
         "maps = [ring.z_matrix(f, k) for k in range(ring.d) for f in ring.flats_nonempty]\n"
-        "print(len(maps), sum(int(m.block.astype(bool).sum()) for m in maps))\n"
+        "print(len(maps), sum(np.count_nonzero(m.dense_block()[2]) for m in maps))\n"
     )
     out, peak_mb = child_peak_mb(probe, timeout=300)
     assert out.split() == ["652", "25292"]  # maps and nonzero entries
