@@ -29,6 +29,11 @@ vectors and blocks gather and sum those entries; a dense block is built only
 at the point of use of a GEMM, and not kept.  Every product picks float32,
 float64, int64 or Python-int arithmetic from a bound on its partial sums
 (:func:`exact_dtype`), so no fixed-width path can round or wrap.
+
+Every intersection matrix is one call, :meth:`ChowRing.pairing`: the
+functionals int(b_i * -) of the nested h-basis against the z-coordinates of
+the nested h-basis pushed through a list of maps.  No maps give the Poincaré
+pairing, powers of one divisor its Hodge-Riemann forms and top power.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -283,12 +288,23 @@ class SparseMap:
         first = np.flatnonzero(np.diff(self.rows, prepend=-1))
         return self.rows[first], first
 
+    @cached_property
+    def _block_index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(outs, ins, r, c)``: the nonzero rows and columns, ascending, and
+        the position of each entry's row among ``outs`` and column among ``ins``."""
+        outs, first = self._segments
+        ins, c = np.unique(self.cols, return_inverse=True)
+        # The entries are sorted by row: segment i holds the entries of row outs[i].
+        r = np.repeat(np.arange(len(outs), dtype=np.int32), np.diff(first, append=len(self.vals)))
+        # int32 halves the cache: a position is below the entry count, far below 2^31 for any map in memory.
+        return outs, ins, r, c.astype(np.int32)
+
     def dense_block(self, dtype=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(outs, ins, block)``: the ascending nonzero rows and columns and the
         dense block between them, in ``dtype`` (the entries' own by default).
-        It is built anew on every call, for a dense product at its point of use."""
-        outs, r = _positions(self.rows, self.shape[0])
-        ins, c = _positions(self.cols, self.shape[1])
+        It is built anew on every call, for a dense product at its point of use;
+        only the entry positions (:attr:`_block_index`) are kept."""
+        outs, ins, r, c = self._block_index
         block = np.zeros((len(outs), len(ins)), dtype=dtype or self.vals.dtype)
         block[r, c] = self.vals
         return outs, ins, block
@@ -334,14 +350,6 @@ class SparseMap:
             gathered = x[self.cols, lo : lo + step].astype(path, copy=False)
             out[outs, lo : lo + step] = np.add.reduceat(vals * gathered, first, axis=0)
         return out
-
-
-def _positions(indices: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct values of ``indices`` below ``size``, ascending, and the
-    position of each index among them."""
-    present = np.zeros(size, dtype=bool)
-    present[indices] = True
-    return np.flatnonzero(present), (np.cumsum(present) - 1)[indices]
 
 
 def _row_bound(rows: np.ndarray, vals: np.ndarray) -> int:
@@ -595,7 +603,21 @@ class ChowRing:
             self._t[deg] = cached
         return cached
 
-    def pairing_rows(self, k: int) -> np.ndarray:
+    def pairing(self, k: int, maps: Sequence[SparseMap] = ()) -> np.ndarray:
+        """The integer matrix of int(b_i * m(b_j)), b_i over the nested h-basis
+        of degree k, b_j over that of degree d - k - len(maps), and m the
+        ``maps`` (of nested z-coordinates, deg -> deg+1) applied in turn.
+
+        No maps give the Poincaré pairing, powers of one divisor its
+        Hodge-Riemann form, and d maps at k = 0 the degree of their product."""
+        if not 0 <= k <= self.d - len(maps):
+            raise WrongGrade(f"degree {k} outside 0..{self.d - len(maps)}")
+        cols = self.t_matrix(self.d - k - len(maps))
+        for step in maps:
+            cols = step.apply(cols)
+        return imatmul(self._pairing_rows(k), cols)
+
+    def _pairing_rows(self, k: int) -> np.ndarray:
         """Row i: the functional x -> int(b_i * x) on nested z-coordinates of
         degree d - k, for the nested h-basis monomials b_i of degree k."""
         cached = self._rows.get(k)
@@ -603,7 +625,7 @@ class ChowRing:
             if k == 0:
                 cached = np.array([[(-1) ** self.d]], dtype=np.int64)
             else:
-                above = self.pairing_rows(k - 1)
+                above = self._pairing_rows(k - 1)
 
                 def step(h: SparseMap, parents: list[int]) -> np.ndarray:
                     # int(h_F b' x) = int(b' (h_F x)): the row of b' through the transposed h-map.
@@ -680,14 +702,8 @@ class ChowRing:
         grade, coords = self.zcoords(e)
         if grade > self.d:
             return ChowElement.zero("h")
-        tinv = self.tinv_matrix(grade)
-        hcoords = [
-            sum(Fraction(int(tinv[i, j])) * coords[j] for j in range(len(coords)) if coords[j])
-            for i in range(len(coords))
-        ]
-        return ChowElement(
-            "h", {self.nested[grade][i]: c for i, c in enumerate(hcoords) if c}
-        )
+        hcoords = self.tinv_matrix(grade).astype(object) @ np.array(coords, dtype=object)
+        return ChowElement("h", {mono: c for mono, c in zip(self.nested[grade], hcoords) if c})
 
     def degree(self, e: ChowElement) -> Fraction:
         """The degree map on the top graded piece."""
@@ -726,10 +742,7 @@ class ChowRing:
 
     def poincare_pairing(self, k: int) -> list[list[Fraction]]:
         """Matrix of int(b_i * b_j) over nested degrees k and d-k (h basis)."""
-        if not 0 <= k <= self.d:
-            raise WrongGrade(f"degree {k} outside 0..{self.d}")
-        prod = imatmul(self.pairing_rows(k), self.t_matrix(self.d - k))
-        return [[Fraction(int(v)) for v in row] for row in prod]
+        return [[Fraction(int(v)) for v in row] for row in self.pairing(k)]
 
     def alpha_beta(self) -> tuple[ChowElement, ChowElement]:
         """The nef classes alpha = sum_{i in F} x_F and beta = sum_{i not in F} x_F."""

@@ -42,7 +42,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import _linalg
-from .chow import ChowElement, ChowRing, SparseMap, absmax, exact_dtype, imatmul, ring_for
+from .chow import ChowElement, ChowRing, SparseMap, absmax, exact_dtype, ring_for
+from .chow import imatmul  # noqa: F401  unused here; bench/spans.py rebinds hodge.imatmul (BY_VALUE)
 from .errors import (
     InvalidRank,
     InvariantViolation,
@@ -103,7 +104,9 @@ _BLOCK = 2048
 
 
 def _flats_rank2(m: Matroid) -> list[int]:
-    return [f for f in m.lattice().flats if m.rank(f) >= 2]
+    """The flats of rank >= 2, in lattice order."""
+    lattice = m.lattice()
+    return [f for f, r in zip(lattice.flats, lattice.rank_of) if r >= 2]
 
 
 def dhr_levels(m: Matroid, size: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -341,15 +344,21 @@ class CharPoly:
 
 
 def char_poly(m: Matroid) -> CharPoly:
-    """Möbius sum over all flats, divided exactly by (t - 1)."""
+    """chi(t) from the rank table, divided exactly by (t - 1).
+
+    By Whitney's formula chi(t) = sum_{S subset E} (-1)^|S| t^(r(E) - r(S)),
+    the coefficient of t^(r(E) - j) is the number of even subsets of rank j
+    minus the odd ones.  For a loopless matroid it equals the Möbius sum over
+    the flats, sum_F mu(0, F) t^(r(E) - rk F) (Rota 1964): the ``mu_moebius``
+    of the ``charpoly`` command."""
     if not m.is_loopless():
         raise LoopyMatroid("the reduced characteristic polynomial needs a loopless matroid")
-    lattice = m.lattice()
     r = m.rank_full
-    # chi(t) = sum_F mu(0, F) t^(r - rk F), coefficients by descending power.
-    chi = [0] * (r + 1)
-    for f in lattice.flats:
-        chi[m.rank(f)] += lattice.moebius(0, f)
+    # chi by descending power t^r ... t^0: one count over 2 r(S) + (|S| mod 2),
+    # in intp, as the sizes are uint8.
+    parity = subset_index(m.n_elements)[1] & 1
+    counts = np.bincount(2 * m.rank_table().astype(np.intp) + parity, minlength=2 * r + 2)
+    chi = (counts[0::2] - counts[1::2]).tolist()
     quotient = []
     remainder = 0
     for c in chi:
@@ -372,20 +381,10 @@ def mu_via_degrees(m: Matroid) -> list[int]:
     d = ring.d
     full = m.full_mask
     alpha_z = {full: -1}
-    beta_z = {
-        f: 1
-        for f in ring.flats_nonempty
-        if f != full and not f & 1
-    }
+    beta_z = {f: 1 for f in ring.flats_nonempty if f != full and not f & 1}
     alpha = [ring.divisor_matrix(alpha_z, deg) for deg in range(d)]
     beta = [ring.divisor_matrix(beta_z, deg) for deg in range(d)]
-    out = []
-    for k in range(d + 1):
-        vec = np.ones((1, 1), dtype=np.int64)
-        for deg in range(d):
-            vec = (beta if deg < k else alpha)[deg].apply(vec)
-        out.append(int(vec[0, 0]) * (-1) ** d)
-    return out
+    return [int(ring.pairing(0, beta[:k] + alpha[k:])[0, 0]) for k in range(d + 1)]
 
 
 def log_concavity_report(mu: list[int]) -> bool:
@@ -424,11 +423,8 @@ def _divisor_coeffs(ring: ChowRing, e: ChowElement) -> tuple[dict[int, int], int
 
 def _hr_matrix(ring: ChowRing, maps: list[SparseMap], i: int) -> np.ndarray:
     """Q^i times scale^(d-2i) as an integer matrix, ``maps[deg]`` the divisor's map deg -> deg+1:
-    the pairing rows of degree i against the columns ell^(d-2i) * b_c."""
-    cols = ring.t_matrix(i)
-    for deg in range(i, ring.d - i):
-        cols = maps[deg].apply(cols)
-    q_int = imatmul(ring.pairing_rows(i), cols)
+    the ring's pairing of degree i through ell^(d-2i), checked symmetric."""
+    q_int = ring.pairing(i, maps[i : ring.d - i])
     if not (q_int == q_int.T).all():
         raise InvariantViolation("Q must be symmetric")
     return q_int
@@ -471,10 +467,7 @@ def kahler_check(m: Matroid, ell: ChowElement) -> KahlerReport:
     d = ring.d
     coeffs, scale = _divisor_coeffs(ring, ell)
     maps = [ring.divisor_matrix(coeffs, deg) for deg in range(d)]
-    vec = np.ones((1, 1), dtype=np.int64)
-    for step in maps:
-        vec = step.apply(vec)
-    top = Fraction(int(vec[0, 0]) * (-1) ** d, scale**d)
+    top = Fraction(int(ring.pairing(0, maps)[0, 0]), scale**d)
     hr0 = top > 0
     if d < 2:
         return KahlerReport(m, top, hr0, None, True, True, True)
@@ -484,18 +477,11 @@ def kahler_check(m: Matroid, ell: ChowElement) -> KahlerReport:
 
 def sample_nabla_cone(m: Matroid, count: int, seed: int) -> list[ChowElement]:
     """Seeded strictly positive combinations of the nontrivial simplicial generators."""
-    ring = ring_for(m)
+    if not m.is_loopless():
+        raise LoopyMatroid("Chow rings are defined for loopless matroids")
     rng = random.Random(seed)
-    flats = [f for f in ring.flats_nonempty if ring.flat_rank[f] >= 2]
-    out = []
-    for _ in range(count):
-        out.append(
-            ChowElement(
-                "h",
-                {((f, 1),): Fraction(rng.randint(1, 9)) for f in flats},
-            )
-        )
-    return out
+    flats = _flats_rank2(m)
+    return [ChowElement("h", {((f, 1),): Fraction(rng.randint(1, 9)) for f in flats}) for _ in range(count)]
 
 
 # -- star factorization ------------------------------------------------------------
