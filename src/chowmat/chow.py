@@ -13,13 +13,15 @@ Reduction to the nested monomial basis runs in the ``z`` alphabet, rewriting
 along the known Groebner basis of the defining ideal (incomparable quadrics,
 ``z_F * (sum_{H >= G} z_H)^(rk G - rk F)`` for ``F < G``, and
 ``(sum_{H >= G} z_H)^(rk G)``), whose standard monomials are exactly the
-nested monomials.  All arithmetic is integer or rational.  A product z_F * m
-whose chain m holds a flat incomparable with F is zero, because z_F z_G for
-incomparable F and G generates the ideal (Feichtner-Yuzvinsky, Invent. Math.
-2004): the multiplication maps read those products off chain membership and
-never reduce them, and the reduction drops every child that is not a chain.
-So nearly every zero is found at sight, and the normal-form memo holds
-nonzero results only.
+nested monomials.  That reduction (:meth:`ChowRing._nf`) fills the columns of
+the multiplication maps, and elements reduce through the maps
+(:meth:`ChowRing.zcoords`).  All arithmetic is integer or rational.  A product
+z_F * m whose chain m holds a flat incomparable with F is zero, because z_F
+z_G for incomparable F and G generates the ideal (Feichtner-Yuzvinsky,
+Invent. Math. 2004): the multiplication maps read those products off chain
+membership and never reduce them, and the reduction drops every child that
+is not a chain.  So nearly every zero is found at sight, and the normal-form
+memo holds nonzero results only.
 
 Multiplication by a generator is a :class:`SparseMap` between the nested
 coordinates of two consecutive degrees: only its nonzero entries are stored,
@@ -514,23 +516,6 @@ class ChowRing:
     def _lattice_masks(self) -> np.ndarray:
         return np.array(self.lattice.flats, dtype=np.int64)
 
-    def reduce_z_terms(self, terms: dict[Monomial, Fraction]) -> list[Fraction]:
-        """Reduce a z-polynomial (assumed homogeneous) to nested z-coordinates."""
-        for mono in terms:
-            for mask, _ in mono:
-                self._check_flat(mask)
-        degrees = {sum(e for _, e in m) for m in terms}
-        if len(degrees) > 1:
-            raise InhomogeneousElement(f"mixed degrees {sorted(degrees)}")
-        deg = degrees.pop() if degrees else 0
-        if deg > self.d:
-            return []
-        out = [Fraction(0)] * len(self.nested[deg])
-        for mono, coeff in terms.items():
-            for idx, v in self._nf(mono).items():
-                out[idx] += coeff * v
-        return out
-
     def _check_degree_normalization(self) -> None:
         # The top graded piece must be spanned by z_E^d alone, and a maximal
         # chain of proper flats must reduce to (-1)^d z_E^d.
@@ -684,26 +669,52 @@ class ChowRing:
 
     # -- element-level operations ---------------------------------------------
 
-    def to_z(self, e: ChowElement) -> ChowElement:
-        return convert_element(self, e, "z")
+    def _walk(self, maps, flats: Sequence[int]) -> np.ndarray:
+        """Nested z-coordinates of a product of generators: 1 pushed through
+        ``maps(cl(flats[0]), 0)``, ``maps(cl(flats[1]), 1)``, ... by
+        :meth:`SparseMap.apply`, in the dtype (:func:`exact_dtype`) of the
+        running product of the maps' largest absolute row sums, which bounds
+        every partial sum so far.  The walk stops at the first zero vector, so
+        no later map (or closure) is built."""
+        vec, bound = np.array([1.0]), 1
+        for deg, f in enumerate(flats):
+            if not np.count_nonzero(vec):
+                return np.zeros(len(self.nested[len(flats)]))
+            step = maps(f if f in self.flat_rank else self.matroid.closure(f), deg)
+            vec = step.apply(vec, bound)
+            bound *= step.bound
+        return vec
 
     def zcoords(self, e: ChowElement) -> tuple[int, list[Fraction]]:
-        """(degree, nested z-coordinates) of a homogeneous element."""
-        z = self.to_z(e)
-        grade = z.grade()
-        if grade is None:
-            return 0, [Fraction(0)] * len(self.nested[0])
+        """(degree, nested z-coordinates) of a homogeneous element, none above
+        the top degree: the sum of its terms' walks (:meth:`_walk`) through
+        the h-maps in the h alphabet and the z-maps otherwise (x_F = z_F).
+        Every variable must be a nonempty flat, and not E in the x alphabet."""
+        for mask, _ in itertools.chain.from_iterable(e.terms):
+            if mask not in self.flat_rank or e.alphabet == "x" and mask == self.matroid.full_mask:
+                raise NotAFlat(f"variable {sorted(bits(mask))} not available in the {e.alphabet} alphabet")
+        grade = e.grade() or 0
         if grade > self.d:
             return grade, []
-        return grade, self.reduce_z_terms(z.terms)
+        maps = self.h_matrix if e.alphabet == "h" else self.z_matrix
+        out = [Fraction(0)] * len(self.nested[grade])
+        for mono, coeff in e.terms.items():
+            vec = self._walk(maps, [mask for mask, exp in mono for _ in range(exp)])
+            for i in np.flatnonzero(vec).tolist():
+                out[i] += coeff * int(vec[i])
+        return grade, out
 
     def normal_form(self, e: ChowElement) -> ChowElement:
-        """The representative supported on the nested basis (h alphabet)."""
+        """The representative supported on the nested basis (h alphabet): the
+        z-coordinates, scaled to integers, through :meth:`tinv_matrix`."""
         grade, coords = self.zcoords(e)
         if grade > self.d:
             return ChowElement.zero("h")
-        hcoords = self.tinv_matrix(grade).astype(object) @ np.array(coords, dtype=object)
-        return ChowElement("h", {mono: c for mono, c in zip(self.nested[grade], hcoords) if c})
+        scale = math.lcm(*(c.denominator for c in coords))
+        ints = [int(c * scale) for c in coords]
+        col = np.array(ints, dtype=np.int64 if all(abs(v) < _INT64_SAFE for v in ints) else object)
+        hcoords = imatmul(self.tinv_matrix(grade), col[:, None])[:, 0]
+        return ChowElement("h", {mono: Fraction(int(c), scale) for mono, c in zip(self.nested[grade], hcoords) if c})
 
     def degree(self, e: ChowElement) -> Fraction:
         """The degree map on the top graded piece."""
@@ -715,30 +726,14 @@ class ChowRing:
         return coords[0] * (-1) ** self.d
 
     def h_monomial_degree(self, flats: Iterable[int]) -> Fraction:
-        """Degree of a product of simplicial generators h_{A_1} ... h_{A_d}, via
-        Groebner reduction: 1 in nested z-coordinates is pushed through the h-maps
-        of the closures cl(A_i), degree by degree, and the one coordinate of A^d
-        read off.
-
-        Each member must be a nonempty subset of E.  A step is the map's own
-        product (:meth:`SparseMap.apply`) and the walk stops at the first zero
-        vector, so no later map is built.  The product's dtype comes from the
-        running product of the h-maps' largest absolute row sums, which bounds
-        every partial sum so far: float32, float64, int64 or Python ints
-        (:func:`exact_dtype`), rising with the product.
-        """
+        """Degree of a product of simplicial generators h_{A_1} ... h_{A_d}, A_i
+        nonempty subsets of E: the one coordinate of the walk (:meth:`_walk`)
+        through the h-maps of the closures cl(A_i)."""
         flats = list(flats)
         if len(flats) != self.d:
             raise WrongGrade(f"need {self.d} factors, got {len(flats)}")
         self.matroid.check_members(flats)
-        vec, bound = np.array([1.0]), 1
-        for deg, f in enumerate(flats):
-            if not np.count_nonzero(vec):
-                return Fraction(0)
-            h = self.h_matrix(f if f in self.flat_rank else self.matroid.closure(f), deg)
-            vec = h.apply(vec, bound)
-            bound *= h.bound
-        return Fraction(int(vec[0]) * (-1) ** self.d)
+        return Fraction(int(self._walk(self.h_matrix, flats)[0]) * (-1) ** self.d)
 
     def poincare_pairing(self, k: int) -> list[list[Fraction]]:
         """Matrix of int(b_i * b_j) over nested degrees k and d-k (h basis)."""

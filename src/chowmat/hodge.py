@@ -647,9 +647,12 @@ def _triple_scan(m: Matroid) -> TripleScanReport:
     tables = m.rank_table()[:, None]
     # (dim A^k, N_k): column i holds the nested z-coordinates of row i of levels[k].
     coords = np.ones((1, 1), dtype=np.int64)
-    # A^d has one coordinate, so h_{F_u}: A^(d-1) -> A^d is row u of one functional.
-    functional = np.hstack([ring.h_matrix(f, d - 1).T.apply(coords) for f in flats]).T
-    top_bound = max(ring.h_matrix(f, d - 1).bound for f in flats)
+    # A^d has one coordinate: the entries of h_{F_u}: A^(d-1) -> A^d are row u of one functional.
+    tops = [ring.h_matrix(f, d - 1) for f in flats]
+    functional = np.zeros((nvars, tops[0].shape[1]), dtype=np.result_type(*(h.vals for h in tops)))
+    for u, h in enumerate(tops):
+        functional[u, h.cols] = h.vals
+    top_bound = max(h.bound for h in tops)
     live_leaves = dead = verified = 0
 
     def leaves(co: np.ndarray, outs: np.ndarray, tab: np.ndarray, dead_words: np.ndarray, count: int, dtype) -> bool:

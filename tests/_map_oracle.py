@@ -1,10 +1,12 @@
-"""Dense multiplication matrices built from an independent normal-form
-recursion, used only by the tests.
+"""Dense multiplication matrices and element coordinates built from an
+independent normal-form recursion, used only by the tests.
 
 The library stores each multiplication map compressed to its nonzero rows and
 columns (``chowmat.chow.SparseMap``) and skips the products it knows to be
 zero; these are the plain dense matrices it must equal, with Python-int
-entries, from a recursion that skips nothing.
+entries, from a recursion that skips nothing.  The library reduces elements
+through those maps; :func:`zcoords_by_expansion` reduces them the other way,
+by expanding every term into z-monomials first.
 """
 
 from __future__ import annotations
@@ -13,10 +15,11 @@ import itertools
 import math
 import weakref
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 
-from chowmat.chow import ChowRing, Monomial, SparseMap, _canon
+from chowmat.chow import ChowElement, ChowRing, Monomial, SparseMap, _canon, convert_element
 
 _memos: weakref.WeakKeyDictionary[ChowRing, dict[Monomial, dict[int, int]]] = weakref.WeakKeyDictionary()
 
@@ -70,6 +73,22 @@ def nf_by_recursion(ring: ChowRing, mono: Monomial) -> dict[int, int]:
                     result.pop(idx, None)
     memo[mono] = result
     return result
+
+
+def zcoords_by_expansion(ring: ChowRing, e: ChowElement) -> tuple[int, list[Fraction]]:
+    """(degree, nested z-coordinates) of a homogeneous element with flat
+    variables: the element rewritten in the z alphabet (``convert_element``)
+    and every z-monomial reduced by :func:`nf_by_recursion`."""
+    grade = e.grade()
+    if grade is None:
+        return 0, [Fraction(0)] * len(ring.nested[0])
+    if grade > ring.d:
+        return grade, []
+    out = [Fraction(0)] * len(ring.nested[grade])
+    for mono, coeff in convert_element(ring, e, "z").terms.items():
+        for idx, v in nf_by_recursion(ring, mono).items():
+            out[idx] += coeff * v
+    return grade, out
 
 
 def dense_z(ring: ChowRing, flat: int, deg: int) -> np.ndarray:

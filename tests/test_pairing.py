@@ -109,21 +109,27 @@ def test_pairing_through_maps_is_the_degree_of_the_product():
 
 
 def test_pairing_of_divisor_maps_is_the_degree_of_their_product():
-    """d seeded divisors a h_F + b h_G, one per degree, with any nonempty flats
-    and coefficients of both signs: pairing(0, maps) is the degree of their product."""
+    """d seeded divisors, one per degree: pairing(0, maps) is the degree of
+    their product.  The divisors are a h_F + b h_G, with any nonempty flats
+    and coefficients of both signs, and the full ``sample_nabla_cone``
+    divisors over every rank >= 2 flat (23,751 h-terms in the product on
+    U(5,5))."""
     rng = random.Random(8)
     for name, m in small_corpus(5):
         if not m.is_loopless():
             continue
         ring = ring_for(m)
-        product = ChowElement.one("h")
-        maps = []
-        for deg in range(ring.d):
-            terms = {((f, 1),): rng.choice([-3, -1, 1, 2, 5]) for f in rng.sample(ring.flats_nonempty, 2)}
-            ell = ChowElement("h", terms)
-            maps.append(ring.divisor_matrix(_divisor_coeffs(ring, ell)[0], deg))
-            product = product * ell
-        assert ring.pairing(0, maps)[0, 0] == ring.degree(product), name
+        two_terms = [
+            ChowElement("h", {((f, 1),): rng.choice([-3, -1, 1, 2, 5]) for f in rng.sample(ring.flats_nonempty, 2)})
+            for _ in range(ring.d)
+        ]
+        for divisors in (two_terms, sample_nabla_cone(m, ring.d, seed=8)):
+            product = ChowElement.one("h")
+            maps = []
+            for deg, ell in enumerate(divisors):
+                maps.append(ring.divisor_matrix(_divisor_coeffs(ring, ell)[0], deg))
+                product = product * ell
+            assert ring.pairing(0, maps)[0, 0] == ring.degree(product), name
 
 
 def test_pairing_rejects_degrees_outside_the_range():

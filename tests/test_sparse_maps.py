@@ -11,13 +11,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from chowmat import graphic, uniform
+from chowmat import ChowElement, graphic, uniform
 from chowmat import chow
-from chowmat.chow import ChowRing, SparseMap, _canon, absmax, exact_dtype, imatmul, ring_for
-from chowmat.errors import NotAFlat
+from chowmat.chow import ALPHABETS, ChowRing, SparseMap, _canon, absmax, exact_dtype, imatmul, ring_for
+from chowmat.errors import NotAFlat, WrongGrade
 from chowmat.quotients import principal_truncation
 
-from _map_oracle import dense_h, dense_z, densify, nf_by_recursion
+from _map_oracle import dense_h, dense_z, densify, nf_by_recursion, zcoords_by_expansion
 from conftest import child_peak_mb
 
 
@@ -100,7 +100,9 @@ def test_any_monomial_reduces_like_the_recursion_oracle(m, data):
     assume(sum(e for _, e in pairs) <= ring.d)
     mono = _canon(pairs)
     expected = nf_by_recursion(ring, mono)
-    coords = ring.reduce_z_terms({mono: 1})
+    assert ring._nf(mono) == expected
+    grade, coords = ring.zcoords(ChowElement("z", {mono: 1}))
+    assert grade == sum(e for _, e in mono)
     assert {i: int(v) for i, v in enumerate(coords) if v} == expected
 
 
@@ -121,10 +123,75 @@ def test_maps_of_a_non_flat_raise():
             with pytest.raises(NotAFlat):
                 ring.h_matrix(mask, deg)
         with pytest.raises(NotAFlat):
-            ring.reduce_z_terms({((mask, 1),): 1})
+            ring.zcoords(ChowElement("z", {((mask, 1),): 1}))
     # Also when two earlier flats already make the monomial zero.
     with pytest.raises(NotAFlat):
-        ring.reduce_z_terms({((0b0001, 1), (0b0010, 1), (0b0111, 1)): 1})
+        ring.zcoords(ChowElement("z", {((0b0001, 1), (0b0010, 1), (0b0111, 1)): 1}))
+
+
+def test_zcoords_rejects_variables_that_are_not_flats_in_every_alphabet():
+    """Every variable is checked, at grades up to d and above it, and also
+    after a factor that already makes the product zero."""
+    ring = ChowRing(uniform(4, 5))
+    a, b, full = 0b00001, 0b00010, 0b11111
+    bad = 0b01111  # spans E
+    for alphabet in ALPHABETS:
+        # z_a z_b = 0 (a and b are incomparable), and h_a = 0 (an atom).
+        assert not any(ring.zcoords(ChowElement(alphabet, {((a, 1), (b, 1)): 1}))[1])
+        for mono in (((bad, 1),), ((bad, 4),), ((a, 1), (b, 1), (bad, 1)), ((a, 1), (b, 1), (bad, 2))):
+            with pytest.raises(NotAFlat):
+                ring.zcoords(ChowElement(alphabet, {mono: 1}))
+    # E is a flat in z and h, but x has no variable x_E.
+    for exp in (1, ring.d, ring.d + 1):
+        assert ring.zcoords(ChowElement.variable("z", full, exp))[0] == exp
+        assert ring.zcoords(ChowElement.variable("h", full, exp))[0] == exp
+        with pytest.raises(NotAFlat):
+            ring.zcoords(ChowElement.variable("x", full, exp))
+        with pytest.raises(NotAFlat):
+            ring.zcoords(ChowElement("x", {((a, 1), (b, 1), (full, exp)): 1}))
+
+
+@st.composite
+def _elements(draw, ring: ChowRing) -> ChowElement:
+    """Homogeneous elements of grade 0..d+1 in any alphabet: up to three
+    terms over a few flats, so that exponents above 1 are common and chains
+    are not required, with nonzero rational coefficients; no terms give 0."""
+    alphabet = draw(st.sampled_from(ALPHABETS))
+    full = ring.matroid.full_mask
+    flats = [f for f in ring.flats_nonempty if alphabet != "x" or f != full]
+    pool = draw(st.lists(st.sampled_from(flats), min_size=1, max_size=3, unique=True))
+    # The top degree half the time, where degree reads the one coordinate.
+    grade = draw(st.one_of(st.just(ring.d), st.integers(0, ring.d + 1)))
+    terms = {}
+    for _ in range(draw(st.sampled_from([1, 2, 3, 0]))):
+        mono = _canon((f, 1) for f in draw(st.lists(st.sampled_from(pool), min_size=grade, max_size=grade)))
+        terms[mono] = draw(st.fractions(-5, 5, max_denominator=6).filter(bool))
+    return ChowElement(alphabet, terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_matroids(largest=5), st.data())
+def test_elements_reduce_like_the_expansion_oracle(m, data):
+    """zcoords, normal_form and degree agree with the expansion route: every
+    term rewritten in z-monomials and each reduced by the plain recursion."""
+    ring = ring_for(m)
+    e = data.draw(_elements(ring))
+    expected = zcoords_by_expansion(ring, e)
+    assert ring.zcoords(e) == expected
+    grade, coords = expected
+    nf = ring.normal_form(e)
+    assert set(nf.terms) <= set(ring.nested[grade] if grade <= ring.d else ())
+    if nf.is_zero():
+        assert not any(coords)
+    else:
+        assert zcoords_by_expansion(ring, nf) == expected
+    if e.is_zero():
+        assert ring.degree(e) == 0
+    elif grade == ring.d:
+        assert ring.degree(e) == coords[0] * (-1) ** ring.d
+    else:
+        with pytest.raises(WrongGrade):
+            ring.degree(e)
 
 
 def test_from_columns_keeps_the_nonzero_rows_and_columns():
