@@ -18,7 +18,7 @@ import numpy as np
 from . import _linalg
 from .errors import InvalidRank, LoopyMatroid, NotAFlat, WrongDimension
 from .matroid import Matroid, bits
-from .quotients import apply_exponent_chain, principal_truncation
+from .quotients import apply_exponent_chain, principal_truncation  # noqa: F401  principal_truncation: unused here; bench/spans.py rebinds it (BY_VALUE)
 
 #: A cone of the braid fan: a strictly increasing chain of nonempty proper
 #: subsets, stored as a tuple of bitmasks.
@@ -136,17 +136,14 @@ def check_balanced(w: MinkowskiWeight) -> bool:
 def cap_with_h(flat: int, source: Matroid) -> MinkowskiWeight:
     """Cap product of the simplicial generator of ``flat`` with the Bergman class.
 
-    Realized through the matroid side: the principal truncation when the flat
-    has rank > 1, the zero weight otherwise.
+    Realized through the matroid side, as the one-step :func:`cap_weight_with_monomial`:
+    the principal truncation when the flat has rank > 1, the zero weight otherwise.
     """
     if not source.is_loopless():
         raise LoopyMatroid("cap products with Bergman classes need loopless input")
     if flat == 0 or not source.is_flat(flat):
         raise NotAFlat(f"{sorted(bits(flat))} is not a nonempty flat")
-    d = source.rank_full - 1
-    if source.rank(flat) <= 1:
-        return MinkowskiWeight(source.n_elements, d - 1, {})
-    return bergman_class(principal_truncation(source, flat))
+    return cap_weight_with_monomial(source, ((flat, 1),))
 
 
 def cap_weight_with_monomial(

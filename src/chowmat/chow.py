@@ -385,10 +385,9 @@ class ChowRing:
         self.d = m.rank_full - 1
         self.flats_nonempty = [f for f in self.lattice.flats if f != 0]
         self.flat_rank = {f: m.rank(f) for f in self.flats_nonempty}
-        self.supersets = {
-            f: [g for g in self.flats_nonempty if f & ~g == 0] for f in self.flats_nonempty
-        }
-        self.nested: list[list[Monomial]] = quotients._nested_chain_levels(m, self.d)
+        masks = self._lattice_masks
+        self.supersets = {f: masks[masks & f == f].tolist() for f in self.flats_nonempty}
+        self.nested, self._parents = quotients._nested_chain_levels(m, self.d)
         self.nested_index: list[dict[Monomial, int]] = [
             {mono: i for i, mono in enumerate(level)} for level in self.nested
         ]
@@ -623,14 +622,12 @@ class ChowRing:
     def _by_last_flat(self, deg: int, map_deg: int, step) -> np.ndarray:
         """Column i: ``step(h, parents)`` for the nested monomial m_i = m' * h_F
         of degree ``deg``, with F its last flat, h the h-map of F at degree
-        ``map_deg`` and m' the parent, one batch per F."""
+        ``map_deg`` and m' the parent stored with the levels, one batch per F."""
         groups: dict[int, tuple[list[int], list[int]]] = {}
-        for i, mono in enumerate(self.nested[deg]):
-            mask, exp = mono[-1]
-            parent = _canon(itertools.chain(mono[:-1], ((mask, exp - 1),)))
-            members, parents = groups.setdefault(mask, ([], []))
+        for i, (mono, parent) in enumerate(zip(self.nested[deg], self._parents[deg])):
+            members, parents = groups.setdefault(mono[-1][0], ([], []))
             members.append(i)
-            parents.append(self.nested_index[deg - 1][parent])
+            parents.append(parent)
         order, blocks = [], []
         for mask, (members, parents) in groups.items():
             order.extend(members)

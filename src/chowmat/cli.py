@@ -118,12 +118,20 @@ def _run(command: str, spec_file: str, max_ground: int | None, pretty: bool, wor
     try:
         payload, ok = worker(m)
     except Exception as exc:
-        report = {"error": type(exc).__name__, "message": str(exc)}
+        # Free the failed work that the frames of the exception chain hold; exit 3 (or 2) even if
+        # the report cannot be built.
+        chained = exc
+        while chained is not None:
+            traceback.clear_frames(chained.__traceback__)
+            chained = chained.__context__
         internal = isinstance(exc, InvariantViolation) or not isinstance(exc, ChowmatError)
-        if internal:
-            report["traceback"] = traceback.format_exception(exc)
-        click.echo(json.dumps(report), err=True)
-        sys.exit(3 if internal else 2)
+        try:
+            report = {"error": type(exc).__name__, "message": str(exc)}
+            if internal:
+                report["traceback"] = traceback.format_exception(exc)
+            click.echo(json.dumps(report), err=True)
+        finally:
+            sys.exit(3 if internal else 2)
     doc = {"command": command, "matroid": matroid_summary(m), "result": payload}
     emit(doc, pretty)
     sys.exit(0 if ok else 1)

@@ -162,31 +162,34 @@ def nested_exponent_chains(m: Matroid, corank: int) -> list[tuple[tuple[int, int
     the nested-basis constraints 1 <= a_i < rk(F_i) - rk(F_{i-1})."""
     if not 0 <= corank <= max(m.rank_full - 1, 0):
         raise InvalidRank(f"corank {corank} outside 0..{m.rank_full - 1}")
-    return _nested_chain_levels(m, corank)[corank]
+    return _nested_chain_levels(m, corank)[0][corank]
 
 
-def _nested_chain_levels(m: Matroid, depth: int) -> list[list[tuple[tuple[int, int], ...]]]:
-    """The nested exponent chains of every corank 0..depth, each level sorted.
-
-    One recursion fills all levels; the Chow ring reads its nested monomial
-    basis, degree by degree, off the same levels.
-    """
+def _nested_chain_levels(m: Matroid, depth: int) -> tuple[list[list[tuple[tuple[int, int], ...]]], list[list[int]]]:
+    """The nested exponent chains of every corank 0..depth, each level in tuple order, and
+    ``parents[k][i]`` (k >= 1), the position in level k - 1 of chain i's parent: the chain with
+    its last exponent lowered by one, the flat dropped at 0.  A parent with last pair (F, a)
+    (cl(0) and 0 if empty) gains each flat G >= F with rk G - rk F >= 2, in mask order, then
+    (F, a + 1) while a + 1 < rk F - rk F' (F' the flat before F, or cl(0)).  These children
+    first differ at the parent's last pair, (F, a) < (F, a + 1); children of parents p < q first
+    differ where p and q do, as q has the same corank and so cannot extend p.  So each level
+    grows from the one below in tuple order, without a sort."""
     lattice = m.lattice()
-    flats = [(f, r) for f, r in zip(lattice.flats, lattice.rank_of) if f]
-    levels: list[list[tuple[tuple[int, int], ...]]] = [[] for _ in range(depth + 1)]
-
-    def extend(prefix: tuple[tuple[int, int], ...], last_flat: int, last_rank: int, total: int) -> None:
-        levels[total].append(prefix)
-        for f, r in flats:
-            if last_flat and (last_flat & ~f or f == last_flat):
-                continue
-            for a in range(1, min(r - last_rank - 1, depth - total) + 1):
-                extend(prefix + ((f, a),), f, r, total + a)
-
-    extend((), 0, 0, 0)
-    for level in levels:
-        level.sort()
-    return levels
+    rank = dict(zip(lattice.flats, lattice.rank_of))
+    masks, ranks = np.array(sorted(rank.items()), dtype=np.int64).T
+    above = {f: masks[(masks & f == f) & (ranks >= r + 2)].tolist() for f, r in rank.items()}
+    levels, parents = [[()]], [[]]
+    for _ in range(depth):
+        level, up = [], []
+        for p, chain in enumerate(levels[-1]):
+            f, a = chain[-1] if chain else (lattice.flats[0], 0)
+            level += [chain + ((g, 1),) for g in above[f]]
+            if a + 1 < rank[f] - (rank[chain[-2][0]] if len(chain) > 1 else 0):
+                level.append(chain[:-1] + ((f, a + 1),))
+            up += [p] * (len(level) - len(up))
+        levels.append(level)
+        parents.append(up)
+    return levels, parents
 
 
 def apply_exponent_chain(m: Matroid, chain: tuple[tuple[int, int], ...]) -> Matroid:

@@ -14,6 +14,10 @@ quotients, so loopy stages are dropped; every stage is deduplicated by its
 bases, and the last one is filtered by ``is_relative_nested``.  Slow and
 deliberately simple; nothing in ``src/`` imports it.
 
+:func:`nested_chain_levels_by_recursion` lists the nested exponent chains by
+trying every flat after every prefix and sorting each level, the oracle for
+the parent-by-parent growth in ``src/``.
+
 :func:`truncated_bases` is the direct basis description of one truncation,
 the oracle for the rank-table truncation in ``src/``.  :func:`truncate_by_stages`
 and :func:`apply_exponent_chain_by_stages` build one matroid per truncation
@@ -97,6 +101,28 @@ def _linear_subclasses(count: int, lines: list[int]) -> list[int]:
 
     extend(0, 0)
     return out
+
+
+def nested_chain_levels_by_recursion(m: Matroid, depth: int) -> list[list[tuple[tuple[int, int], ...]]]:
+    """The nested exponent chains of every corank 0..depth, each level sorted: a
+    recursion that tries every flat after every prefix, the oracle for the
+    parent-by-parent growth ``quotients._nested_chain_levels``."""
+    lattice = m.lattice()
+    flats = [(f, r) for f, r in zip(lattice.flats, lattice.rank_of) if f]
+    levels: list[list[tuple[tuple[int, int], ...]]] = [[] for _ in range(depth + 1)]
+
+    def extend(prefix: tuple[tuple[int, int], ...], last_flat: int, last_rank: int, total: int) -> None:
+        levels[total].append(prefix)
+        for f, r in flats:
+            if last_flat and (last_flat & ~f or f == last_flat):
+                continue
+            for a in range(1, min(r - last_rank - 1, depth - total) + 1):
+                extend(prefix + ((f, a),), f, r, total + a)
+
+    extend((), 0, 0, 0)
+    for level in levels:
+        level.sort()
+    return levels
 
 
 def truncated_bases(bases: Iterable[int], subset: int) -> set[int]:

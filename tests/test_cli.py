@@ -293,14 +293,49 @@ def test_internal_error_exits_3(runner, u34_spec, monkeypatch):
     assert "crash" in "".join(err["traceback"])
 
 
+def test_internal_error_exits_3_when_its_report_fails(runner, u34_spec, monkeypatch):
+    """Out of memory, even building the report can raise MemoryError; the exit code stays 3."""
+    def crash(m, seed):
+        raise RuntimeError("boom")
+
+    def no_memory(exc):
+        raise MemoryError
+
+    monkeypatch.setitem(cli._SUITE_RUNNERS, "balance", crash)
+    monkeypatch.setattr(cli.traceback, "format_exception", no_memory)
+    result = runner.invoke(cli.main, ["verify", u34_spec, "--suite", "balance"])
+    assert result.exit_code == 3
+    assert result.stdout == ""
+
+
+def test_out_of_memory_exits_3_with_a_report(tmp_path):
+    """U(8,16) has 26.1 M nested monomials: ``info`` runs out of an 800 MB address
+    space while it lists them, in a child process, and must still exit 3 with a
+    JSON report, not 1 with a lost traceback."""
+    spec = write_spec(tmp_path, "u816.json", {"type": "uniform", "r": 8, "n": 16})
+    src = os.path.dirname(os.path.dirname(chowmat.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (800 << 20, 800 << 20))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "chowmat.cli", "info", spec, "--max-ground", "16"],
+        capture_output=True, env=env, timeout=120, preexec_fn=limit_memory,
+    )
+    assert proc.returncode == 3, proc.stderr.decode()[-2000:]
+    assert proc.stdout == b""
+    assert json.loads(proc.stderr.decode().splitlines()[-1])["error"] == "MemoryError"
+
+
 def drop_top_nested(chain_levels):
     """Break the nested exponent chains in the top degree, which the ring's
     degree normalization check must catch."""
 
     def broken(m, depth):
-        levels = chain_levels(m, depth)
+        levels, parents = chain_levels(m, depth)
         levels[-1] = []
-        return levels
+        return levels, parents
 
     return broken
 

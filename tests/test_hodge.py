@@ -500,6 +500,17 @@ def test_divisor_coeffs_fall_back_for_other_elements():
     assert _divisor_coeffs(ring, ChowElement.zero("h")) == ({}, 1)
 
 
+@pytest.mark.parametrize("alphabet", ["x", "z", "h"])
+def test_the_empty_flat_is_no_divisor_variable(alphabet):
+    """x_0, z_0 and h_0 are no variables: the ring's superset lists, which the
+    alphabets read, are keyed by the nonempty flats only."""
+    ell = ChowElement.variable(alphabet, 0)
+    with pytest.raises(NotAFlat):
+        hr_form(U34, ell, 1)
+    with pytest.raises(NotAFlat):
+        kahler_check(U34, ell)
+
+
 def test_sample_ample_keeps_its_x_form():
     for m in [U34, k4()]:
         ring = ring_for(m)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from chowmat import (
     enumerate_relative_nested,
     f_cyclic_flats,
+    graphic,
     h_matroid,
     higgs_factorization,
     is_quotient,
@@ -21,9 +22,9 @@ from chowmat import (
 )
 from chowmat.errors import EmptyFlat, GroundSetMismatch, InvalidRank, NotAFlat
 from chowmat.matroid import Matroid, direct_sum, popcount
-from chowmat.quotients import apply_exponent_chain, nested_exponent_chains, truncate_by_subset
+from chowmat.quotients import _nested_chain_levels, apply_exponent_chain, nested_exponent_chains, truncate_by_subset
 
-from _quotient_oracle import relative_nested_quotients, truncated_bases
+from _quotient_oracle import nested_chain_levels_by_recursion, relative_nested_quotients, truncated_bases
 from conftest import k4, random_truncation_corpus, truncated_booleans
 
 
@@ -414,6 +415,46 @@ def test_chain_images_are_every_relative_nested_quotient(m):
     for c, expected in enumerate(relative_nested_quotients(m)):
         images = {apply_exponent_chain(m, chain).bases for chain in nested_exponent_chains(m, c)}
         assert images == expected
+
+
+def check_levels_grow_like_the_recursion(m: Matroid) -> None:
+    """At every depth, the grown levels equal the recursion's sorted levels, and
+    each chain's parent is the chain with its last exponent lowered by one."""
+    for depth in range(max(m.rank_full - 1, 0) + 1):
+        levels, parents = _nested_chain_levels(m, depth)
+        assert levels == nested_chain_levels_by_recursion(m, depth)
+        assert [len(up) for up in parents] == [0] + [len(level) for level in levels[1:]]
+        for k in range(1, depth + 1):
+            for chain, p in zip(levels[k], parents[k]):
+                flat, a = chain[-1]
+                assert levels[k - 1][p] == chain[:-1] + (((flat, a - 1),) if a > 1 else ())
+
+
+def test_nested_levels_grow_like_the_recursion_on_the_corpus(corpus):
+    for _, m in corpus:
+        check_levels_grow_like_the_recursion(m)
+
+
+@st.composite
+def small_matroids(draw):
+    """Uniform matroids of every rank (0 and 1 included), cycle matroids of
+    multigraphs (parallel edges, self-loops) and truncated Booleans, some with
+    loops added."""
+    n = draw(st.integers(1, 6))
+    vertex = st.integers(0, 4)
+    m = draw(st.one_of(
+        st.integers(0, n).map(lambda r: uniform(r, n)),
+        st.lists(st.tuples(vertex, vertex), min_size=1, max_size=7).map(lambda edges: graphic(5, edges)),
+        truncated_booleans(),
+    ))
+    loops = draw(st.integers(0, 2))
+    return direct_sum(m, uniform(0, loops)) if loops else m
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_matroids())
+def test_nested_levels_grow_like_the_recursion(m):
+    check_levels_grow_like_the_recursion(m)
 
 
 def test_enumerate_relative_nested_loopless():
