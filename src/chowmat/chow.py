@@ -57,7 +57,7 @@ from .errors import (
     NotAFlat,
     WrongGrade,
 )
-from .matroid import Matroid, bits, popcount
+from .matroid import Matroid, bits, memoized, popcount
 
 #: Exponent monomial: ((flat_mask, exponent), ...) sorted by (popcount, mask).
 Monomial = tuple[tuple[int, int], ...]
@@ -372,32 +372,27 @@ def _row_bound(rows: np.ndarray, vals: np.ndarray) -> int:
 class ChowRing:
     """Reduction tables for the Chow ring of one loopless matroid.
 
-    Tables fill in lazily per degree and are immutable once computed; all
-    cached values are deterministic, so a concurrent warm-up can at worst
-    duplicate work (dict writes are atomic under the GIL).
+    Tables fill in lazily per degree (:func:`~chowmat.matroid.memoized`) and
+    are immutable once computed; all cached values are deterministic, so a
+    concurrent warm-up can at worst duplicate work (dict writes are atomic
+    under the GIL).
     """
 
     def __init__(self, m: Matroid):
         if not m.is_loopless():
             raise LoopyMatroid("Chow rings are defined for loopless matroids")
         self.matroid = m
-        self.lattice = m.lattice()
+        self.lattice = lattice = m.lattice()
         self.d = m.rank_full - 1
-        self.flats_nonempty = [f for f in self.lattice.flats if f != 0]
-        self.flat_rank = {f: m.rank(f) for f in self.flats_nonempty}
-        masks = self._lattice_masks
-        self.supersets = {f: masks[masks & f == f].tolist() for f in self.flats_nonempty}
+        # The ring is loopless, so the empty flat comes first.
+        self.flats_nonempty = lattice.flats[1:]
+        self.flat_rank = dict(zip(self.flats_nonempty, lattice.rank_of[1:]))
+        self.supersets = {f: lattice.supersets[f] for f in self.flats_nonempty}
         self.nested, self._parents = quotients._nested_chain_levels(m, self.d)
         self.nested_index: list[dict[Monomial, int]] = [
             {mono: i for i, mono in enumerate(level)} for level in self.nested
         ]
         self._nf_memo: dict[Monomial, dict[int, int]] = {}
-        self._chains: dict[int, np.ndarray] = {}
-        self._zmap: dict[tuple[int, int], SparseMap] = {}
-        self._hmap: dict[tuple[int, int], SparseMap] = {}
-        self._t: dict[int, np.ndarray] = {}
-        self._rows: dict[int, np.ndarray] = {}
-        self._tinv: dict[int, np.ndarray] = {}
         self._check_degree_normalization()
 
     # -- nested basis --------------------------------------------------------
@@ -479,7 +474,7 @@ class ChowRing:
             sups = [g for g in self.supersets[mask] if all(g & ~f == 0 or f & ~g == 0 for f in above)]
             result: dict[int, int] = {}
             for combo in itertools.combinations_with_replacement(sups, c):
-                # combo is in (rank, mask) order with F first: it is F^c, the
+                # combo is in mask order with F first: it is F^c, the
                 # leading term, iff its last flat is F, and a chain iff each
                 # flat lies in the next.
                 if combo[-1] == mask or any(a & ~b for a, b in itertools.pairwise(combo)):
@@ -500,20 +495,13 @@ class ChowRing:
         if mask not in self.flat_rank:
             raise NotAFlat(f"{sorted(bits(mask))} is not a nonempty flat")
 
+    @memoized
     def _chain_positions(self, deg: int) -> np.ndarray:
         """Row i: the lattice positions of the flats of the i-th nested monomial
         of degree ``deg``, padded to ``deg`` columns with 0, the empty flat."""
-        cached = self._chains.get(deg)
-        if cached is None:
-            index = self.lattice.index
-            rows = [[index[f] for f, _ in mono] + [0] * (deg - len(mono)) for mono in self.nested[deg]]
-            cached = np.array(rows, dtype=np.intp).reshape(len(rows), deg)
-            self._chains[deg] = cached
-        return cached
-
-    @cached_property
-    def _lattice_masks(self) -> np.ndarray:
-        return np.array(self.lattice.flats, dtype=np.int64)
+        index = self.lattice.index
+        rows = [[index[f] for f, _ in mono] + [0] * (deg - len(mono)) for mono in self.nested[deg]]
+        return np.array(rows, dtype=np.intp).reshape(len(rows), deg)
 
     def _check_degree_normalization(self) -> None:
         # The top graded piece must be spanned by z_E^d alone, and a maximal
@@ -530,6 +518,7 @@ class ChowRing:
 
     # -- matrices -------------------------------------------------------------
 
+    @memoized
     def z_matrix(self, flat: int, deg: int) -> SparseMap:
         """Multiplication by z_flat as a map of nested z-coordinates, deg -> deg+1.
 
@@ -540,30 +529,21 @@ class ChowRing:
         lattice gathered through the chain positions of the degree, and
         never reach :meth:`_nf`.
         """
-        key = (flat, deg)
-        cached = self._zmap.get(key)
-        if cached is None:
-            self._check_flat(flat)
-            masks = self._lattice_masks
-            incomparable = (masks & ~flat != 0) & (masks & flat != flat)
-            zero = incomparable[self._chain_positions(deg)].any(axis=1).tolist()
-            columns = [
-                {} if dead else self._nf(_canon(itertools.chain(mono, ((flat, 1),))))
-                for mono, dead in zip(self.nested[deg], zero)
-            ]
-            cached = SparseMap.from_columns(len(self.nested[deg + 1]), columns)
-            self._zmap[key] = cached
-        return cached
+        self._check_flat(flat)
+        masks = self.lattice.masks
+        incomparable = (masks & ~flat != 0) & (masks & flat != flat)
+        zero = incomparable[self._chain_positions(deg)].any(axis=1).tolist()
+        columns = [
+            {} if dead else self._nf(_canon(itertools.chain(mono, ((flat, 1),))))
+            for mono, dead in zip(self.nested[deg], zero)
+        ]
+        return SparseMap.from_columns(len(self.nested[deg + 1]), columns)
 
+    @memoized
     def h_matrix(self, flat: int, deg: int) -> SparseMap:
         """Multiplication by h_flat = -sum_{G >= flat} z_G in nested z-coordinates."""
-        key = (flat, deg)
-        cached = self._hmap.get(key)
-        if cached is None:
-            self._check_flat(flat)
-            cached = self.divisor_matrix({g: -1 for g in self.supersets[flat]}, deg)
-            self._hmap[key] = cached
-        return cached
+        self._check_flat(flat)
+        return self.divisor_matrix({g: -1 for g in self.supersets[flat]}, deg)
 
     def divisor_matrix(self, zcoeffs: dict[int, int], deg: int) -> SparseMap:
         """Multiplication by an integer z-divisor sum(c_F z_F), deg -> deg+1."""
@@ -571,21 +551,17 @@ class ChowRing:
         terms = [(c, self.z_matrix(f, deg)) for f, c in zcoeffs.items() if c]
         return SparseMap.combination(shape, terms)
 
+    @memoized
     def t_matrix(self, deg: int) -> np.ndarray:
         """Columns: nested z-coordinates of the nested h-basis monomials."""
-        cached = self._t.get(deg)
-        if cached is None:
-            if deg == 0:
-                cached = np.ones((1, 1), dtype=np.int64)
-            else:
-                below = self.t_matrix(deg - 1)
+        if deg == 0:
+            return np.ones((1, 1), dtype=np.int64)
+        below = self.t_matrix(deg - 1)
 
-                def step(h: SparseMap, parents: list[int]) -> np.ndarray:
-                    return h.apply(below[:, parents])
+        def step(h: SparseMap, parents: list[int]) -> np.ndarray:
+            return h.apply(below[:, parents])
 
-                cached = self._by_last_flat(deg, deg - 1, step)
-            self._t[deg] = cached
-        return cached
+        return self._by_last_flat(deg, deg - 1, step)
 
     def pairing(self, k: int, maps: Sequence[SparseMap] = ()) -> np.ndarray:
         """The integer matrix of int(b_i * m(b_j)), b_i over the nested h-basis
@@ -601,23 +577,19 @@ class ChowRing:
             cols = step.apply(cols)
         return imatmul(self._pairing_rows(k), cols)
 
+    @memoized
     def _pairing_rows(self, k: int) -> np.ndarray:
         """Row i: the functional x -> int(b_i * x) on nested z-coordinates of
         degree d - k, for the nested h-basis monomials b_i of degree k."""
-        cached = self._rows.get(k)
-        if cached is None:
-            if k == 0:
-                cached = np.array([[(-1) ** self.d]], dtype=np.int64)
-            else:
-                above = self._pairing_rows(k - 1)
+        if k == 0:
+            return np.array([[(-1) ** self.d]], dtype=np.int64)
+        above = self._pairing_rows(k - 1)
 
-                def step(h: SparseMap, parents: list[int]) -> np.ndarray:
-                    # int(h_F b' x) = int(b' (h_F x)): the row of b' through the transposed h-map.
-                    return h.T.apply(above[parents].T)
+        def step(h: SparseMap, parents: list[int]) -> np.ndarray:
+            # int(h_F b' x) = int(b' (h_F x)): the row of b' through the transposed h-map.
+            return h.T.apply(above[parents].T)
 
-                cached = self._by_last_flat(k, self.d - k, step).T
-            self._rows[k] = cached
-        return cached
+        return self._by_last_flat(k, self.d - k, step).T
 
     def _by_last_flat(self, deg: int, map_deg: int, step) -> np.ndarray:
         """Column i: ``step(h, parents)`` for the nested monomial m_i = m' * h_F
@@ -634,6 +606,7 @@ class ChowRing:
             blocks.append(step(self.h_matrix(mask, map_deg), parents))
         return np.concatenate(blocks, axis=1)[:, np.argsort(order)]
 
+    @memoized
     def tinv_matrix(self, deg: int) -> np.ndarray:
         """Exact integer inverse of t_matrix, as a finite series.
 
@@ -644,25 +617,21 @@ class ChowRing:
         :func:`imatmul`'s exact dtype choice.  The product is re-checked
         against the identity.
         """
-        cached = self._tinv.get(deg)
-        if cached is None:
-            t = self.t_matrix(deg)
-            eye = np.eye(len(t), dtype=np.int64)
-            power = eye - (-1) ** deg * t
-            inv = eye
-            for _ in range(len(t).bit_length() + 1):
-                if not power.any():
-                    break
-                inv = imatmul(inv, eye + power)
-                power = imatmul(power, power)
-            else:
-                raise InvariantViolation("basis change is not unitriangular")
-            inv = (-1) ** deg * inv
-            if not (imatmul(t, inv) == eye).all():
-                raise InvariantViolation("triangular inverse failed")
-            cached = inv
-            self._tinv[deg] = cached
-        return cached
+        t = self.t_matrix(deg)
+        eye = np.eye(len(t), dtype=np.int64)
+        power = eye - (-1) ** deg * t
+        inv = eye
+        for _ in range(len(t).bit_length() + 1):
+            if not power.any():
+                break
+            inv = imatmul(inv, eye + power)
+            power = imatmul(power, power)
+        else:
+            raise InvariantViolation("basis change is not unitriangular")
+        inv = (-1) ** deg * inv
+        if not (imatmul(t, inv) == eye).all():
+            raise InvariantViolation("triangular inverse failed")
+        return inv
 
     # -- element-level operations ---------------------------------------------
 

@@ -39,6 +39,37 @@ def _subset(mask: int) -> list[int]:
     return sorted(bits(mask))
 
 
+def _integer(value, what: str) -> int:
+    """``value`` if it is a JSON integer: a bool, float or string is an input
+    error, not a number to coerce."""
+    if type(value) is not int:
+        raise ParseError(f"{what} must be an integer, got {value!r:.40}")
+    return value
+
+
+def _list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ParseError(f"{what} must be a list, got {value!r:.40}")
+    return value
+
+
+def _basis(value, ground: int) -> int:
+    """The mask of a basis: distinct integers in 0 .. ground - 1, checked before
+    any bit is set, so that no element can ask for a huge mask."""
+    for e in _list(value, "a basis"):
+        if not 0 <= _integer(e, "a basis element") < ground:
+            raise ParseError(f"basis element {e} outside 0..{ground - 1}")
+    if len(set(value)) < len(value):
+        raise ParseError(f"basis {value} repeats an element")
+    return mask_of(value)
+
+
+def _edge(value) -> tuple[int, int]:
+    if len(_list(value, "an edge")) != 2:
+        raise ParseError(f"an edge must have two endpoints, got {value!r:.40}")
+    return _integer(value[0], "an edge endpoint"), _integer(value[1], "an edge endpoint")
+
+
 def load_matroid(path: str, max_ground: int) -> Matroid:
     try:
         with open(path) as fh:
@@ -47,6 +78,8 @@ def load_matroid(path: str, max_ground: int) -> Matroid:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # bytes that are not UTF-8, or an integer literal too long to convert
+        raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "type" not in doc:
         raise ParseError('spec must be an object with a "type" field')
     kind = doc["type"]
@@ -54,17 +87,21 @@ def load_matroid(path: str, max_ground: int) -> Matroid:
         raise ParseError(f"unknown matroid type {kind!r}")
     try:
         # The declared size meets the cap before anything is built.
-        size = len(doc["edges"]) if kind == "graphic" else int(doc["n" if kind == "uniform" else "ground"])
+        if kind == "graphic":
+            size = len(_list(doc["edges"], '"edges"'))
+        else:
+            field = "n" if kind == "uniform" else "ground"
+            size = _integer(doc[field], f'"{field}"')
         if size > max_ground:
             raise ParseError(
                 f"ground set of size {size} exceeds the cap {max_ground} "
                 "(raise with --max-ground or CHOWMAT_MAX_GROUND)"
             )
         if kind == "uniform":
-            return uniform(int(doc["r"]), size)
+            return uniform(_integer(doc["r"], '"r"'), size)
         if kind == "bases":
-            return matroid_from_bases(size, [mask_of(map(int, b)) for b in doc["bases"]])
-        return graphic(int(doc["vertices"]), [tuple(map(int, e)) for e in doc["edges"]])
+            return matroid_from_bases(size, [_basis(b, size) for b in _list(doc["bases"], '"bases"')])
+        return graphic(_integer(doc["vertices"], '"vertices"'), [_edge(e) for e in doc["edges"]])
     except KeyError as exc:
         raise ParseError(f"missing field {exc} for type {kind!r}") from exc
     except (TypeError, ValueError) as exc:
@@ -168,11 +205,15 @@ def degree(spec_file: str, flats_arg: str, pretty: bool, max_ground: int | None)
 
     def worker(m: Matroid):
         try:
-            masks = [mask_of(int(x) for x in part.split(",")) for part in flats_arg.split(";")]
+            parts = [[int(x) for x in part.split(",")] for part in flats_arg.split(";")]
         except ValueError as exc:
             raise ParseError(f"cannot parse --flats: {exc}") from exc
+        for part in parts:  # before any element is shifted into a mask
+            if not all(0 <= e < m.n_elements for e in part):
+                raise NotAFlat(f"{sorted(set(part))} is not a flat")
+        masks = [mask_of(part) for part in parts]
         for f in masks:
-            if f & ~m.full_mask or not m.is_flat(f):
+            if not m.is_flat(f):
                 raise NotAFlat(f"{_subset(f)} is not a flat")
         dhr = hodge.dhr_degree(m, masks)
         ring = ring_for(m)
@@ -199,8 +240,9 @@ def volume(spec_file: str, pretty: bool, max_ground: int | None) -> None:
 
     def worker(m: Matroid):
         vp = hodge.volume_polynomial(m)
+        names = {f: _subset(f) for f in m.lattice().flats}
         terms = [
-            {"flats": [_subset(f) for f in mono], "coeff": coeff}
+            {"flats": [names[f] for f in mono], "coeff": coeff}
             for mono, coeff in sorted(vp.terms.items())
         ]
         return {"degree": vp.degree, "terms": terms}, True
@@ -261,7 +303,7 @@ SUITES = ("poincare", "lorentzian", "kahler", "nested", "balance", "all")
 @main.command()
 @click.argument("spec_file")
 @click.option("--suite", type=click.Choice(SUITES), default="all")
-@click.option("--seed", type=int, default=0, help="Seed for the randomized Kähler sweep.")
+@click.option("--seed", type=click.IntRange(min=0), default=0, help="Seed for the randomized Kähler sweep.")
 @_max_ground_option
 def verify(spec_file: str, suite: str, seed: int, pretty: bool, max_ground: int | None) -> None:
     """Run the verification suites; nonzero exit on any failure."""

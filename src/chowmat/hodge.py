@@ -56,7 +56,8 @@ from .errors import (
     WrongGrade,
 )
 from .matroid import Matroid, bits, contract, restrict, subset_index
-from .quotients import truncate_along, truncate_by_subset, truncated_ranks
+from .quotients import truncate_along, truncated_ranks
+from .quotients import truncate_by_subset  # noqa: F401  unused here; bench/spans.py rebinds hodge.truncate_by_subset (BY_VALUE)
 
 
 # -- the DHR condition ---------------------------------------------------------
@@ -927,8 +928,7 @@ def truncation_hessian(current: Matroid) -> tuple[list[int], np.ndarray]:
         raise InvalidRank(f"the truncation Hessian needs rank 3, got {current.rank_full}")
     if not current.is_loopless():
         raise LoopyMatroid("the truncation Hessian needs a loopless matroid")
-    gens = [f for f in current.lattice().flats if current.rank(f) == 2]
-    gens.append(current.full_mask)
+    gens = [*current.lattice().by_rank[2], current.full_mask]
     size = len(gens)
     hess = np.zeros((size, size), dtype=np.int64)
     for a in range(size):
@@ -940,11 +940,10 @@ def truncation_hessian(current: Matroid) -> tuple[list[int], np.ndarray]:
 def _crosscheck_hessian(m: Matroid, parent: np.ndarray, a: np.ndarray, gathered: np.ndarray) -> int:
     """The gathered Hessian of ``parent`` against the truncated-matroid route."""
     flats = _flats_rank2(m)
-    current = m
-    for i in parent.tolist():
-        if current.rank(flats[i]) < 2:
-            raise InvariantViolation(f"DHR multiset {parent.tolist()} is not truncatable")
-        current = truncate_by_subset(current, flats[i])
+    table = truncate_along(m.rank_table(), [flats[i] for i in parent.tolist()])
+    if table is None:
+        raise InvariantViolation(f"DHR multiset {parent.tolist()} is not truncatable")
+    current = Matroid.from_rank_table(table)
     gens, hess = truncation_hessian(current)
     where = {g: i for i, g in enumerate(gens)}
     # Flats that drop below rank 2 have no generator: the extra zero row and column.

@@ -57,6 +57,25 @@ def subset_index(n: int) -> tuple[np.ndarray, np.ndarray]:
     return subsets, sizes
 
 
+def memoized(method):
+    """A method that keeps its results per instance and argument tuple, in a
+    dict of the instance named after it.  A call that raises stores nothing;
+    the method must not return None."""
+    slot = f"_{method.__name__}_memo"
+
+    @functools.wraps(method)
+    def cached(self, *args):
+        memo = self.__dict__.get(slot)
+        if memo is None:
+            memo = self.__dict__[slot] = {}
+        value = memo.get(args)
+        if value is None:
+            value = memo[args] = method(self, *args)
+        return value
+
+    return cached
+
+
 def mask_of(elements: Iterable[int]) -> int:
     m = 0
     for e in elements:
@@ -247,7 +266,7 @@ class Matroid:
 
 
 class FlatLattice:
-    """All flats of a matroid, graded by rank, with covers and Möbius values.
+    """All flats of a matroid, graded by rank, with covers, supersets and Möbius values.
 
     The flats are the fixed points of the closure table.
     """
@@ -260,13 +279,14 @@ class FlatLattice:
         # Order flats by (rank, bitmask); this is the canonical order used
         # everywhere downstream.
         order = np.lexsort((masks, ranks))
-        self.flats: tuple[int, ...] = tuple(masks[order].tolist())
+        self.masks: np.ndarray = masks[order].astype(np.int64)
+        self.masks.setflags(write=False)
+        self.flats: tuple[int, ...] = tuple(self.masks.tolist())
         self.index: dict[int, int] = {f: i for i, f in enumerate(self.flats)}
         self.rank_of: tuple[int, ...] = tuple(ranks[order].tolist())
         self.by_rank: list[list[int]] = [[] for _ in range(matroid.rank_full + 1)]
         for f, r in zip(self.flats, self.rank_of):
             self.by_rank[r].append(f)
-        self._moebius: dict[tuple[int, int], int] = {}
 
     @functools.cached_property
     def covers(self) -> dict[int, list[int]]:
@@ -275,9 +295,21 @@ class FlatLattice:
         joins = self.matroid.closure_table()[flats[:, None] | 1 << np.arange(self.matroid.n_elements)]
         return {f: sorted(set(row) - {f}) for f, row in zip(flats.tolist(), joins.tolist())}
 
+    @functools.cached_property
+    def supersets(self) -> dict[int, list[int]]:
+        """The flats containing each flat F, in mask order, on first use.  Mask
+        order extends inclusion, so F comes first and every chain of them is
+        increasing."""
+        masks = np.sort(self.masks)
+        out = {}
+        for i, f in enumerate(masks.tolist()):
+            above = masks[i:]  # a superset of F has a mask at least F's
+            out[f] = above[above & f == f].tolist()
+        return out
+
     def interval(self, f: int, g: int) -> list[int]:
-        """Flats h with f <= h <= g."""
-        return [h for h in self.flats if f & ~h == 0 and h & ~g == 0]
+        """Flats h with f <= h <= g, in mask order, for a flat f."""
+        return [h for h in self.supersets[f] if h & ~g == 0]
 
     def maximal_chain(self, through: int) -> list[int]:
         """The proper nonempty flats of a maximal chain of flats through the
@@ -294,22 +326,16 @@ class FlatLattice:
             chain.append(current)
         return chain
 
+    @memoized
     def moebius(self, f: int, g: int) -> int:
         """Möbius function of the lattice of flats, memoized."""
         if f & ~g:
             raise NotComparable(f"{sorted(bits(f))} is not below {sorted(bits(g))}")
         if f not in self.index or g not in self.index:
             raise NotComparable("arguments must be flats")
-        key = (f, g)
-        cached = self._moebius.get(key)
-        if cached is not None:
-            return cached
         if f == g:
-            value = 1
-        else:
-            value = -sum(self.moebius(f, h) for h in self.interval(f, g) if h != g)
-        self._moebius[key] = value
-        return value
+            return 1
+        return -sum(self.moebius(f, h) for h in self.interval(f, g) if h != g)
 
     def __len__(self) -> int:
         return len(self.flats)

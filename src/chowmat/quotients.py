@@ -176,8 +176,7 @@ def _nested_chain_levels(m: Matroid, depth: int) -> tuple[list[list[tuple[tuple[
     grows from the one below in tuple order, without a sort."""
     lattice = m.lattice()
     rank = dict(zip(lattice.flats, lattice.rank_of))
-    masks, ranks = np.array(sorted(rank.items()), dtype=np.int64).T
-    above = {f: masks[(masks & f == f) & (ranks >= r + 2)].tolist() for f, r in rank.items()}
+    above = {f: [g for g in up if rank[g] >= rank[f] + 2] for f, up in lattice.supersets.items()}
     levels, parents = [[()]], [[]]
     for _ in range(depth):
         level, up = [], []

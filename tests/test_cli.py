@@ -132,24 +132,70 @@ def test_graphic_vertex_count_only_bounds_the_endpoints(runner, tmp_path):
         ({"type": "uniform", "r": 3, "n": 200}, [], "exceeds the cap 12"),
         ({"type": "uniform", "r": 20, "n": 40}, ["--max-ground", "40"], "outside 1..16"),
         ({"type": "bases", "ground": 10**9, "bases": [[0]]}, [], "exceeds the cap 12"),
+        ({"type": "bases", "ground": 4, "bases": [[0, 10**12]]}, [], "outside 0..3"),
+        ({"type": "bases", "ground": 4, "bases": [[0, 10**8]]}, [], "outside 0..3"),
     ],
 )
 def test_ground_size_is_checked_before_the_matroid_is_built(tmp_path, doc, argv, message):
-    """Oversized specs exit 2 at once, inside a memory limit and a timeout that
-    enumerating their bases would break."""
+    """Oversized specs, and elements that would ask for a huge mask, exit 2 at
+    once, inside a memory limit and a timeout that enumerating their bases or
+    building their masks would break."""
     spec = write_spec(tmp_path, "wide.json", doc)
+    proc = run_in_a_small_child(["info", spec, *argv])
+    assert proc.returncode == 2, proc.stderr.decode()[-2000:]
+    assert len(proc.stderr) < 1000
+    assert message in json.loads(proc.stderr)["message"]
+
+
+def run_in_a_small_child(argv):
+    """The CLI in a child process under a 512 MB address-space limit."""
     src = os.path.dirname(os.path.dirname(chowmat.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
 
     def limit_memory():
         resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
 
-    proc = subprocess.run(
-        [sys.executable, "-m", "chowmat.cli", "info", spec, *argv],
+    return subprocess.run(
+        [sys.executable, "-m", "chowmat.cli", *argv],
         capture_output=True, env=env, timeout=60, preexec_fn=limit_memory,
     )
-    assert proc.returncode == 2, proc.stderr.decode()[-2000:]
-    assert message in json.loads(proc.stderr)["message"]
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"type": "uniform", "r": 2.9, "n": 4.5},
+        {"type": "uniform", "r": "2", "n": "4"},
+        {"type": "uniform", "r": True, "n": 4},
+        {"type": "bases", "ground": 3, "bases": [[0, 1.7], [True, 2]]},
+        {"type": "bases", "ground": 3.0, "bases": [[0, 1]]},
+        {"type": "bases", "ground": 3, "bases": [[0, 0, 1]]},
+        {"type": "bases", "ground": 3, "bases": [[0, 3]]},
+        {"type": "bases", "ground": 3, "bases": ["01"]},
+        {"type": "graphic", "vertices": 3.2, "edges": [[0, 1], [1, 2]]},
+        {"type": "graphic", "vertices": 3, "edges": [[0, 1], [1, 2.9]]},
+    ],
+)
+def test_spec_numbers_are_json_integers_in_range(runner, tmp_path, doc):
+    """A bool, float or string where an integer belongs, an element outside the
+    ground set and a repeated element are input errors, not coerced."""
+    spec = write_spec(tmp_path, "bad.json", doc)
+    result = runner.invoke(cli.main, ["info", spec])
+    assert result.exit_code == 2
+    assert json.loads(result.stderr)["error"] == "ParseError"
+
+
+@pytest.mark.parametrize(
+    "text", [b'{"type": "uniform", "r": 2, "n": ' + b"1" * 5000 + b"}", b'{"type": "unif\xffrm", "r": 2, "n": 3}']
+)
+def test_json_that_cannot_be_decoded_is_an_input_error(runner, tmp_path, text):
+    """An integer literal past Python's conversion limit, and bytes that are not
+    UTF-8, raise plain ValueErrors inside the JSON reader."""
+    path = tmp_path / "bad.json"
+    path.write_bytes(text)
+    result = runner.invoke(cli.main, ["info", str(path)])
+    assert result.exit_code == 2
+    assert json.loads(result.stderr)["error"] == "ParseError"
 
 
 def test_degree_examples(runner, u33_spec):
@@ -176,6 +222,13 @@ def test_degree_rejects_non_flat(runner, u34_spec):
     result = runner.invoke(cli.main, ["degree", u34_spec, "--flats", "0,1;0,7"])
     assert result.exit_code == 2
     assert json.loads(result.stderr)["error"] == "NotAFlat"
+
+
+def test_degree_checks_elements_before_building_masks(tmp_path):
+    spec = write_spec(tmp_path, "u23.json", {"type": "uniform", "r": 2, "n": 3})
+    proc = run_in_a_small_child(["degree", spec, "--flats", "0;1000000000000"])
+    assert proc.returncode == 2, proc.stderr.decode()[-2000:]
+    assert json.loads(proc.stderr)["error"] == "NotAFlat"
 
 
 def test_degree_wrong_arity(runner, u33_spec):
@@ -420,6 +473,14 @@ def test_verify_seed_changes_nothing_on_valid_input(runner, u33_spec):
     a = invoke(runner, ["verify", u33_spec, "--suite", "kahler", "--seed", "0"]).output
     b = invoke(runner, ["verify", u33_spec, "--suite", "kahler", "--seed", "1"]).output
     assert json.loads(a)["result"]["passed"] and json.loads(b)["result"]["passed"]
+
+
+@pytest.mark.parametrize("r, n, suite", [(5, 6, "lorentzian"), (3, 5, "all")])
+def test_a_negative_seed_is_an_input_error(runner, tmp_path, r, n, suite):
+    spec = write_spec(tmp_path, "u.json", {"type": "uniform", "r": r, "n": n})
+    result = runner.invoke(cli.main, ["verify", spec, "--suite", suite, "--seed", "-1"])
+    assert result.exit_code == 2
+    assert "--seed" in result.stderr
 
 
 def test_byte_identical_across_processes(tmp_path):

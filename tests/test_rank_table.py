@@ -94,6 +94,8 @@ def test_oracles_match_definitions(m):
         for f in closed
         if expected_rank[f] < m.rank_full
     }
+    assert lattice.masks.tolist() == closed and not lattice.masks.flags.writeable
+    assert lattice.supersets == {f: [g for g in sorted(closed) if f & ~g == 0] for f in closed}
 
 
 @settings(max_examples=40, deadline=None)
