@@ -208,13 +208,10 @@ def degree(spec_file: str, flats_arg: str, pretty: bool, max_ground: int | None)
             parts = [[int(x) for x in part.split(",")] for part in flats_arg.split(";")]
         except ValueError as exc:
             raise ParseError(f"cannot parse --flats: {exc}") from exc
-        for part in parts:  # before any element is shifted into a mask
-            if not all(0 <= e < m.n_elements for e in part):
+        for part in parts:  # every element is checked before it is shifted into a mask
+            if not all(0 <= e < m.n_elements for e in part) or not m.is_flat(mask_of(part)):
                 raise NotAFlat(f"{sorted(set(part))} is not a flat")
         masks = [mask_of(part) for part in parts]
-        for f in masks:
-            if not m.is_flat(f):
-                raise NotAFlat(f"{_subset(f)} is not a flat")
         dhr = hodge.dhr_degree(m, masks)
         ring = ring_for(m)
         groebner = int(ring.h_monomial_degree(masks))
