@@ -12,11 +12,12 @@ simplicial generators.  Three independent routes compute such a product:
 
 Every DHR multiset comes from one level-batched enumerator,
 :func:`dhr_levels`: lexicographically sorted uint16 rows of flat indices per
-level, each with its link table N(T) = {j : T + e_j is DHR}.
+level, each with its link table N(T) = {j : T + e_j is DHR}, unpacked from
+dead sets that each child grows from its parent's (:func:`_child_dead`).
 
 :func:`dhr_triple_report` verifies all three routes agree on every degree-d
-multiset of rank >= 2 flats.  Its nodes are the rows of :func:`dhr_levels`
-and its DHR route is their link tables; every candidate extension is also
+multiset of rank >= 2 flats.  Its nodes carry their own dead sets, grown by
+the same step, as the DHR route; every candidate extension is also
 pushed through the chain route (rank tables, truncated by
 :func:`~chowmat.quotients.truncated_ranks`) and the Groebner route.  Once
 a candidate dies in all three routes at once, every extension dies in all
@@ -34,6 +35,7 @@ matroid is built outside the cross-check.
 
 from __future__ import annotations
 
+import bisect
 import math
 import random
 from dataclasses import dataclass
@@ -106,8 +108,12 @@ _BLOCK = 2048
 
 def _flats_rank2(m: Matroid) -> list[int]:
     """The flats of rank >= 2, in lattice order."""
-    lattice = m.lattice()
-    return [f for f, r in zip(lattice.flats, lattice.rank_of) if r >= 2]
+    return list(m.lattice().flats[_first_rank2(m) :])
+
+
+def _first_rank2(m: Matroid) -> int:
+    """The position in lattice order of the first flat of rank >= 2."""
+    return bisect.bisect_left(m.lattice().rank_of, 2)
 
 
 def dhr_levels(m: Matroid, size: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -119,63 +125,18 @@ def dhr_levels(m: Matroid, size: int) -> tuple[list[np.ndarray], list[np.ndarray
     is the boolean ``(N_k, nvars)`` table N(T) = {j : T + e_j is DHR} over the
     rows T of ``levels[k]``.
 
-    Each row T carries the unions U_J of its 2^k subfamilies as uint16 masks.
-    As T is DHR, T + e_j fails only on a subfamily J + j with
-    rk(U_J | F_j) = rk(U_J) = |J| + 1: J is tight and F_j lies in cl(U_J).
-    So N(T) is every j outside the dead set D(T), the union over the tight J
-    of the flats below cl(U_J).  Level k + 1 prepends each v to the rows of
-    its link column whose first index is >= v, a suffix of the sorted rows,
-    so the children come out sorted.  The subfamilies of a child (v, T) are
-    those of T and the J + v, so D(v, T) is D(T) together with the flats
-    below cl(U_J | F_v) over the J with J + v tight, rk(U_J | F_v) = |J| + 2.
-    Each level keeps its dead sets as packed uint64 words, and a child ORs
-    onto its parent's only the bit rows of its 2^k new subfamilies, gathered
-    in blocks of children.  A level whose children get no dead sets keeps no
-    union table.  ``links[k]`` unpacks those words: j is in N(T) iff bit j of
-    T's dead set is clear.
+    Each row T carries its dead set (:func:`_child_dead`), and the unions of
+    its subfamilies while its children get dead sets.  Level k + 1 prepends
+    each v to the rows of its link column whose first index is >= v, a
+    suffix of the sorted rows, so the children come out sorted.
     """
-    return _dhr_levels(m, size, top=True)
-
-
-def _below(m: Matroid) -> np.ndarray:
-    """Bit rows of the rank >= 2 flats below each flat of the lattice, in uint64
-    words, row i + 1 for lattice flat i and row 0 empty; built packed,
-    :data:`_BLOCK` lattice rows at a time."""
-    flats = np.array(_flats_rank2(m), dtype=np.uint16)
-    lattice = np.array(m.lattice().flats, dtype=np.uint16)
-    below = np.zeros((len(lattice) + 1, -(-len(flats) // 64)), dtype=np.uint64)
-    packed = below.view(np.uint8)
-    for lo in range(0, len(lattice), _BLOCK):
-        part = (flats & ~lattice[lo : lo + _BLOCK, None]) == 0
-        packed[lo + 1 : lo + 1 + len(part), : -(-len(flats) // 8)] = np.packbits(part, axis=1)
-    return below
-
-
-def _dhr_levels(m: Matroid, size: int, top: bool) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """:func:`dhr_levels`; without ``top``, it leaves out the rows of level
-    ``size``, and ``links[size - 1]`` is the packed ``(N_{size-1}, ceil(nvars / 64))``
-    uint64 dead-set words of level size - 1 instead of their boolean table:
-    bit j of row T, in the bit order of ``np.unpackbits`` over the words' bytes,
-    is set iff T + e_j is not DHR (:func:`_unpack_links`)."""
-    flats = np.array(_flats_rank2(m), dtype=np.uint16)
+    flats = m.lattice().masks[_first_rank2(m) :].astype(np.uint16)
     nvars = len(flats)
-    below = _below(m)
-    # tight[r << n | U]: the row of ``below`` for cl(U) if rk(U) = r, else row 0.
-    lattice = np.array(m.lattice().flats, dtype=np.intp)
-    position = np.zeros(1 << m.n_elements, dtype=np.min_scalar_type(len(lattice)))
-    position[lattice] = np.arange(1, len(lattice) + 1)
-    rank = m.rank_table()
-    closed = position[m.closure_table()]
-    tight = np.where(rank == np.arange(max(m.rank_full, size) + 1)[:, None], closed, 0).ravel()
+    below, tight, unions, dead = _dhr_root(m, size)
     rows = np.zeros((1, 0), dtype=np.uint16)
-    unions = np.zeros((1, 1), dtype=np.uint16)
-    dead = np.zeros((1, below.shape[1]), dtype=np.uint64)
     levels = [rows]
     links = []
     for k in range(size):
-        if k + 1 == size and not top:
-            links.append(dead)
-            break
         link = _unpack_links(dead, nvars)
         links.append(link)
         starts = np.searchsorted(rows[:, 0], np.arange(nvars)) if k else np.zeros(nvars, dtype=int)
@@ -192,27 +153,54 @@ def _dhr_levels(m: Matroid, size: int, top: bool) -> tuple[list[np.ndarray], lis
             if linked:
                 parent[block] = x
         if linked:
-            # The new subfamilies J + v of the children; J + v is tight iff rk(U_J | F_v) = |J| + 2.
-            half = 1 << k
-            offsets = (subset_index(k)[1].astype(np.intp) + 2) << m.n_elements
             child_dead = np.empty((len(children), dead.shape[1]), dtype=np.uint64)
             grow = k + 2 < size  # the children have children with dead sets: keep their unions
             if grow:
-                child_unions = np.empty((len(children), 2 * half), dtype=np.uint16)
+                child_unions = np.empty((len(children), 2 * unions.shape[1]), dtype=np.uint16)
             for lo in range(0, len(children), _BLOCK):
                 x = parent[lo : lo + _BLOCK]
-                new = unions[x] | flats[children[lo : lo + _BLOCK, 0], None]
-                hits = below[tight[offsets + new]]
-                child_dead[lo : lo + _BLOCK] = dead[x] | np.bitwise_or.reduce(hits, axis=1)
+                heads = flats[children[lo : lo + _BLOCK, 0], None]
+                child_dead[lo : lo + _BLOCK], new = _child_dead(below, tight, dead[x], unions[x], heads)
                 if grow:
-                    child_unions[lo : lo + _BLOCK, :half] = unions[x]
-                    child_unions[lo : lo + _BLOCK, half:] = new
+                    child_unions[lo : lo + _BLOCK] = np.concatenate((unions[x], new), axis=1)
             dead = child_dead
             if grow:
                 unions = child_unions
         rows = children
         levels.append(rows)
     return levels, links
+
+
+def _dhr_root(m: Matroid, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The lookups of :func:`_child_dead` for at most ``size`` members, and the
+    root's empty unions and dead set.  Row i + 1 of ``below`` packs the rank >= 2
+    flats below lattice flat i (row 0 none), built :data:`_BLOCK` rows at a
+    time; ``tight[r, U]`` is the row of cl(U) if rk(U) = r, else 0."""
+    masks = m.lattice().masks.astype(np.uint16)
+    flats = masks[_first_rank2(m) :]
+    below = np.zeros((len(masks) + 1, -(-len(flats) // 64)), dtype=np.uint64)
+    for lo in range(0, len(masks), _BLOCK):
+        part = (flats & ~masks[lo : lo + _BLOCK, None]) == 0
+        below.view(np.uint8)[lo + 1 : lo + 1 + len(part), : -(-len(flats) // 8)] = np.packbits(part, axis=1)
+    position = np.zeros(1 << m.n_elements, dtype=np.min_scalar_type(len(masks)))
+    position[masks] = np.arange(1, len(masks) + 1)
+    tight = np.where(m.rank_table() == np.arange(max(m.rank_full, size) + 1)[:, None], position[m.closure_table()], 0)
+    return below, tight, np.zeros((1, 1), dtype=np.uint16), np.zeros((1, below.shape[1]), dtype=np.uint64)
+
+
+def _child_dead(below: np.ndarray, tight: np.ndarray, dead: np.ndarray, unions: np.ndarray, flat):
+    """The dead sets D(v, T) of children, as packed uint64 words, from their
+    parents' words and ``(N, 2^k)`` uint16 subfamily unions U_J and F_v's mask
+    (or an ``(N, 1)`` column of them); also the new unions U_J | F_v.
+
+    As T is DHR, T + e_j fails only on a subfamily J + j with
+    rk(U_J | F_j) = rk(U_J) = |J| + 1: J is tight and F_j lies in cl(U_J).
+    So D(T), the j with T + e_j not DHR (bit j in ``np.unpackbits`` order), is
+    the union over the tight J of the flats below cl(U_J), and D(v, T) adds to
+    D(T) those below cl(U_J | F_v) over the J with rk(U_J | F_v) = |J| + 2."""
+    new = unions | flat
+    offsets = (subset_index(unions.shape[1].bit_length() - 1)[1].astype(np.intp) + 2) * tight.shape[1]
+    return dead | np.bitwise_or.reduce(below[tight.ravel()[offsets + new].T], axis=0), new
 
 
 def _unpack_links(dead: np.ndarray, count: int) -> np.ndarray:
@@ -572,19 +560,18 @@ class TripleScanReport:
 def dhr_triple_report(m: Matroid, spot_checks: int = 50, seed: int = 0) -> TripleScanReport:
     """Verify dhr_degree == Groebner degree == chain termination, exhaustively.
 
-    The nodes are the DHR multisets of :func:`dhr_levels`, level by level, and
-    each (k+1)-multiset is some v prepended to a k-multiset T with v <= T[0].
-    Every such candidate of every node is evaluated through all three routes:
-    the link table of T (DHR), whether the rank table of M truncated along
-    T's flats gives F_v rank >= 2 (chain), and whether T's product times
-    h_{F_v} is nonzero (Groebner).  A candidate dead in all three at once proves its
-    whole subtree dead in all three (monotonicity within each route), so the
+    The nodes are the DHR multisets, level by level, and each (k+1)-multiset
+    is some v prepended to a k-multiset T with v <= T[0].  Every such
+    candidate of every node is evaluated through all three routes: T's dead
+    set (DHR), whether the rank table of M truncated along T's flats gives
+    F_v rank >= 2 (chain), and whether T's product times h_{F_v} is nonzero
+    (Groebner).  A candidate dead in all three at once proves its whole
+    subtree dead in all three (monotonicity within each route), so the
     subtree - the C(v + r, r) ways to prepend r more indices <= v - is
     counted, not walked.  A seeded sample of dead multisets is still
     evaluated directly through all three routes as a spot check of that
-    argument.  Coordinate blocks and rank tables stop at level d - 2; the
-    last step takes one product and one truncation per parent block.
-    """
+    argument.  No node of level d - 1 is kept: each block of them is checked
+    as it comes out of its parents, and then dropped."""
     if not m.is_loopless():
         raise LoopyMatroid("the scan is defined for loopless matroids")
     report = _triple_scan(m)
@@ -601,31 +588,31 @@ def _storage_dtype(bound: int):
     return object
 
 
-def _lands_on_rank_one(tables: np.ndarray) -> np.ndarray:
-    """For each column r of a (2^n, N) stack of rank tables, whether one more
-    truncation, along any F_u with r(F_u) >= 2, gives U(1,E).  Like
-    :func:`chain_terminates_loopless`, it reads the last table
-    r'(X) = min(r(X), r(X | F_u) - 1) only at E and at the singletons, and
-    there it does not depend on u: r'(E) = r(E) - 1, and
+def _lands_on_rank_one(ranks: np.ndarray) -> np.ndarray:
+    """For each column r of a stack of rank tables, given by its rows E and
+    {0}, ..., {n - 1}, whether one more truncation, along any F_u with
+    r(F_u) >= 2, gives U(1,E).  Like :func:`chain_terminates_loopless`, it
+    reads the last table r'(X) = min(r(X), r(X | F_u) - 1) only at E and at
+    the singletons, and there it does not depend on u: r'(E) = r(E) - 1, and
     r({e} | F_u) - 1 >= r(F_u) - 1 >= 1 >= r({e}) gives r'({e}) = r({e})."""
-    singletons = 1 << np.arange(len(tables).bit_length() - 1)
-    return (tables[-1] == 2) & (tables[singletons] == 1).all(axis=0)
+    return (ranks[0] == 2) & (ranks[1:] == 1).all(axis=0)
 
 
 def _triple_scan(m: Matroid) -> TripleScanReport:
-    """Level-batched scan: the link tables of :func:`dhr_levels` for the DHR
-    route; for the chain route one int8 rank table per node up to level
-    d - 2, a column of a (2^n, N_k) block, where a candidate's test is the row
-    gather r(F_v) >= 2 and a live child's table is :func:`truncated_ranks` of
-    its parent's along F_v (the leaf reads it only at E and the singletons,
-    :func:`_lands_on_rank_one`); and for the Groebner route one nested
-    z-coordinate column per node up to level d - 2, put through the sparse
-    h-maps of the ring.  Level d - 1 comes out of level d - 2 in blocks
-    T[0] = v, each checked at once with every u <= v.  The products are
-    GEMMs: each flat's h-map is densified once per level
-    (:meth:`~chowmat.chow.SparseMap.dense_block`), into the block between
-    its nonzero rows and columns in the level's product dtype, and that
-    block is dropped when the flat's nodes are done.
+    """Level-batched scan.  Each node of levels 0 .. d - 2 carries its
+    subfamily unions and dead set for the DHR route (T + e_v is DHR iff bit v
+    is clear); one int8 rank table, a column of a (2^n, N_k) block, for the
+    chain route (the test is r(F_v) >= 2, and a live child's table is
+    :func:`truncated_ranks` of its parent's along F_v); and one nested
+    z-coordinate column for the Groebner route, put through the sparse h-maps.
+    Live children's dead sets (:func:`_child_dead`) are built once the routes
+    agree.  Level d - 1 comes out of level d - 2 in blocks T[0] = v, checked
+    with every u <= v and dropped: dead sets unpacked at the first v + 1
+    flats, tables truncated only at E, the singletons and those flats.  The
+    products are GEMMs: each flat's h-map is densified once per level
+    (:meth:`~chowmat.chow.SparseMap.dense_block`), into the block between its
+    nonzero rows and columns in the level's product dtype, and that block is
+    dropped when the flat's nodes are done.
 
     Each level stores its coordinates in the narrowest integer dtype of
     :func:`_storage_dtype` that holds them; only the rows a product gathers
@@ -633,9 +620,7 @@ def _triple_scan(m: Matroid) -> TripleScanReport:
     until it is stored into the level below.  Every flat's product and
     truncation runs over its suffix of nodes :data:`_BLOCK` columns at a time,
     which bounds the gathered rows, the products, the truncated tables and
-    the leaf's tables.  The link table of level d - 1 stays as the packed
-    dead-set words of :func:`_dhr_levels`, and the leaf unpacks only the
-    (nodes, v + 1) block it checks."""
+    the leaf's dead sets and tables."""
     ring = ring_for(m)
     d = ring.d
     if d == 0:
@@ -643,10 +628,12 @@ def _triple_scan(m: Matroid) -> TripleScanReport:
     flats = _flats_rank2(m)
     nvars = len(flats)
     total = math.comb(nvars + d - 1, d)
-    levels, links = _dhr_levels(m, d, top=False)
-    # (2^n, N_k): column i holds the rank table of M truncated along the flats of row i of levels[k].
+    below, tight, unions, words = _dhr_root(m, d)
+    # The rows the leaf reads: E, the singletons, F_0 .. F_{nvars - 1}.
+    rows = np.array([m.full_mask, *(1 << e for e in range(m.n_elements)), *flats], dtype=np.intp)
+    # (2^n, N_k): column i holds the rank table of M truncated along the flats of node i.
     tables = m.rank_table()[:, None]
-    # (dim A^k, N_k): column i holds the nested z-coordinates of row i of levels[k].
+    # (dim A^k, N_k): column i holds the nested z-coordinates of node i.
     coords = np.ones((1, 1), dtype=np.int64)
     # A^d has one coordinate: the entries of h_{F_u}: A^(d-1) -> A^d are row u of one functional.
     tops = [ring.h_matrix(f, d - 1) for f in flats]
@@ -656,67 +643,79 @@ def _triple_scan(m: Matroid) -> TripleScanReport:
     top_bound = max(h.bound for h in tops)
     live_leaves = dead = verified = 0
 
-    def leaves(co: np.ndarray, outs: np.ndarray, tab: np.ndarray, dead_words: np.ndarray, count: int, dtype) -> bool:
-        """Checks the T + e_u, u < count, for a block of nodes T of level d - 1
-        with the rank tables ``tab`` and the packed dead sets ``dead_words``."""
+    def leaves(co: np.ndarray, outs: np.ndarray, ranks: np.ndarray, dead_words: np.ndarray, count: int, dtype) -> bool:
+        """Checks the T + e_u, u < count, for a block of nodes T of level d - 1 with their
+        dead sets and their rank tables at E, the singletons and the first ``count`` flats."""
         nonlocal live_leaves, dead, verified
         dhr_ok = _unpack_links(dead_words, count)
         degree = (functional[:count, outs].astype(dtype) @ co).T
-        chain_ok = (tab[flats[:count]] >= 2).T
+        chain_ok = (ranks[-count:] >= 2).T
         verified += chain_ok.size
         live_leaves += int(chain_ok.sum())
         dead += int((~chain_ok).sum())
         # The routes agree, the degree (the one coordinate of A^d) is (-1)^d, the chain lands on U(1,E).
         agree = ((chain_ok == dhr_ok) & (dhr_ok == (degree != 0))).all()
-        landed = _lands_on_rank_one(tab)[chain_ok.any(axis=1)]
+        landed = _lands_on_rank_one(ranks[:-count])[chain_ok.any(axis=1)]
         return bool(agree and (degree[chain_ok] == (-1) ** d).all() and landed.all())
 
     if d == 1:  # the root
         dtype = exact_dtype(top_bound)
-        ok = leaves(coords.astype(dtype), [0], tables, links[0], nvars, dtype)
+        ok = leaves(coords.astype(dtype), [0], tables[rows], words, nvars, dtype)
         return TripleScanReport(m, total, live_leaves, dead, verified, ok)
+    # The nodes with T[0] >= v, a suffix of the v-blocked nodes, take v.
+    starts = np.zeros(nvars, dtype=int)
     for k in range(d - 1):
-        rows, link = levels[k], links[k]
         fused = k + 2 == d
         hmaps = [ring.h_matrix(f, k) for f in flats]
         # One bound per level: the children's coordinates are at most ``bound``, and the
         # products of the level, the leaf's included, fit in ``dtype``.
         bound = max(h.bound for h in hmaps) * absmax(coords)
         dtype = exact_dtype(bound * (top_bound if fused else 1))
-        # The nodes with T[0] >= v, a suffix of the sorted rows, take v.
-        starts = np.searchsorted(rows[:, 0], np.arange(nvars)) if k else np.zeros(nvars, dtype=int)
         if not fused:
-            child_tables = np.empty((len(tables), len(levels[k + 1])), dtype=tables.dtype)
-            child_coords = np.zeros((hmaps[0].shape[0], len(levels[k + 1])), dtype=_storage_dtype(bound))
+            # The children of v, in v-blocked order: the nodes of its suffix whose bit v is clear.
+            counts = [np.count_nonzero(_bit_clear(words[start:], v)) for v, start in enumerate(starts)]
+            size = sum(counts)
+            child_tables = np.empty((len(tables), size), dtype=tables.dtype)
+            child_coords = np.zeros((hmaps[0].shape[0], size), dtype=_storage_dtype(bound))
+            child_unions = np.empty((size, 2 * unions.shape[1]), dtype=np.uint16)
+            child_words = np.empty((size, words.shape[1]), dtype=np.uint64)
         end = 0
         for v, start in enumerate(starts):
             outs, ins, block = hmaps[v].dense_block(dtype)
-            for lo in range(start, len(rows), _BLOCK):
+            for lo in range(start, len(words), _BLOCK):
                 tab = tables[:, lo : lo + _BLOCK]
                 chain_ok = tab[flats[v]] >= 2
-                dhr_ok = link[lo : lo + _BLOCK, v]
+                dhr_ok = _bit_clear(words[lo : lo + _BLOCK], v)
                 # Rows outs of the products; every other row is zero.
                 new_co = block @ coords[ins, lo : lo + _BLOCK].astype(dtype)
                 nf_ok = new_co.any(axis=0)
                 verified += len(chain_ok)
                 if not ((chain_ok == dhr_ok) & (dhr_ok == nf_ok)).all():
                     return TripleScanReport(m, total, live_leaves, dead, verified, False)
-                n_live = int(chain_ok.sum())
-                dead += (len(chain_ok) - n_live) * math.comb(v + d - k - 1, v)
-                # Compressed, not masked: the gathers of a contiguous block are much faster.
-                truncated = truncated_ranks(np.compress(chain_ok, tab, axis=1), flats[v])
-                # The live children, in the v-blocked row order of levels[k + 1].
+                x = np.flatnonzero(dhr_ok) + lo
+                dead += (len(dhr_ok) - len(x)) * math.comb(v + d - k - 1, v)
+                child_dead, new = _child_dead(below, tight, words[x], unions[x], flats[v])
                 if fused:
-                    words = links[d - 1][end : end + n_live]
-                    if not leaves(new_co[:, chain_ok], outs, truncated, words, v + 1, dtype):
+                    ranks = truncated_ranks(tab, flats[v], rows[: m.n_elements + v + 2])[:, dhr_ok]
+                    if not leaves(new_co[:, dhr_ok], outs, ranks, child_dead, v + 1, dtype):
                         return TripleScanReport(m, total, live_leaves, dead, verified, False)
                 else:
-                    child_tables[:, end : end + n_live] = truncated
-                    child_coords[outs, end : end + n_live] = new_co[:, chain_ok]
-                end += n_live
+                    live = slice(end, end + len(x))
+                    # Compressed, not masked: the gathers of a contiguous block are much faster.
+                    child_tables[:, live] = truncated_ranks(np.compress(dhr_ok, tab, axis=1), flats[v])
+                    child_coords[outs, live] = new_co[:, dhr_ok]
+                    child_unions[live] = np.concatenate((unions[x], new), axis=1)
+                    child_words[live] = child_dead
+                    end += len(x)
         if not fused:
-            tables, coords = child_tables, child_coords
+            starts = np.cumsum(counts) - counts
+            tables, coords, unions, words = child_tables, child_coords, child_unions, child_words
     return TripleScanReport(m, total, live_leaves, dead, verified, True)
+
+
+def _bit_clear(words: np.ndarray, v: int) -> np.ndarray:
+    """Whether bit v of each row of packed dead-set words (:func:`_unpack_links` order) is clear."""
+    return (words.view(np.uint8)[:, v >> 3] & (0x80 >> (v & 7))) == 0
 
 
 def _spot_check_dead(m: Matroid, count: int, seed: int) -> int:

@@ -86,13 +86,14 @@ def truncate_by_subset(m: Matroid, subset: int) -> Matroid:
     return Matroid.from_rank_table(truncated_ranks(m.rank_table(), subset))
 
 
-def truncated_ranks(table: np.ndarray, subset: int) -> np.ndarray:
+def truncated_ranks(table: np.ndarray, subset: int, rows: np.ndarray | None = None) -> np.ndarray:
     """The rank table of the truncation along cl(S), rk(S) >= 1: the modular cut [cl S, E]
     gives r'(X) = min(r(X), r(X | S) - 1).  If S is inside cl X, r(X | S) = r(X) and X loses
     one rank; otherwise r(X | S) >= r(X) + 1 and X keeps it.  So r' = r - [S <= cl X].
     A (2^n, N) stack of tables, one per column, truncates column by column, as
-    ``table[subsets | S]`` gathers whole rows."""
-    return np.minimum(table, table[subset_index(len(table).bit_length() - 1)[0] | subset] - 1)
+    ``table[subsets | S]`` gathers whole rows; given ``rows``, only the rows r'(rows)."""
+    index = subset_index(len(table).bit_length() - 1)[0] if rows is None else rows
+    return np.minimum(table if rows is None else table[rows], table[index | subset] - 1)
 
 
 def truncate_along(table: np.ndarray, subsets: Iterable[int]) -> np.ndarray | None:
@@ -128,7 +129,7 @@ def f_cyclic_flats(w: QuotientWitness) -> list[int]:
     The nullities are one difference of the two rank tables; flat i is dropped
     when some other flat j inside it has its nullity.
     """
-    flats = np.array(w.lower.lattice().flats, dtype=np.uint16)
+    flats = w.lower.lattice().masks.astype(np.uint16)
     nullity = w.upper.rank_table()[flats] - w.lower.rank_table()[flats]
     shadowed = ((flats[None] & ~flats[:, None]) == 0) & (nullity[None] == nullity[:, None])
     np.fill_diagonal(shadowed, False)

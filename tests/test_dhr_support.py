@@ -79,14 +79,27 @@ def test_enumerator_matches_dhr_check(m):
         assert link.shape == (len(rows), len(flats))
         for tee, row in zip(rows.tolist(), link):
             assert [dhr_check(m, [flats[i] for i in tee + [j]]) for j in range(len(flats))] == row.tolist()
-    # The scan's call builds no level d, and the same links: the last level as packed dead-set words.
-    short_levels, short_links = hodge._dhr_levels(m, d, top=False)
-    assert [rows.tolist() for rows in short_levels[:d]] == [rows.tolist() for rows in levels[:d]]
-    assert [link.tolist() for link in short_links[:-1]] == [link.tolist() for link in links[:-1]]
-    words = short_links[-1]
-    assert words.dtype == np.uint64 and words.shape == (len(levels[d - 1]), -(-len(flats) // 64))
-    unpacked = np.unpackbits((~words).view(np.uint8), axis=1, count=len(flats)).view(bool)
-    assert unpacked.tolist() == links[d - 1].tolist()
+    if d < 2:
+        return
+    # The scan's dead-set step, on the nodes of level d - 2 with their subfamily unions, gives
+    # the dead sets of level d - 1: the complement of its links as packed uint64 words.
+    below, tight, _, _ = hodge._dhr_root(m, d)
+    parents, children = levels[d - 2], levels[d - 1]
+    masks = np.array(flats, dtype=np.uint16)
+    unions = np.zeros((len(parents), 1 << (d - 2)), dtype=np.uint16)
+    for j in range(len(unions.T)):
+        for p in range(d - 2):
+            if j >> p & 1:
+                unions[:, j] |= masks[parents[:, p]]
+    x = hodge._index(hodge._keys(parents), children[:, 1:])
+    words, _ = hodge._child_dead(below, tight, _packed(~links[d - 2])[x], unions[x], masks[children[:, 0], None])
+    assert words.dtype == np.uint64 and words.shape == (len(children), -(-len(flats) // 64))
+    assert words.tolist() == _packed(~links[d - 1]).tolist()
+
+
+def _packed(rows):
+    """Boolean rows as packed uint64 words, in the bit order of ``np.packbits``."""
+    return np.packbits(np.pad(rows, ((0, 0), (0, -rows.shape[1] % 64))), axis=1).view(np.uint64)
 
 
 def test_levels_are_the_same_in_small_blocks(monkeypatch):
@@ -100,7 +113,7 @@ def test_levels_are_the_same_in_small_blocks(monkeypatch):
         cases.append((m, np.packbits(dense, axis=1).view("<u8"), hodge.dhr_levels(m, m.rank_full - 1)))
     monkeypatch.setattr(hodge, "_BLOCK", 3)
     for m, below, (levels, links) in cases:
-        assert hodge._below(m).tolist() == below.tolist()
+        assert hodge._dhr_root(m, m.rank_full - 1)[0].tolist() == below.tolist()
         small_levels, small_links = hodge.dhr_levels(m, m.rank_full - 1)
         assert [a.tolist() for a in small_levels] == [a.tolist() for a in levels]
         assert [a.tolist() for a in small_links] == [a.tolist() for a in links]
@@ -147,20 +160,28 @@ def test_triple_scan_at_the_hard_cap():
     assert report.total_multisets == math.comb(122, 2) == 7381
 
 
-def _clear_first_link_entry(dhr_levels):
-    def corrupted(*args, **kwargs):
-        levels, links = dhr_levels(*args, **kwargs)
-        links[0][0, 0] = False
-        return levels, links
+def _mark_dead(words, i, u):
+    """Set bit u of row i of packed dead-set words: row i + e_u is no longer DHR."""
+    words.view(np.uint8)[i, u // 8] |= np.uint8(0x80 >> u % 8)
 
-    return corrupted
+
+def _corrupt_root(monkeypatch, u):
+    """The scan's root gets u in its dead set: the link entry (T = (), j = u) cleared."""
+    real = hodge._dhr_root
+
+    def corrupted(*args):
+        below, tight, unions, dead = real(*args)
+        _mark_dead(dead, 0, u)
+        return below, tight, unions, dead
+
+    monkeypatch.setattr(hodge, "_dhr_root", corrupted)
 
 
 @pytest.mark.parametrize("route", ["dhr", "groebner", "chain"])
 def test_triple_scan_sees_a_corrupted_route(monkeypatch, route):
     m = uniform(4, 5)
     if route == "dhr":
-        monkeypatch.setattr(hodge, "_dhr_levels", _clear_first_link_entry(hodge._dhr_levels))
+        _corrupt_root(monkeypatch, 0)
     elif route == "groebner":
         ring = ring_for(m)
         h_matrix = ring.h_matrix
@@ -190,15 +211,23 @@ def test_triple_scan_sees_a_corrupted_leaf(monkeypatch, m, route):
         firsts = levels[d - 1][:, 0] if d > 1 else np.full(1, len(rank2_flats(m)) - 1)
         # A live link entry of a candidate the scan checks: u <= T[0].
         i, u = next((i, u) for i, u in zip(*np.nonzero(links[d - 1])) if u <= firsts[i])
-        real = hodge._dhr_levels
+        if d == 1:
+            _corrupt_root(monkeypatch, u)
+        else:
+            real = hodge._child_dead
+            done = [0]
 
-        def corrupted(*args, **kwargs):
-            # The scan's last level is packed dead-set words: mark u dead for row i.
-            levels, links = real(*args, **kwargs)
-            links[d - 1].view(np.uint8)[i, u // 8] |= np.uint8(0x80 >> u % 8)
-            return levels, links
+            def corrupted(below, tight, dead, unions, flat):
+                # The dead sets of level d - 1 come out in the row order of levels[d - 1],
+                # a block at a time: mark u dead for row i.
+                words, new = real(below, tight, dead, unions, flat)
+                if unions.shape[1] == 1 << (d - 2):
+                    if 0 <= i - done[0] < len(words):
+                        _mark_dead(words, i - done[0], u)
+                    done[0] += len(words)
+                return words, new
 
-        monkeypatch.setattr(hodge, "_dhr_levels", corrupted)
+            monkeypatch.setattr(hodge, "_child_dead", corrupted)
     elif route in ("groebner", "degree"):
         ring = ring_for(m)
         h_matrix = ring.h_matrix
@@ -214,11 +243,11 @@ def test_triple_scan_sees_a_corrupted_leaf(monkeypatch, m, route):
     else:
         real = hodge._lands_on_rank_one
 
-        def corrupted(tables):
+        def corrupted(ranks):
             # The last truncation of every chain, read at E and the singletons, leaves {0} a loop.
-            tables = tables.copy()
-            tables[0b1] = 0
-            return real(tables)
+            ranks = ranks.copy()
+            ranks[1] = 0
+            return real(ranks)
 
         monkeypatch.setattr(hodge, "_lands_on_rank_one", corrupted)
     assert not dhr_triple_report(m, spot_checks=0).ok
@@ -304,7 +333,8 @@ def test_triple_scan_sees_a_corrupted_leaf_in_tiny_blocks(monkeypatch, m, route)
 
 def test_triple_scan_u66_in_a_child_process():
     """5,949,147 multisets with no coordinate block past level d - 2, int8
-    coordinates, blocked products and a packed leaf link table."""
+    coordinates, blocked products, and no DHR level built before the scan:
+    the 448,845 dead sets of level d - 1 exist one block at a time."""
     probe = (
         "from chowmat import uniform\n"
         "from chowmat.hodge import dhr_triple_report\n"
@@ -314,7 +344,7 @@ def test_triple_scan_u66_in_a_child_process():
     out, peak_mb = child_peak_mb(probe, timeout=600)
     ok, total = out.split()
     assert ok == "True" and int(total) == 5_949_147
-    assert peak_mb < 90, f"peak RSS {peak_mb:.0f} MB"
+    assert peak_mb < 53, f"peak RSS {peak_mb:.0f} MB"
 
 
 def test_triple_scan_u412_in_a_child_process():
@@ -345,7 +375,22 @@ def test_triple_scan_u414_in_a_child_process():
     )
     out, peak_mb = child_peak_mb(probe, timeout=600)
     assert out.split() == ["True", "15907256", "15862848", "44408", "16007722"]
-    assert peak_mb < 100, f"peak RSS {peak_mb:.0f} MB"
+    assert peak_mb < 65, f"peak RSS {peak_mb:.0f} MB"
+
+
+def test_triple_scan_u58_in_a_child_process():
+    """25 M multisets over 256-row tables, pinned: the leaf truncates only the
+    rows it reads, and its dead sets are built a block at a time; with the
+    whole level d - 1 of dead sets built first, the scan peaked at 71 MB."""
+    probe = (
+        "from chowmat import uniform\n"
+        "from chowmat.hodge import dhr_triple_report\n"
+        "r = dhr_triple_report(uniform(5, 8), spot_checks=0)\n"
+        "print(r.ok, r.total_multisets, r.live_leaves, r.dead_counted, r.verified_nodes)\n"
+    )
+    out, peak_mb = child_peak_mb(probe, timeout=600)
+    assert out.split() == ["True", "24992045", "24560327", "431718", "25569478"]
+    assert peak_mb < 60, f"peak RSS {peak_mb:.0f} MB"
 
 
 # -- the volume polynomial --------------------------------------------------------
