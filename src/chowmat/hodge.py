@@ -57,7 +57,7 @@ from .errors import (
     WrongArity,
     WrongGrade,
 )
-from .matroid import Matroid, bits, contract, restrict, subset_index
+from .matroid import Matroid, bits, contract, restrict, singleton_index, subset_index
 from .quotients import truncate_along, truncated_ranks
 from .quotients import truncate_by_subset  # noqa: F401  unused here; bench/spans.py rebinds hodge.truncate_by_subset (BY_VALUE)
 
@@ -97,7 +97,7 @@ def chain_terminates_loopless(m: Matroid, multiset: list[int]) -> bool:
     matroid of rank 1, walked on rank tables.  Members must be nonempty subsets of E."""
     m.check_members(multiset)
     table = truncate_along(m.rank_table(), multiset)
-    return table is not None and table[-1] == 1 and bool((table[1 << np.arange(m.n_elements)] == 1).all())
+    return table is not None and table[-1] == 1 and bool((table[singleton_index(m.n_elements)] == 1).all())
 
 
 # -- the DHR support --------------------------------------------------------------
@@ -197,10 +197,13 @@ def _child_dead(below: np.ndarray, tight: np.ndarray, dead: np.ndarray, unions: 
     rk(U_J | F_j) = rk(U_J) = |J| + 1: J is tight and F_j lies in cl(U_J).
     So D(T), the j with T + e_j not DHR (bit j in ``np.unpackbits`` order), is
     the union over the tight J of the flats below cl(U_J), and D(v, T) adds to
-    D(T) those below cl(U_J | F_v) over the J with rk(U_J | F_v) = |J| + 2."""
+    D(T) those below cl(U_J | F_v) over the J with rk(U_J | F_v) = |J| + 2.
+    The lookups run J-major, so that each gather and the OR over J read
+    contiguous rows."""
     new = unions | flat
     offsets = (subset_index(unions.shape[1].bit_length() - 1)[1].astype(np.intp) + 2) * tight.shape[1]
-    return dead | np.bitwise_or.reduce(below[tight.ravel()[offsets + new].T], axis=0), new
+    closures = tight.ravel().take(np.add(offsets[:, None], new.T, order="C"))
+    return dead | np.bitwise_or.reduce(below.take(closures, axis=0), axis=0), new
 
 
 def _unpack_links(dead: np.ndarray, count: int) -> np.ndarray:
@@ -606,21 +609,27 @@ def _triple_scan(m: Matroid) -> TripleScanReport:
     :func:`truncated_ranks` of its parent's along F_v); and one nested
     z-coordinate column for the Groebner route, put through the sparse h-maps.
     Live children's dead sets (:func:`_child_dead`) are built once the routes
-    agree.  Level d - 1 comes out of level d - 2 in blocks T[0] = v, checked
-    with every u <= v and dropped: dead sets unpacked at the first v + 1
-    flats, tables truncated only at E, the singletons and those flats.  The
-    products are GEMMs: each flat's h-map is densified once per level
-    (:meth:`~chowmat.chow.SparseMap.dense_block`), into the block between its
-    nonzero rows and columns in the level's product dtype, and that block is
-    dropped when the flat's nodes are done.
+    agree.  The products are GEMMs: each flat's h-map is densified once per
+    level (:meth:`~chowmat.chow.SparseMap.dense_block`), into the block
+    between its nonzero rows and columns in the level's product dtype, and
+    that block is dropped when the flat's nodes are done.
+
+    Level d - 1 comes out of level d - 2 in blocks T[0] = v, checked with
+    every u <= v and dropped.  Under F_v's block go the rows
+    ``(-1)^d functional[:v + 1, outs] @ block``, so one GEMM per block of
+    nodes gives both the children's coordinates and the degrees of all their
+    leaves.  The leaf checks each block of columns whole, in (v + 1, columns)
+    arrays: the degrees as the product gives them, the dead sets unpacked at
+    the first v + 1 flats, and the tables truncated only at E, the singletons
+    and those flats; the columns of dead children are masked.
 
     Each level stores its coordinates in the narrowest integer dtype of
     :func:`_storage_dtype` that holds them; only the rows a product gathers
     are cast to its :func:`exact_dtype`, and the product stays in that dtype
-    until it is stored into the level below.  Every flat's product and
-    truncation runs over its suffix of nodes :data:`_BLOCK` columns at a time,
-    which bounds the gathered rows, the products, the truncated tables and
-    the leaf's dead sets and tables."""
+    until it is stored into the level below.  Both live in one buffer each
+    per level.  Every flat's product and truncation runs over its suffix of
+    nodes :data:`_BLOCK` columns at a time, which bounds the gathered rows,
+    the products, the truncated tables and the leaf's dead sets and tables."""
     ring = ring_for(m)
     d = ring.d
     if d == 0:
@@ -630,37 +639,44 @@ def _triple_scan(m: Matroid) -> TripleScanReport:
     total = math.comb(nvars + d - 1, d)
     below, tight, unions, words = _dhr_root(m, d)
     # The rows the leaf reads: E, the singletons, F_0 .. F_{nvars - 1}.
-    rows = np.array([m.full_mask, *(1 << e for e in range(m.n_elements)), *flats], dtype=np.intp)
+    rows = np.concatenate(([m.full_mask], singleton_index(m.n_elements), flats))
     # (2^n, N_k): column i holds the rank table of M truncated along the flats of node i.
     tables = m.rank_table()[:, None]
     # (dim A^k, N_k): column i holds the nested z-coordinates of node i.
     coords = np.ones((1, 1), dtype=np.int64)
-    # A^d has one coordinate: the entries of h_{F_u}: A^(d-1) -> A^d are row u of one functional.
+    # A^d has one coordinate: the entries of h_{F_u}: A^(d-1) -> A^d, times (-1)^d, are row u of
+    # one functional, so a nonzero degree-d product reads 1.
     tops = [ring.h_matrix(f, d - 1) for f in flats]
     functional = np.zeros((nvars, tops[0].shape[1]), dtype=np.result_type(*(h.vals for h in tops)))
     for u, h in enumerate(tops):
-        functional[u, h.cols] = h.vals
+        functional[u, h.cols] = (-1) ** d * h.vals
     top_bound = max(h.bound for h in tops)
     live_leaves = dead = verified = 0
 
-    def leaves(co: np.ndarray, outs: np.ndarray, ranks: np.ndarray, dead_words: np.ndarray, count: int, dtype) -> bool:
-        """Checks the T + e_u, u < count, for a block of nodes T of level d - 1 with their
-        dead sets and their rank tables at E, the singletons and the first ``count`` flats."""
+    def leaves(degree: np.ndarray, ranks: np.ndarray, dead_words: np.ndarray, nodes: np.ndarray) -> bool:
+        """Checks the T + e_u, u < count, for the nodes T of level d - 1 in a block of
+        columns: their (count, columns) degrees times (-1)^d, their rank tables at E, the
+        singletons and the first count flats, one column each, and their dead sets, one
+        row each.  A column where ``nodes`` is False holds no node: its degrees must be 0
+        and its dead set full, and it counts for nothing."""
         nonlocal live_leaves, dead, verified
-        dhr_ok = _unpack_links(dead_words, count)
-        degree = (functional[:count, outs].astype(dtype) @ co).T
-        chain_ok = (ranks[-count:] >= 2).T
-        verified += chain_ok.size
-        live_leaves += int(chain_ok.sum())
-        dead += int((~chain_ok).sum())
-        # The routes agree, the degree (the one coordinate of A^d) is (-1)^d, the chain lands on U(1,E).
-        agree = ((chain_ok == dhr_ok) & (dhr_ok == (degree != 0))).all()
-        landed = _lands_on_rank_one(ranks[:-count])[chain_ok.any(axis=1)]
-        return bool(agree and (degree[chain_ok] == (-1) ** d).all() and landed.all())
+        count = len(degree)
+        chain_ok = (ranks[-count:] >= 2) & nodes
+        live = int(np.count_nonzero(chain_ok))
+        size = count * int(np.count_nonzero(nodes))
+        verified += size
+        live_leaves += live
+        dead += size - live
+        # The routes agree, each degree is (-1)^d or 0 with its chain, and the chains land on U(1,E).
+        dhr_ok = _bits_clear(dead_words, count)
+        return bool(
+            np.array_equal(chain_ok, dhr_ok)
+            and np.array_equal(degree, chain_ok)
+            and _lands_on_rank_one(ranks[:-count])[dhr_ok.any(axis=0)].all()
+        )
 
     if d == 1:  # the root
-        dtype = exact_dtype(top_bound)
-        ok = leaves(coords.astype(dtype), [0], tables[rows], words, nvars, dtype)
+        ok = leaves(functional @ coords, tables[rows], words, True)
         return TripleScanReport(m, total, live_leaves, dead, verified, ok)
     # The nodes with T[0] >= v, a suffix of the v-blocked nodes, take v.
     starts = np.zeros(nvars, dtype=int)
@@ -668,10 +684,15 @@ def _triple_scan(m: Matroid) -> TripleScanReport:
         fused = k + 2 == d
         hmaps = [ring.h_matrix(f, k) for f in flats]
         # One bound per level: the children's coordinates are at most ``bound``, and the
-        # products of the level, the leaf's included, fit in ``dtype``.
-        bound = max(h.bound for h in hmaps) * absmax(coords)
-        dtype = exact_dtype(bound * (top_bound if fused else 1))
-        if not fused:
+        # products of the level fit in ``dtype``.  At the fused level, the functional's rows
+        # stacked under each block are at most top_bound * hbound, and their products
+        # at most top_bound * bound.
+        hbound = max(h.bound for h in hmaps)
+        bound = hbound * absmax(coords)
+        dtype = exact_dtype(max(bound, hbound) * top_bound if fused else bound)
+        if fused:
+            top = functional.astype(dtype)
+        else:
             # The children of v, in v-blocked order: the nodes of its suffix whose bit v is clear.
             counts = [np.count_nonzero(_bit_clear(words[start:], v)) for v, start in enumerate(starts)]
             size = sum(counts)
@@ -679,32 +700,48 @@ def _triple_scan(m: Matroid) -> TripleScanReport:
             child_coords = np.zeros((hmaps[0].shape[0], size), dtype=_storage_dtype(bound))
             child_unions = np.empty((size, 2 * unions.shape[1]), dtype=np.uint16)
             child_words = np.empty((size, words.shape[1]), dtype=np.uint64)
+        # One buffer each for the gathered coordinates and the products of every (v, block),
+        # so that their pages are faulted in once per level, not once per new largest size.
+        width = min(_BLOCK, len(words))
+        gathered = np.empty(hmaps[0].shape[1] * width, dtype=dtype)
+        products = np.empty((hmaps[0].shape[0] + nvars * fused) * width, dtype=dtype)
         end = 0
         for v, start in enumerate(starts):
             outs, ins, block = hmaps[v].dense_block(dtype)
+            if fused:
+                # Below the children's coordinates, their leaves' degrees times (-1)^d.
+                block = np.concatenate((block, top[: v + 1, outs] @ block))
             for lo in range(start, len(words), _BLOCK):
                 tab = tables[:, lo : lo + _BLOCK]
+                cols = tab.shape[1]
                 chain_ok = tab[flats[v]] >= 2
                 dhr_ok = _bit_clear(words[lo : lo + _BLOCK], v)
-                # Rows outs of the products; every other row is zero.
-                new_co = block @ coords[ins, lo : lo + _BLOCK].astype(dtype)
-                nf_ok = new_co.any(axis=0)
-                verified += len(chain_ok)
+                factor = gathered[: len(ins) * cols].reshape(len(ins), cols)
+                np.copyto(factor, coords[ins, lo : lo + _BLOCK], casting="unsafe")
+                # The product's first len(outs) rows: the children's coordinates at outs, zero elsewhere.
+                product = np.matmul(block, factor, out=products[: len(block) * cols].reshape(len(block), cols))
+                nf_ok = (product[: len(outs)] != 0).any(axis=0)  # a bool reduction, faster than a float one
+                verified += cols
                 if not ((chain_ok == dhr_ok) & (dhr_ok == nf_ok)).all():
                     return TripleScanReport(m, total, live_leaves, dead, verified, False)
                 x = np.flatnonzero(dhr_ok) + lo
-                dead += (len(dhr_ok) - len(x)) * math.comb(v + d - k - 1, v)
-                child_dead, new = _child_dead(below, tight, words[x], unions[x], flats[v])
+                dead += (cols - len(x)) * math.comb(v + d - k - 1, v)
+                parent_unions = unions.take(x, axis=0)
+                child_dead, new = _child_dead(below, tight, words.take(x, axis=0), parent_unions, flats[v])
                 if fused:
-                    ranks = truncated_ranks(tab, flats[v], rows[: m.n_elements + v + 2])[:, dhr_ok]
-                    if not leaves(new_co[:, dhr_ok], outs, ranks, child_dead, v + 1, dtype):
+                    # The leaf runs on the whole block: the dead children's products are zero,
+                    # and their dead sets are made full.
+                    ranks = truncated_ranks(tab, flats[v], rows[: m.n_elements + v + 2])
+                    dead_words = np.full((cols, words.shape[1]), ~np.uint64(0))
+                    dead_words[dhr_ok] = child_dead
+                    if not leaves(product[len(outs) :], ranks, dead_words, dhr_ok):
                         return TripleScanReport(m, total, live_leaves, dead, verified, False)
                 else:
                     live = slice(end, end + len(x))
                     # Compressed, not masked: the gathers of a contiguous block are much faster.
                     child_tables[:, live] = truncated_ranks(np.compress(dhr_ok, tab, axis=1), flats[v])
-                    child_coords[outs, live] = new_co[:, dhr_ok]
-                    child_unions[live] = np.concatenate((unions[x], new), axis=1)
+                    child_coords[outs, live] = np.compress(dhr_ok, product, axis=1)
+                    child_unions[live] = np.concatenate((parent_unions, new), axis=1)
                     child_words[live] = child_dead
                     end += len(x)
         if not fused:
@@ -716,6 +753,14 @@ def _triple_scan(m: Matroid) -> TripleScanReport:
 def _bit_clear(words: np.ndarray, v: int) -> np.ndarray:
     """Whether bit v of each row of packed dead-set words (:func:`_unpack_links` order) is clear."""
     return (words.view(np.uint8)[:, v >> 3] & (0x80 >> (v & 7))) == 0
+
+
+def _bits_clear(words: np.ndarray, count: int) -> np.ndarray:
+    """Whether bit u of each row of packed dead-set words is clear, for u < count, as a
+    (count, N) array: row u tests byte u >> 3 of the words, transposed into one contiguous row."""
+    u = np.arange(count)
+    columns = np.ascontiguousarray(words.view(np.uint8).T[: -(-count // 8)])
+    return (columns[u >> 3] & (0x80 >> (u & 7)).astype(np.uint8)[:, None]) == 0
 
 
 def _spot_check_dead(m: Matroid, count: int, seed: int) -> int:

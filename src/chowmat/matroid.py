@@ -57,6 +57,14 @@ def subset_index(n: int) -> tuple[np.ndarray, np.ndarray]:
     return subsets, sizes
 
 
+@functools.lru_cache(maxsize=None)
+def singleton_index(n: int) -> np.ndarray:
+    """The bitmasks of the singletons {0}, ..., {n - 1}, as intp; one read-only array per n."""
+    singletons = np.left_shift(1, np.arange(n, dtype=np.intp))
+    singletons.setflags(write=False)
+    return singletons
+
+
 def memoized(method):
     """A method that keeps its results per instance and argument tuple, in a
     dict of the instance named after it.  A call that raises stores nothing;
@@ -159,7 +167,7 @@ class Matroid:
         table = self.rank_table()
         subsets = subset_index(n)[0]
         # gains[a, X] = r(X + a) - r(X), zero for X holding a.
-        gains = table[subsets | (1 << np.arange(n))[:, None]] - table
+        gains = table[subsets | singleton_index(n)[:, None]] - table
         for b in range(1, n):
             planes = gains[:b].reshape(b, -1, 2, 1 << b)
             grown = planes[:, :, 1] > planes[:, :, 0]
@@ -292,7 +300,7 @@ class FlatLattice:
     def covers(self) -> dict[int, list[int]]:
         """The flats covering each flat F other than E, the closures of F + e, on first use."""
         flats = np.array(self.flats[:-1], dtype=np.uint16)  # E is last in the (rank, bitmask) order
-        joins = self.matroid.closure_table()[flats[:, None] | 1 << np.arange(self.matroid.n_elements)]
+        joins = self.matroid.closure_table()[flats[:, None] | singleton_index(self.matroid.n_elements)]
         return {f: sorted(set(row) - {f}) for f, row in zip(flats.tolist(), joins.tolist())}
 
     @functools.cached_property

@@ -203,8 +203,9 @@ def test_triple_scan_sees_a_corrupted_route(monkeypatch, route):
 @pytest.mark.parametrize("route", ["dhr", "groebner", "degree", "chain"])
 def test_triple_scan_sees_a_corrupted_leaf(monkeypatch, m, route):
     """A fault that only the last step reads: a link entry of level d - 1, an
-    h-map into the top degree (zeroed, or doubled so that degrees are +-2),
-    or the last truncation, onto U(1,E), read at the root when d = 1."""
+    h-map into the top degree (zeroed, or doubled so that degrees are +-2, for
+    the last flat and for the first), or the last truncation, onto U(1,E),
+    read at the root when d = 1."""
     d = m.rank_full - 1
     if route == "dhr":
         levels, links = dhr_levels(m, d)
@@ -233,13 +234,21 @@ def test_triple_scan_sees_a_corrupted_leaf(monkeypatch, m, route):
         h_matrix = ring.h_matrix
         scale = 0 if route == "groebner" else 2
 
-        def corrupted(f, deg):
-            h = h_matrix(f, deg)
-            if (f, deg) != (rank2_flats(m)[0], d - 1):
-                return h
-            return SparseMap(h.shape, h.rows, h.cols, scale * h.vals, max(scale, 1) * h.bound)
+        def corrupt(flat):
+            def corrupted(f, deg):
+                h = h_matrix(f, deg)
+                if (f, deg) != (flat, d - 1):
+                    return h
+                return SparseMap(h.shape, h.rows, h.cols, scale * h.vals, max(scale, 1) * h.bound)
 
-        monkeypatch.setattr(ring, "h_matrix", corrupted)
+            monkeypatch.setattr(ring, "h_matrix", corrupted)
+
+        if route == "degree":
+            # The leaf reads the degrees of T + e_u for u <= T[0]: only the nodes with every
+            # member the last flat read its map.
+            corrupt(rank2_flats(m)[-1])
+            assert not dhr_triple_report(m, spot_checks=0).ok
+        corrupt(rank2_flats(m)[0])
     else:
         real = hodge._lands_on_rank_one
 
@@ -338,12 +347,11 @@ def test_triple_scan_u66_in_a_child_process():
     probe = (
         "from chowmat import uniform\n"
         "from chowmat.hodge import dhr_triple_report\n"
-        "report = dhr_triple_report(uniform(6, 6))\n"
-        "print(report.ok, report.total_multisets)\n"
+        "r = dhr_triple_report(uniform(6, 6))\n"
+        "print(r.ok, r.total_multisets, r.live_leaves, r.dead_counted, r.verified_nodes)\n"
     )
     out, peak_mb = child_peak_mb(probe, timeout=600)
-    ok, total = out.split()
-    assert ok == "True" and int(total) == 5_949_147
+    assert out.split() == ["True", "5949147", "4614021", "1335126", "6180311"]
     assert peak_mb < 53, f"peak RSS {peak_mb:.0f} MB"
 
 

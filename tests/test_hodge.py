@@ -215,6 +215,7 @@ def test_triple_scan_batched_matches_plain_reference():
         assert fast.total_multisets == slow.total_multisets
         assert fast.live_leaves == slow.live_leaves
         assert fast.dead_counted == slow.dead_counted
+        assert {type(c) for c in (fast.live_leaves, fast.dead_counted, fast.verified_nodes)} == {int}
 
 
 # -- volume polynomial ------------------------------------------------------------

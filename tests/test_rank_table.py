@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from chowmat import Matroid, direct_sum, graphic, uniform
 from chowmat import cli
 from chowmat.errors import InvalidRank
-from chowmat.matroid import MAX_GROUND, subset_index
+from chowmat.matroid import MAX_GROUND, singleton_index, subset_index
 from chowmat.quotients import (
     apply_exponent_chain,
     nested_exponent_chains,
@@ -191,6 +191,9 @@ def test_one_read_only_subset_index_per_ground_set():
     assert subset_index(5)[0] is subsets
     assert subsets.tolist() == list(range(32)) and sizes.tolist() == [s.bit_count() for s in range(32)]
     assert not subsets.flags.writeable and not sizes.flags.writeable
+    singletons = singleton_index(5)
+    assert singleton_index(5) is singletons and singletons.tolist() == [1, 2, 4, 8, 16]
+    assert singletons.dtype == np.intp and not singletons.flags.writeable
 
 
 def test_subsets_at_the_cap_fit_uint16():
