@@ -12,8 +12,9 @@ simplicial generators.  Three independent routes compute such a product:
 
 Every DHR multiset comes from one level-batched enumerator,
 :func:`dhr_levels`: lexicographically sorted uint16 rows of flat indices per
-level, each with its link table N(T) = {j : T + e_j is DHR}, unpacked from
-dead sets that each child grows from its parent's (:func:`_child_dead`).
+level, each row with its dead set, the complement of N(T) = {j : T + e_j is
+DHR}, as packed uint64 words that each child grows from its parent's by the
+triple scan's step (:func:`_child_dead`).
 
 :func:`dhr_triple_report` verifies all three routes agree on every degree-d
 multiset of rank >= 2 flats.  Its nodes carry their own dead sets, grown by
@@ -30,7 +31,8 @@ The support S of the volume polynomial is the top level of
 :func:`lorentzian_check` read everything off these arrays (Brändén-Huh,
 arXiv 1902.03719): the M-convex exchange check runs once per T, and every
 Hessian of a derivative quadratic is a gather of link rows, so no truncated
-matroid is built outside the cross-check.
+matroid is built outside the cross-check.  Only the Lorentzian check unpacks
+link tables (:func:`_unpack_links`), those of levels d - 2 and d - 1.
 """
 
 from __future__ import annotations
@@ -119,56 +121,51 @@ def _first_rank2(m: Matroid) -> int:
 def dhr_levels(m: Matroid, size: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Every DHR multiset of rank >= 2 flats with at most ``size`` members.
 
-    Returns ``(levels, links)``.  ``levels[k]`` is the lexicographically
+    Returns ``(levels, words)``.  ``levels[k]`` is the lexicographically
     sorted ``(N_k, k)`` uint16 array of the k-multisets, one nondecreasing row
-    of indices into :func:`_flats_rank2` each.  ``links[k]``, for k < size,
-    is the boolean ``(N_k, nvars)`` table N(T) = {j : T + e_j is DHR} over the
-    rows T of ``levels[k]``.
+    of indices into :func:`_flats_rank2` each.  ``words[k]``, for k < size,
+    holds the dead sets of the rows T of ``levels[k]`` as packed uint64 words:
+    bit j (:func:`_unpack_links` order) is clear iff T + e_j is DHR, and the
+    bits past the last flat are clear.
 
-    Each row T carries its dead set (:func:`_child_dead`), and the unions of
-    its subfamilies while its children get dead sets.  Level k + 1 prepends
-    each v to the rows of its link column whose first index is >= v, a
-    suffix of the sorted rows, so the children come out sorted.
+    The growth step is the triple scan's.  Each row T carries its dead set,
+    and the unions of its subfamilies while its children get dead sets.
+    Level k + 1 prepends each v to the rows of its suffix T[0] >= v whose
+    bit v is clear, so the children come out sorted, and the children's dead
+    sets grow from their parents' (:func:`_child_dead`), :data:`_BLOCK`
+    children at a time.  The last level gets no dead sets.
     """
     flats = m.lattice().masks[_first_rank2(m) :].astype(np.uint16)
-    nvars = len(flats)
     below, tight, unions, dead = _dhr_root(m, size)
     rows = np.zeros((1, 0), dtype=np.uint16)
-    levels = [rows]
-    links = []
+    levels, words = [rows], []
+    # The rows with T[0] >= v, a suffix of the sorted rows, take v.
+    starts = np.zeros(len(flats), dtype=int)
     for k in range(size):
-        link = _unpack_links(dead, nvars)
-        links.append(link)
-        starts = np.searchsorted(rows[:, 0], np.arange(nvars)) if k else np.zeros(nvars, dtype=int)
-        ends = np.cumsum([np.count_nonzero(link[starts[v] :, v]) for v in range(nvars)], dtype=int)
-        children = np.empty((ends[-1] if nvars else 0, k + 1), dtype=np.uint16)
+        words.append(dead)
+        counts = [np.count_nonzero(_bit_clear(dead[start:], v)) for v, start in enumerate(starts)]
+        children = np.empty((sum(counts), k + 1), dtype=np.uint16)
         linked = k + 1 < size  # the children get dead sets
-        if linked:
-            parent = np.empty(len(children), dtype=np.intp)
-        for v, end in enumerate(ends):
-            x = np.flatnonzero(link[starts[v] :, v]) + starts[v]
-            block = slice(end - len(x), end)
-            children[block, 0] = v
-            children[block, 1:] = rows[x]
-            if linked:
-                parent[block] = x
-        if linked:
-            child_dead = np.empty((len(children), dead.shape[1]), dtype=np.uint64)
-            grow = k + 2 < size  # the children have children with dead sets: keep their unions
-            if grow:
-                child_unions = np.empty((len(children), 2 * unions.shape[1]), dtype=np.uint16)
-            for lo in range(0, len(children), _BLOCK):
-                x = parent[lo : lo + _BLOCK]
-                heads = flats[children[lo : lo + _BLOCK, 0], None]
-                child_dead[lo : lo + _BLOCK], new = _child_dead(below, tight, dead[x], unions[x], heads)
+        grow = k + 2 < size  # the children have children with dead sets: keep their unions
+        child_dead = np.empty((len(children) if linked else 0, dead.shape[1]), dtype=np.uint64)
+        child_unions = np.empty((len(children) if grow else 0, 2 * unions.shape[1]), dtype=np.uint16)
+        end = 0
+        for v, start in enumerate(starts):
+            x = np.flatnonzero(_bit_clear(dead[start:], v)) + start
+            children[end : end + len(x), 0] = v
+            children[end : end + len(x), 1:] = rows.take(x, axis=0)
+            for lo in range(0, len(x) if linked else 0, _BLOCK):
+                parents = x[lo : lo + _BLOCK]
+                live = slice(end + lo, end + lo + len(parents))
+                parent_unions = unions.take(parents, axis=0)
+                child_dead[live], new = _child_dead(below, tight, dead.take(parents, axis=0), parent_unions, flats[v])
                 if grow:
-                    child_unions[lo : lo + _BLOCK] = np.concatenate((unions[x], new), axis=1)
-            dead = child_dead
-            if grow:
-                unions = child_unions
-        rows = children
+                    child_unions[live] = np.concatenate((parent_unions, new), axis=1)
+            end += len(x)
+        starts = np.cumsum(counts, dtype=int) - counts
+        rows, dead, unions = children, child_dead, child_unions
         levels.append(rows)
-    return levels, links
+    return levels, words
 
 
 def _dhr_root(m: Matroid, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -832,8 +829,9 @@ def lorentzian_check(m: Matroid, seed: int = 0) -> LorentzianReport:
     back along F -> cl_{M_P}(F): a flat that drops below rank 2 gives a zero
     row, and flats with one closure give equal rows.  Every generator of M_P
     is a flat of M, the largest of its class, so each appears.  Row a is
-    nonzero iff P + e_a is DHR (then so is P + e_a + e_E), and then it is the
-    link row of P + e_a; the gather over those a skips exactly the zero rows.
+    nonzero iff P + e_a is DHR (then so is P + e_a + e_E), that is iff a is in
+    P's link, read off the link table of level d - 2; and then it is the link
+    row of P + e_a.  The gather over those a skips exactly the zero rows.
     Deleting a zero row and column, or subtracting a duplicate row and column
     from its twin and deleting it, is a congruence that keeps both
     eigenvalue counts.  So the block of distinct link rows has the positive
@@ -847,19 +845,21 @@ def lorentzian_check(m: Matroid, seed: int = 0) -> LorentzianReport:
     if not m.is_loopless():
         raise LoopyMatroid("Lorentzian verification needs a loopless matroid")
     d = m.rank_full - 1
-    levels, links = dhr_levels(m, d)
+    nvars = len(_flats_rank2(m))
+    levels, words = dhr_levels(m, d)
     support = levels[d]
     if d == 0:
         mconvex, mode = True, "exhaustive"
     else:
-        link = links[d - 1]
+        link = _unpack_links(words[d - 1], nvars)
         mconvex, mode = _mconvex(support, levels[d - 1], link, seed)
     hessians = 0
     signatures_ok = True
     crosschecked = 0
     if d >= 2:
         memo: dict[bytes, tuple[int, int, int]] = {}
-        for q, a, t, keep in _parent_blocks(levels[d - 2], levels[d - 1], link):
+        parent_links = _unpack_links(words[d - 2], nvars)
+        for q, a, t, keep in _parent_blocks(levels[d - 2], parent_links, levels[d - 1], words[d - 1]):
             hessians += 1
             block = link[np.ix_(t[keep], a[keep])]
             key = block.tobytes()
@@ -936,24 +936,17 @@ def _exchange_sampled(
     return True
 
 
-def _parent_blocks(parents: np.ndarray, tees: np.ndarray, link: np.ndarray):
-    """For each parent P (in order): its index q, the a with P + e_a a row of
-    ``tees`` (ascending), those rows t, and the mask ``keep`` of the first a
-    of each distinct link row."""
-    q, a, t = [], [], []
-    keys = _keys(parents)
-    k = tees.shape[1]
+def _parent_blocks(parents: np.ndarray, links: np.ndarray, tees: np.ndarray, words: np.ndarray):
+    """For each parent P (in order): its index q, the a with P + e_a DHR
+    (ascending), read off P's row of the link table ``links``, the rows t of
+    the P + e_a among the sorted ``tees``, and the mask ``keep`` of the first
+    a of each distinct link row.  Link rows are compared on the bytes of the
+    tees' dead-set ``words``, whose bits past the last flat are clear."""
     index = np.int32 if max(len(parents), len(tees)) < 1 << 31 else np.intp
-    for p in range(k):
-        # Drop the last copy of each entry: P = T - e_a once per distinct a.
-        rows = np.flatnonzero(tees[:, p] != tees[:, p + 1]) if p + 1 < k else np.arange(len(tees))
-        q.append(_index(keys, np.delete(tees[rows], p, axis=1)).astype(index))
-        a.append(tees[rows, p])
-        t.append(rows.astype(index))
-    q, a, t = np.concatenate(q), np.concatenate(a), np.concatenate(t)
-    order = np.lexsort((a, q))
-    q, a, t = q[order], a[order], t[order]
-    row_id = np.unique(_keys(np.packbits(link, axis=1)), return_inverse=True)[1].ravel()
+    q, a = np.nonzero(links)  # row-major: ordered by (q, a)
+    q, a = q.astype(index), a.astype(np.uint16)
+    t = _index(_keys(tees), np.sort(np.column_stack((parents.take(q, axis=0), a)), axis=1)).astype(index)
+    row_id = np.unique(words.view(f"V{words.itemsize * words.shape[1]}").ravel(), return_inverse=True)[1].ravel()
     bounds = np.searchsorted(q, np.arange(len(parents) + 1, dtype=index))
     for p in range(len(parents)):
         span = slice(bounds[p], bounds[p + 1])

@@ -48,6 +48,42 @@ def k4_edges() -> list[tuple[int, int]]:
     return [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 
 
+VAMOS_PAIRS = [{0, 1}, {2, 3}, {4, 5}, {6, 7}]
+
+# The Pappus configuration without its ninth line {6, 7, 8}.
+NON_PAPPUS_LINES = [
+    {0, 1, 2},
+    {3, 4, 5},
+    {0, 4, 6},
+    {1, 3, 6},
+    {0, 5, 7},
+    {2, 3, 7},
+    {1, 5, 8},
+    {2, 4, 8},
+]
+
+
+@lru_cache(maxsize=None)
+def vamos() -> Matroid:
+    """The Vámos matroid V8 (Oxley, Matroid Theory, 2nd ed.): rank 4 on four
+    pairs, whose non-bases are the unions of two pairs other than {4, 5, 6, 7}.
+    No field represents it."""
+    nonbases = [a | b for a, b in itertools.combinations(VAMOS_PAIRS, 2) if a | b != {4, 5, 6, 7}]
+    return matroid_from_bases(8, [set(c) for c in itertools.combinations(range(8), 4) if set(c) not in nonbases])
+
+
+@lru_cache(maxsize=None)
+def non_pappus() -> Matroid:
+    """The non-Pappus matroid: rank 3 on 9 elements, whose non-bases are the
+    eight lines of :data:`NON_PAPPUS_LINES`.  No field represents it."""
+    triples = (set(c) for c in itertools.combinations(range(9), 3))
+    return matroid_from_bases(9, [c for c in triples if c not in NON_PAPPUS_LINES])
+
+
+def non_representable() -> list[tuple[str, Matroid]]:
+    return [("V8", vamos()), ("non-Pappus", non_pappus())]
+
+
 @lru_cache(maxsize=None)
 def random_truncation_corpus(count: int = 20, seed: int = 0) -> tuple[Matroid, ...]:
     """Seeded loopless matroids built as iterated principal truncations of Booleans."""

@@ -9,7 +9,7 @@ import random
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from chowmat import cli, graphic, hodge, uniform
@@ -23,6 +23,7 @@ from chowmat.hodge import (
     _mconvex,
     _parent_blocks,
     _support_link,
+    _unpack_links,
     dhr_check,
     dhr_levels,
     dhr_triple_report,
@@ -36,7 +37,7 @@ from chowmat.quotients import principal_truncation, truncate_by_subset
 
 from _scan_oracle import triple_scan
 from _volume_oracle import dhr_multisets, volume_terms
-from conftest import child_peak_mb, small_corpus, truncated_booleans
+from conftest import child_peak_mb, non_pappus, non_representable, small_corpus, truncated_booleans, vamos
 
 
 @st.composite
@@ -62,11 +63,19 @@ def rank2_flats(m):
 
 @settings(max_examples=40, deadline=None)
 @given(matroids)
+@example(vamos())  # 70 rank >= 2 flats: two words per dead set
+@example(uniform(4, 8))  # 85
+@example(uniform(3, 12))  # 67
 def test_enumerator_matches_dhr_check(m):
     d = m.rank_full - 1
     flats = rank2_flats(m)
-    levels, links = dhr_levels(m, d)
-    assert len(links) == d
+    levels, words = dhr_levels(m, d)
+    assert len(words) == d
+    for rows, w in zip(levels, words):
+        assert w.dtype == np.uint64 and w.shape == (len(rows), -(-len(flats) // 64))
+        # The bits past the last flat are clear, so equal link rows have equal word bytes.
+        assert not np.unpackbits(w.view(np.uint8), axis=1)[:, len(flats) :].any()
+    links = [_unpack_links(w, len(flats)) for w in words]
     for k, rows in enumerate(levels):
         expected = [
             combo
@@ -92,9 +101,9 @@ def test_enumerator_matches_dhr_check(m):
             if j >> p & 1:
                 unions[:, j] |= masks[parents[:, p]]
     x = hodge._index(hodge._keys(parents), children[:, 1:])
-    words, _ = hodge._child_dead(below, tight, _packed(~links[d - 2])[x], unions[x], masks[children[:, 0], None])
-    assert words.dtype == np.uint64 and words.shape == (len(children), -(-len(flats) // 64))
-    assert words.tolist() == _packed(~links[d - 1]).tolist()
+    grown, _ = hodge._child_dead(below, tight, _packed(~links[d - 2])[x], unions[x], masks[children[:, 0], None])
+    assert grown.dtype == np.uint64 and grown.shape == (len(children), -(-len(flats) // 64))
+    assert grown.tolist() == words[d - 1].tolist() == _packed(~links[d - 1]).tolist()
 
 
 def _packed(rows):
@@ -112,15 +121,16 @@ def test_levels_are_the_same_in_small_blocks(monkeypatch):
         dense = np.pad((flats & ~lattice[:, None]) == 0, ((1, 0), (0, -len(flats) % 64)))
         cases.append((m, np.packbits(dense, axis=1).view("<u8"), hodge.dhr_levels(m, m.rank_full - 1)))
     monkeypatch.setattr(hodge, "_BLOCK", 3)
-    for m, below, (levels, links) in cases:
+    for m, below, (levels, words) in cases:
         assert hodge._dhr_root(m, m.rank_full - 1)[0].tolist() == below.tolist()
-        small_levels, small_links = hodge.dhr_levels(m, m.rank_full - 1)
+        small_levels, small_words = hodge.dhr_levels(m, m.rank_full - 1)
         assert [a.tolist() for a in small_levels] == [a.tolist() for a in levels]
-        assert [a.tolist() for a in small_links] == [a.tolist() for a in links]
+        assert [a.tolist() for a in small_words] == [a.tolist() for a in words]
 
 
 def test_enumerator_matches_recursive_walk():
-    for name, m in small_corpus(6) + [("M(K5)", graphic(5, list(itertools.combinations(range(5), 2))))]:
+    k5 = ("M(K5)", graphic(5, list(itertools.combinations(range(5), 2))))
+    for name, m in small_corpus(6) + [k5] + non_representable():
         if not m.is_loopless() or m.rank_full > 5:
             continue
         levels, _ = dhr_levels(m, m.rank_full - 1)
@@ -145,6 +155,8 @@ def scan_matroids(draw):
 
 @settings(max_examples=30, deadline=None)
 @given(scan_matroids())
+@example(vamos())
+@example(non_pappus())
 def test_triple_scan_matches_recursive_walk(m):
     fast = dhr_triple_report(m, spot_checks=0)
     slow = triple_scan(m)
@@ -208,10 +220,11 @@ def test_triple_scan_sees_a_corrupted_leaf(monkeypatch, m, route):
     read at the root when d = 1."""
     d = m.rank_full - 1
     if route == "dhr":
-        levels, links = dhr_levels(m, d)
+        levels, words = dhr_levels(m, d)
         firsts = levels[d - 1][:, 0] if d > 1 else np.full(1, len(rank2_flats(m)) - 1)
         # A live link entry of a candidate the scan checks: u <= T[0].
-        i, u = next((i, u) for i, u in zip(*np.nonzero(links[d - 1])) if u <= firsts[i])
+        link = _unpack_links(words[d - 1], len(rank2_flats(m)))
+        i, u = next((i, u) for i, u in zip(*np.nonzero(link)) if u <= firsts[i])
         if d == 1:
             _corrupt_root(monkeypatch, u)
         else:
@@ -414,7 +427,7 @@ def test_volume_matches_recursive_walk(m):
 
 
 def test_volume_corpus_matches_recursive_walk():
-    for name, m in small_corpus(5):
+    for name, m in small_corpus(5) + non_representable():
         if m.is_loopless():
             assert volume_polynomial(m).terms == volume_terms(m), name
 
@@ -534,9 +547,9 @@ def test_gathered_hessian_inertia_matches_truncation(m):
     d = m.rank_full - 1
     assume(d >= 2)
     flats = rank2_flats(m)
-    levels, links = dhr_levels(m, d)
-    link = links[d - 1]
-    blocks = _parent_blocks(levels[d - 2], levels[d - 1], link)
+    levels, words = dhr_levels(m, d)
+    link = _unpack_links(words[d - 1], len(flats))
+    blocks = _parent_blocks(levels[d - 2], _unpack_links(words[d - 2], len(flats)), levels[d - 1], words[d - 1])
     for q, a, t, keep in itertools.islice(blocks, 40):
         gathered = signature(link[np.ix_(t[keep], a[keep])].astype(np.int64))
         current = m
@@ -547,6 +560,37 @@ def test_gathered_hessian_inertia_matches_truncation(m):
         assert gathered == (1, int(keep.sum()) - 1, 0)
 
 
+@settings(max_examples=40, deadline=None)
+@given(matroids)
+@example(vamos())
+@example(uniform(3, 12))
+def test_parent_blocks_match_their_definition(m):
+    """For each DHR (d-2)-multiset P in order: the a with P + e_a DHR, the
+    rows of the sorted P + e_a in level d - 1, and the first a of each
+    distinct link row, all by dhr_check.  On U(3,12) the link rows of the
+    rank-2 flats past the 64th differ only in the second word."""
+    d = m.rank_full - 1
+    assume(d >= 2)
+    flats = rank2_flats(m)
+    levels, words = dhr_levels(m, d)
+    row_of = {tee: i for i, tee in enumerate(map(tuple, levels[d - 1].tolist()))}
+    link_rows = {}
+    parents = levels[d - 2].tolist()
+    blocks = list(_parent_blocks(levels[d - 2], _unpack_links(words[d - 2], len(flats)), levels[d - 1], words[d - 1]))
+    assert [q for q, *_ in blocks] == list(range(len(parents)))
+    for parent, (_, a, t, keep) in zip(parents, blocks):
+        expected = [j for j in range(len(flats)) if dhr_check(m, [flats[i] for i in parent + [j]])]
+        assert a.tolist() == expected
+        tees = [tuple(sorted(parent + [j])) for j in expected]
+        assert t.dtype == np.int32 and t.tolist() == [row_of[tee] for tee in tees]
+        first = set()
+        for tee, kept in zip(tees, keep.tolist()):
+            if tee not in link_rows:
+                link_rows[tee] = tuple(dhr_check(m, [flats[i] for i in tee + (j,)]) for j in range(len(flats)))
+            assert kept == (link_rows[tee] not in first)
+            first.add(link_rows[tee])
+
+
 def test_truncation_hessian_rejects_bad_input():
     with pytest.raises(InvalidRank):
         truncation_hessian(uniform(4, 5))
@@ -554,7 +598,7 @@ def test_truncation_hessian_rejects_bad_input():
         truncation_hessian(direct_sum(uniform(3, 3), uniform(0, 1)))
 
 
-# -- the former overflow defects ------------------------------------------------------
+# -- pinned Lorentzian reports: the former overflow defects, and matroids no field represents --
 
 
 @pytest.mark.parametrize(
@@ -562,8 +606,10 @@ def test_truncation_hessian_rejects_bad_input():
     [
         (uniform(4, 8), 103_167, 85, "sampled"),
         (graphic(5, list(itertools.combinations(range(5), 2))), 10_846, 41, "exhaustive"),
+        (vamos(), 57_182, 70, "sampled"),
+        (non_pappus(), 211, 1, "exhaustive"),
     ],
-    ids=["U(4,8)", "M(K5)"],
+    ids=["U(4,8)", "M(K5)", "V8", "non-Pappus"],
 )
 def test_lorentzian_regression_tier(m, support, hessians, mode):
     report = lorentzian_check(m)
@@ -579,6 +625,26 @@ def test_verify_lorentzian_past_63_flats(tmp_path, r, n):
     assert result.exit_code == 0, result.output
     suite = json.loads(result.stdout)["result"]["suites"]["lorentzian"]
     assert suite["passed"] and suite["mconvex"]
+
+
+def test_support_layer_unpacks_only_what_it_reads(monkeypatch):
+    """The levels keep their dead sets as packed words.  The volume polynomial
+    reads no link table; the Lorentzian check unpacks those of levels d - 1
+    (the exchange check and the gathers) and d - 2 (the parents' links)."""
+    m = uniform(4, 6)
+    unpacked = []
+    real = hodge._unpack_links
+
+    def counting(dead, count):
+        unpacked.append(len(dead))
+        return real(dead, count)
+
+    monkeypatch.setattr(hodge, "_unpack_links", counting)
+    volume_polynomial(m)
+    assert unpacked == []
+    lorentzian_check(m)
+    levels, _ = dhr_levels(m, 3)
+    assert unpacked == [len(levels[2]), len(levels[1])]
 
 
 def test_degenerate_hessian_fails_the_check(monkeypatch):
