@@ -18,13 +18,15 @@ triple scan's step (:func:`_child_dead`).
 
 :func:`dhr_triple_report` verifies all three routes agree on every degree-d
 multiset of rank >= 2 flats.  Its nodes carry their own dead sets, grown by
-the same step, as the DHR route; every candidate extension is also
-pushed through the chain route (rank tables, truncated by
-:func:`~chowmat.quotients.truncated_ranks`) and the Groebner route.  Once
-a candidate dies in all three routes at once, every extension dies in all
-three for route-internal reasons (a failing subfamily stays failing, loops
-persist under further intersections, and zero stays zero under
-multiplication), so dead subtrees are counted instead of walked.
+the same step, as the DHR route.  For the chain route (rank tables, truncated
+by :func:`~chowmat.quotients.truncated_ranks`) and the Groebner route
+(nested z-coordinates) they share states, interned by content per level, so
+every candidate extension is pushed through those routes once per distinct
+state and compared with the DHR route node by node.  Once a candidate dies
+in all three routes at once, every extension dies in all three for
+route-internal reasons (a failing subfamily stays failing, loops persist
+under further intersections, and zero stays zero under multiplication), so
+dead subtrees are counted instead of walked.
 
 The support S of the volume polynomial is the top level of
 :func:`dhr_levels`.  :func:`volume_polynomial`, :func:`mconvex_support` and
@@ -38,6 +40,8 @@ link tables (:func:`_unpack_links`), those of levels d - 2 and d - 1.
 from __future__ import annotations
 
 import bisect
+import functools
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -96,10 +100,19 @@ def dhr_degree(m: Matroid, multiset: list[int]) -> int:
 
 def chain_terminates_loopless(m: Matroid, multiset: list[int]) -> bool:
     """Whether M wedge H_{A_1} wedge ... wedge H_{A_d} equals U_{1,E}, the loopless
-    matroid of rank 1, walked on rank tables.  Members must be nonempty subsets of E."""
+    matroid of rank 1, walked on rank tables.  Members must be nonempty subsets of E.
+
+    The table is truncated along every member but the last; the last must then
+    have rank >= 2, and the last truncation is read as the scan's leaf reads it
+    (:func:`_lands_on_rank_one`), at E and the singletons only.  An empty chain
+    leaves M itself, which must be U_{1,E}."""
     m.check_members(multiset)
-    table = truncate_along(m.rank_table(), multiset)
-    return table is not None and table[-1] == 1 and bool((table[singleton_index(m.n_elements)] == 1).all())
+    if not multiset:
+        return m.rank_full == 1 and m.is_loopless()
+    table = truncate_along(m.rank_table(), multiset[:-1])
+    if table is None or table[multiset[-1]] < 2:
+        return False
+    return bool(_lands_on_rank_one(table[_rank_one_rows(m.n_elements)]))
 
 
 # -- the DHR support --------------------------------------------------------------
@@ -198,9 +211,18 @@ def _child_dead(below: np.ndarray, tight: np.ndarray, dead: np.ndarray, unions: 
     The lookups run J-major, so that each gather and the OR over J read
     contiguous rows."""
     new = unions | flat
-    offsets = (subset_index(unions.shape[1].bit_length() - 1)[1].astype(np.intp) + 2) * tight.shape[1]
-    closures = tight.ravel().take(np.add(offsets[:, None], new.T, order="C"))
+    offsets = _tight_offsets(unions.shape[1].bit_length() - 1, tight.shape[1])
+    closures = tight.ravel().take(np.add(offsets, new.T, order="C"))
     return dead | np.bitwise_or.reduce(below.take(closures, axis=0), axis=0), new
+
+
+@functools.cache
+def _tight_offsets(k: int, size: int) -> np.ndarray:
+    """The start in ``tight.ravel()`` of row |J| + 2 for each subfamily J of k
+    members, a column; ``size`` is the row length."""
+    offsets = (subset_index(k)[1].astype(np.intp)[:, None] + 2) * size
+    offsets.setflags(write=False)
+    return offsets
 
 
 def _unpack_links(dead: np.ndarray, count: int) -> np.ndarray:
@@ -589,58 +611,91 @@ def _storage_dtype(bound: int):
 
 
 def _lands_on_rank_one(ranks: np.ndarray) -> np.ndarray:
-    """For each column r of a stack of rank tables, given by its rows E and
-    {0}, ..., {n - 1}, whether one more truncation, along any F_u with
-    r(F_u) >= 2, gives U(1,E).  Like :func:`chain_terminates_loopless`, it
-    reads the last table r'(X) = min(r(X), r(X | F_u) - 1) only at E and at
-    the singletons, and there it does not depend on u: r'(E) = r(E) - 1, and
-    r({e} | F_u) - 1 >= r(F_u) - 1 >= 1 >= r({e}) gives r'({e}) = r({e})."""
-    return (ranks[0] == 2) & (ranks[1:] == 1).all(axis=0)
+    """For each column r of a stack of rank tables (or one table), given by its
+    rows E and {0}, ..., {n - 1} (:func:`_rank_one_rows`), whether one more
+    truncation, along any F_u with r(F_u) >= 2, gives U(1,E): the last step of
+    the scan's leaf and of :func:`chain_terminates_loopless`.  The last table
+    r'(X) = min(r(X), r(X | F_u) - 1) is read only at E and at the
+    singletons, and there it does not depend on u: r'(E) = r(E) - 1, and
+    r({e} | F_u) - 1 >= r(F_u) - 1 >= 1 >= r({e}) gives r'({e}) = r({e}).
+    So r must read 2 at E and 1 at every singleton."""
+    return (ranks.reshape(len(ranks), -1) == _landing_ranks(len(ranks) - 1)).all(axis=0)
+
+
+@functools.cache
+def _landing_ranks(n: int) -> np.ndarray:
+    """The column (2, 1, ..., 1) of :func:`_lands_on_rank_one` for n singletons."""
+    column = np.ones((n + 1, 1), dtype=np.int8)
+    column[0] = 2
+    column.setflags(write=False)
+    return column
+
+
+@functools.cache
+def _rank_one_rows(n: int) -> np.ndarray:
+    """The rows of a rank table that :func:`_lands_on_rank_one` reads: E and the
+    singletons {0}, ..., {n - 1}, as intp; one read-only array per n."""
+    rows = np.concatenate(([(1 << n) - 1], singleton_index(n)))
+    rows.setflags(write=False)
+    return rows
 
 
 def _triple_scan(m: Matroid) -> TripleScanReport:
-    """Level-batched scan.  Each node of levels 0 .. d - 2 carries its
-    subfamily unions and dead set for the DHR route (T + e_v is DHR iff bit v
-    is clear); one int8 rank table, a column of a (2^n, N_k) block, for the
-    chain route (the test is r(F_v) >= 2, and a live child's table is
-    :func:`truncated_ranks` of its parent's along F_v); and one nested
-    z-coordinate column for the Groebner route, put through the sparse h-maps.
-    Live children's dead sets (:func:`_child_dead`) are built once the routes
-    agree.  The products are GEMMs: each flat's h-map is densified once per
-    level (:meth:`~chowmat.chow.SparseMap.dense_block`), into the block
-    between its nonzero rows and columns in the level's product dtype, and
-    that block is dropped when the flat's nodes are done.
+    """Level-batched scan over interned states.  Each node of levels 0 .. d - 2
+    carries its subfamily unions and dead set for the DHR route (T + e_v is DHR
+    iff bit v is clear), and two state numbers.  The chain state is one of the
+    level's distinct int8 rank tables, the columns of a (2^n, S) block: the
+    test is r(F_v) >= 2, and a live child's table is :func:`truncated_ranks`
+    of its parent's along F_v.  The Groebner state is one of its distinct rows
+    of nested z-coordinates, put through the sparse h-maps.  Nodes share
+    states (the 31,494 nodes of level d - 2 of U(6,6) have 1,202 of each), so
+    each flat multiplies, tests and truncates each state once, not each node.
+    The states are interned by their exact content (:class:`_States`) and
+    numbered by their last node, descending, so that the suffix of nodes a
+    flat reads holds exactly a prefix of each table.  The routes are compared
+    per node, its dead-set bit against its two states' tests, and the live
+    children's dead sets (:func:`_child_dead`) are built once they agree.
+    The products are GEMMs: each flat's h-map is densified once per level
+    (:meth:`~chowmat.chow.SparseMap.dense_block`), into the block between its
+    nonzero rows and columns in the level's product dtype, and dropped when
+    the flat's states are done.
 
     Level d - 1 comes out of level d - 2 in blocks T[0] = v, checked with
-    every u <= v and dropped.  Under F_v's block go the rows
-    ``(-1)^d functional[:v + 1, outs] @ block``, so one GEMM per block of
-    nodes gives both the children's coordinates and the degrees of all their
-    leaves.  The leaf checks each block of columns whole, in (v + 1, columns)
-    arrays: the degrees as the product gives them, the dead sets unpacked at
-    the first v + 1 flats, and the tables truncated only at E, the singletons
-    and those flats; the columns of dead children are masked.
+    every u <= v and dropped.  Its leaves are read per state: the children's
+    coordinates times the first v + 1 rows of the top-degree h-maps, times
+    (-1)^d, give their degrees, which must be 0 or 1; the chain tables,
+    truncated along F_v only at E, the singletons and the first v + 1 flats,
+    give r(F_u) >= 2, and each table that lives to level d - 1, of rank 2
+    without loops, must land on U(1,E) (:func:`_lands_on_rank_one`).  Both
+    sets of leaf bits are packed like the dead sets, and each node's first
+    v + 1 bits of its child's dead set, cleared, must equal its two states'.
 
     Each level stores its coordinates in the narrowest integer dtype of
-    :func:`_storage_dtype` that holds them; only the rows a product gathers
-    are cast to its :func:`exact_dtype`, and the product stays in that dtype
-    until it is stored into the level below.  Both live in one buffer each
-    per level.  Every flat's product and truncation runs over its suffix of
-    nodes :data:`_BLOCK` columns at a time, which bounds the gathered rows,
-    the products, the truncated tables and the leaf's dead sets and tables."""
+    :func:`_storage_dtype` that holds them; only the entries a product
+    gathers are cast to its :func:`exact_dtype`, and the product stays in
+    that dtype until it is queued for the level below.  Both live in one
+    buffer each per level.  Products run over :data:`_BLOCK` states at a time
+    and the nodes' steps over :data:`_BLOCK` nodes, which bounds the gathered
+    coordinates, the products and the leaf's dead sets."""
     ring = ring_for(m)
     d = ring.d
     if d == 0:
         return TripleScanReport(m, 1, 1, 0, 1, True)
+    n = m.n_elements
     flats = _flats_rank2(m)
     nvars = len(flats)
     total = math.comb(nvars + d - 1, d)
     below, tight, unions, words = _dhr_root(m, d)
+    width = words.shape[1]
     # The rows the leaf reads: E, the singletons, F_0 .. F_{nvars - 1}.
-    rows = np.concatenate(([m.full_mask], singleton_index(m.n_elements), flats))
-    # (2^n, N_k): column i holds the rank table of M truncated along the flats of node i.
+    rows = np.concatenate((_rank_one_rows(n), flats))
+    # (2^n, S_k): the distinct rank tables of M truncated along the flats of the nodes, one per column.
     tables = m.rank_table()[:, None]
-    # (dim A^k, N_k): column i holds the nested z-coordinates of node i.
+    # (S_k, dim A^k): the distinct nested z-coordinates of the products of the nodes.
     coords = np.ones((1, 1), dtype=np.int64)
+    # Each node's chain and Groebner state, and each state's last node.
+    cstate = gstate = np.zeros(1, dtype=np.intp)
+    clast = glast = np.zeros(1, dtype=np.intp)
     # A^d has one coordinate: the entries of h_{F_u}: A^(d-1) -> A^d, times (-1)^d, are row u of
     # one functional, so a nonzero degree-d product reads 1.
     tops = [ring.h_matrix(f, d - 1) for f in flats]
@@ -649,115 +704,291 @@ def _triple_scan(m: Matroid) -> TripleScanReport:
         functional[u, h.cols] = (-1) ** d * h.vals
     top_bound = max(h.bound for h in tops)
     live_leaves = dead = verified = 0
+    # Row u holds the bits 0 .. u, packed in the bytes of the dead sets' words.
+    leading = np.packbits(np.tri(nvars, dtype=bool), axis=1)
 
-    def leaves(degree: np.ndarray, ranks: np.ndarray, dead_words: np.ndarray, nodes: np.ndarray) -> bool:
-        """Checks the T + e_u, u < count, for the nodes T of level d - 1 in a block of
-        columns: their (count, columns) degrees times (-1)^d, their rank tables at E, the
-        singletons and the first count flats, one column each, and their dead sets, one
-        row each.  A column where ``nodes`` is False holds no node: its degrees must be 0
-        and its dead set full, and it counts for nothing."""
+    def chain_leaves(ranks: np.ndarray, usable: np.ndarray) -> np.ndarray | None:
+        """The leaf bits r(F_u) >= 2, u < count, of the chain states whose tables a
+        ``(n + 1 + count, S)`` stack gives at E, the singletons and the first count
+        flats, packed like the dead sets (one row of bytes per state); None if a
+        ``usable`` state, one whose chain lives to level d - 1, misses U(1,E).  Such
+        a chain has rank 2 and no loop, so each usable state must land, whether or
+        not some leaf of it lives."""
+        if not _lands_on_rank_one(ranks[: n + 1])[usable].all():
+            return None
+        return np.packbits(np.ascontiguousarray(ranks[n + 1 :].T) >= 2, axis=1)
+
+    def leaves(dead_words: np.ndarray, chain_bits: np.ndarray, degree_bits: np.ndarray, count: int) -> bool:
+        """Checks the T + e_u, u < count, for a block of nodes T of level d - 1: the
+        cleared bits u < count of their dead sets must be the packed bits of their chain
+        and degree states, given one row each."""
         nonlocal live_leaves, dead, verified
-        count = len(degree)
-        chain_ok = (ranks[-count:] >= 2) & nodes
-        live = int(np.count_nonzero(chain_ok))
-        size = count * int(np.count_nonzero(nodes))
+        nbytes = chain_bits.shape[1]
+        live = ~dead_words.view(np.uint8)[:, :nbytes] & leading[count - 1, :nbytes]
+        alive = int(np.bitwise_count(live).sum())
+        size = count * len(live)
         verified += size
-        live_leaves += live
-        dead += size - live
-        # The routes agree, each degree is (-1)^d or 0 with its chain, and the chains land on U(1,E).
-        dhr_ok = _bits_clear(dead_words, count)
-        return bool(
-            np.array_equal(chain_ok, dhr_ok)
-            and np.array_equal(degree, chain_ok)
-            and _lands_on_rank_one(ranks[:-count])[dhr_ok.any(axis=0)].all()
-        )
+        live_leaves += alive
+        dead += size - alive
+        return bool(((live == chain_bits) & (live == degree_bits)).all())
 
     if d == 1:  # the root
-        ok = leaves(functional @ coords, tables[rows], words, True)
+        degree = (functional @ coords).T
+        one = degree == 1
+        chain_bits = chain_leaves(tables[rows], np.ones(1, dtype=bool))
+        ok = (
+            chain_bits is not None
+            and np.count_nonzero(degree) == np.count_nonzero(one)
+            and leaves(words, chain_bits, np.packbits(one, axis=1), nvars)
+        )
         return TripleScanReport(m, total, live_leaves, dead, verified, ok)
+
     # The nodes with T[0] >= v, a suffix of the v-blocked nodes, take v.
     starts = np.zeros(nvars, dtype=int)
     for k in range(d - 1):
         fused = k + 2 == d
         hmaps = [ring.h_matrix(f, k) for f in flats]
-        # One bound per level: the children's coordinates are at most ``bound``, and the
-        # products of the level fit in ``dtype``.  At the fused level, the functional's rows
-        # stacked under each block are at most top_bound * hbound, and their products
-        # at most top_bound * bound.
-        hbound = max(h.bound for h in hmaps)
-        bound = hbound * absmax(coords)
-        dtype = exact_dtype(max(bound, hbound) * top_bound if fused else bound)
+        # One bound per level: the children's coordinates, the products, are at most ``bound``,
+        # and at the fused level the partial sums of their leaves' degrees at most
+        # top_bound * bound; all of them fit in ``dtype``.
+        bound = max(h.bound for h in hmaps) * absmax(coords)
+        dtype = exact_dtype(bound * max(top_bound, 1) if fused else bound)
         if fused:
             top = functional.astype(dtype)
+            # Each flat's leaf bits of the degrees, one row of bytes per state.
+            degree_bytes = np.empty((len(coords), -(-nvars // 8)), dtype=np.uint8)
         else:
-            # The children of v, in v-blocked order: the nodes of its suffix whose bit v is clear.
-            counts = [np.count_nonzero(_bit_clear(words[start:], v)) for v, start in enumerate(starts)]
-            size = sum(counts)
-            child_tables = np.empty((len(tables), size), dtype=tables.dtype)
-            child_coords = np.zeros((hmaps[0].shape[0], size), dtype=_storage_dtype(bound))
+            # The children of v, in v-blocked order: the nodes of its suffix, those with
+            # T[0] >= v, whose bit v is clear.  Counted over blocks of nodes, for every v at once.
+            firsts = np.searchsorted(starts, np.arange(len(words)), side="right") - 1
+            counts = np.zeros(nvars, dtype=int)
+            for lo in range(0, len(words), _BLOCK):
+                takes = firsts[lo : lo + _BLOCK, None] >= np.arange(nvars)
+                counts += (_unpack_links(words[lo : lo + _BLOCK], nvars) & takes).sum(axis=0)
+            size = int(counts.sum())
+            # Each child's candidate numbers, turned into its state numbers once the level is
+            # done: int32 on a level of more than _BLOCK nodes, where they take the most memory,
+            # and intp, which numpy gathers by without a cast, on a smaller one.
+            index = np.int32 if size > _BLOCK else np.intp
+            child_gstate = np.empty(size, dtype=index)
+            child_cstate = np.empty(size, dtype=index)
             child_unions = np.empty((size, 2 * unions.shape[1]), dtype=np.uint16)
-            child_words = np.empty((size, words.shape[1]), dtype=np.uint64)
+            child_words = np.empty((size, width), dtype=np.uint64)
+            next_coords = _States(hmaps[0].shape[0], _storage_dtype(bound), size)
+            next_tables = _States(len(tables), tables.dtype, size)
+            # Each flat's candidate number of each state's child.
+            gchildren = np.empty(len(coords), dtype=np.int32)
+            cchildren = np.empty(tables.shape[1], dtype=np.int32)
         # One buffer each for the gathered coordinates and the products of every (v, block),
         # so that their pages are faulted in once per level, not once per new largest size.
-        width = min(_BLOCK, len(words))
-        gathered = np.empty(hmaps[0].shape[1] * width, dtype=dtype)
-        products = np.empty((hmaps[0].shape[0] + nvars * fused) * width, dtype=dtype)
+        cols = min(_BLOCK, len(coords))
+        gathered = np.empty(cols * hmaps[0].shape[1], dtype=dtype)
+        products = np.empty(cols * hmaps[0].shape[0], dtype=dtype)
+        nf_oks = np.empty(len(coords), dtype=bool)
+        # The states of the nodes from starts[v] on, whose last node is there or later: a prefix
+        # of each table.
+        gcounts = (len(glast) - np.searchsorted(glast[::-1], starts)).tolist()
+        ccounts = (len(clast) - np.searchsorted(clast[::-1], starts)).tolist()
         end = 0
-        for v, start in enumerate(starts):
+        for v, (start, gcount, ccount) in enumerate(zip(starts.tolist(), gcounts, ccounts)):
             outs, ins, block = hmaps[v].dense_block(dtype)
+            nf_ok = nf_oks[:gcount]
             if fused:
-                # Below the children's coordinates, their leaves' degrees times (-1)^d.
-                block = np.concatenate((block, top[: v + 1, outs] @ block))
-            for lo in range(start, len(words), _BLOCK):
-                tab = tables[:, lo : lo + _BLOCK]
-                cols = tab.shape[1]
-                chain_ok = tab[flats[v]] >= 2
-                dhr_ok = _bit_clear(words[lo : lo + _BLOCK], v)
-                factor = gathered[: len(ins) * cols].reshape(len(ins), cols)
-                np.copyto(factor, coords[ins, lo : lo + _BLOCK], casting="unsafe")
-                # The product's first len(outs) rows: the children's coordinates at outs, zero elsewhere.
-                product = np.matmul(block, factor, out=products[: len(block) * cols].reshape(len(block), cols))
-                nf_ok = (product[: len(outs)] != 0).any(axis=0)  # a bool reduction, faster than a float one
-                verified += cols
-                if not ((chain_ok == dhr_ok) & (dhr_ok == nf_ok)).all():
+                # The children's leaves' degrees times (-1)^d, one row per child.
+                leaf = top[: v + 1, outs].T
+                degree_bits = degree_bytes[:gcount, : (v >> 3) + 1]
+            else:
+                gchild, cchild = gchildren[:gcount], cchildren[:ccount]
+            for lo in range(0, gcount, _BLOCK):
+                part = slice(lo, min(lo + _BLOCK, gcount))
+                factor = gathered[: (part.stop - lo) * len(ins)].reshape(-1, len(ins))
+                np.copyto(factor, coords[part, ins], casting="unsafe")
+                # One row per state: its child's coordinates at outs.
+                product = np.matmul(factor, block.T, out=products[: len(factor) * len(outs)].reshape(len(factor), -1))
+                ok = nf_ok[part] = (product != 0).any(axis=1)  # a bool reduction, faster than a float one
+                if fused:
+                    degree = product @ leaf
+                    one = degree == 1
+                    if np.count_nonzero(degree) != np.count_nonzero(one):
+                        return TripleScanReport(m, total, live_leaves, dead, verified, False)
+                    degree_bits[part] = np.packbits(one, axis=1)
+                else:
+                    x = ok.nonzero()[0]
+                    gchild[lo + x] = next_coords.add(product[x], outs)
+            chain_ok = tables[flats[v], :ccount] >= 2
+            dhr_ok = _bit_clear(words[start:], v)
+            verified += len(dhr_ok)
+            if not ((chain_ok.take(cstate[start:]) == dhr_ok) & (nf_ok.take(gstate[start:]) == dhr_ok)).all():
+                return TripleScanReport(m, total, live_leaves, dead, verified, False)
+            dead += (len(dhr_ok) - int(np.count_nonzero(dhr_ok))) * math.comb(v + d - k - 1, v)
+            # The chain states of the live nodes, truncated along F_v once each.
+            if fused:
+                chain_bits = chain_leaves(truncated_ranks(tables[:, :ccount], flats[v], rows[: n + v + 2]), chain_ok)
+                if chain_bits is None:
                     return TripleScanReport(m, total, live_leaves, dead, verified, False)
-                x = np.flatnonzero(dhr_ok) + lo
-                dead += (cols - len(x)) * math.comb(v + d - k - 1, v)
+            else:
+                x = chain_ok.nonzero()[0]
+                for lo in range(0, len(x), _BLOCK):
+                    part = x[lo : lo + _BLOCK]
+                    cchild[part] = next_tables.add(truncated_ranks(tables[:, part], flats[v]).T)
+            for lo in range(0, len(dhr_ok), _BLOCK):
+                x = dhr_ok[lo : lo + _BLOCK].nonzero()[0] + (start + lo)
                 parent_unions = unions.take(x, axis=0)
                 child_dead, new = _child_dead(below, tight, words.take(x, axis=0), parent_unions, flats[v])
                 if fused:
-                    # The leaf runs on the whole block: the dead children's products are zero,
-                    # and their dead sets are made full.
-                    ranks = truncated_ranks(tab, flats[v], rows[: m.n_elements + v + 2])
-                    dead_words = np.full((cols, words.shape[1]), ~np.uint64(0))
-                    dead_words[dhr_ok] = child_dead
-                    if not leaves(product[len(outs) :], ranks, dead_words, dhr_ok):
+                    if not leaves(child_dead, chain_bits.take(cstate.take(x), axis=0), degree_bits.take(gstate.take(x), axis=0), v + 1):
                         return TripleScanReport(m, total, live_leaves, dead, verified, False)
                 else:
                     live = slice(end, end + len(x))
-                    # Compressed, not masked: the gathers of a contiguous block are much faster.
-                    child_tables[:, live] = truncated_ranks(np.compress(dhr_ok, tab, axis=1), flats[v])
-                    child_coords[outs, live] = np.compress(dhr_ok, product, axis=1)
+                    child_gstate[live] = gchild.take(gstate.take(x))
+                    child_cstate[live] = cchild.take(cstate.take(x))
                     child_unions[live] = np.concatenate((parent_unions, new), axis=1)
                     child_words[live] = child_dead
                     end += len(x)
         if not fused:
             starts = np.cumsum(counts) - counts
-            tables, coords, unions, words = child_tables, child_coords, child_unions, child_words
+            coords, glast = next_coords.numbered(child_gstate)
+            tables, clast = next_tables.numbered(child_cstate, axis=1)
+            gstate, cstate = child_gstate, child_cstate
+            unions, words = child_unions, child_words
+            del next_coords, next_tables
     return TripleScanReport(m, total, live_leaves, dead, verified, True)
+
+
+class _States:
+    """The distinct states of one route at one level, one row each, interned by
+    their exact content.
+
+    Candidate rows are queued behind the states and interned :data:`_BLOCK` at
+    a time, so that a level pays a few interning passes, not one per flat.  A
+    row's 64-bit key (:func:`_state_keys`) names the state it most likely
+    equals, and an exact comparison decides; a row unlike that state is
+    compared with every state of its key, so that a colliding key costs time,
+    never a wrong state."""
+
+    def __init__(self, width: int, dtype, nodes: int) -> None:
+        # There are at most as many states as nodes.
+        self.rows = np.empty((min(nodes, _BLOCK), width), dtype=dtype)
+        self.size = self.queued = self.added = 0
+        self.found: list[np.ndarray] = []  # the state of each interned candidate, a queue at a time
+        self.first: dict[int, int] = {}  # key -> its first state
+        self.more: dict[int, list[int]] = {}  # key -> its later states, if any
+
+    def add(self, values: np.ndarray, columns: np.ndarray | None = None) -> range:
+        """Queue candidate rows, ``values`` at ``columns`` (all by default) and zero
+        elsewhere; their candidate numbers, counted in the order added."""
+        end = self.size + self.queued + len(values)
+        if end > len(self.rows):
+            grown = np.empty((max(end, 2 * len(self.rows)), self.rows.shape[1]), dtype=self.rows.dtype)
+            grown[: end - len(values)] = self.rows[: end - len(values)]
+            self.rows = grown
+        if columns is None:
+            self.rows[end - len(values) : end] = values
+        else:
+            self.rows[end - len(values) : end] = 0
+            self.rows[end - len(values) : end, columns] = values
+        numbers = range(self.added, self.added + len(values))
+        self.added += len(values)
+        self.queued += len(values)
+        if self.queued >= _BLOCK:
+            self._intern()
+        return numbers
+
+    def _intern(self) -> None:
+        """Give each queued row its state; the rows of new states move down to the queue's start."""
+        base = self.size
+        queue = self.rows[base : base + self.queued]
+        keys = _state_keys(queue).tolist()
+        # Each row takes its key's first state, and the first row j of a new key gives it
+        # base + j; the new states are then numbered on from base in row order.
+        state = np.fromiter(map(self.first.setdefault, keys, itertools.count(base)), dtype=np.int32, count=len(keys))
+        keep = (state == base + np.arange(len(keys))).nonzero()[0]  # keep[i]: the queued row of state base + i
+        fresh = state >= base
+        number = np.empty(len(keys), dtype=np.int32)
+        number[keep] = base + np.arange(len(keep))
+        state[fresh] = number[state[fresh] - base]
+        self.first.update(zip([keys[j] for j in keep.tolist()], range(base, base + len(keep))))
+        # The rows that took a state by their key alone, held before the new states move down.
+        taken = np.ones(len(state), dtype=bool)
+        taken[keep] = False
+        taken = taken.nonzero()[0]
+        held = queue[taken]
+        if (keep != np.arange(len(keep))).any():
+            self.rows[base : base + len(keep)] = queue[keep]
+        self.size += len(keep)
+        # A held row unlike its state collided: it is compared with every state of its key.
+        unlike = (held != self.rows[state[taken]]).any(axis=1)
+        for j, row in zip(taken[unlike].tolist(), held[unlike]):
+            bucket = [state[j], *self.more.get(keys[j], ())]
+            state[j] = next((s for s in bucket if np.array_equal(self.rows[s], row)), self.size)
+            if state[j] == self.size:
+                self.rows[self.size] = row
+                self.size += 1
+                self.more.setdefault(keys[j], []).append(int(state[j]))
+        self.queued = 0
+        self.found.append(state)
+
+    def numbered(self, nodes: np.ndarray, axis: int = 0) -> tuple[np.ndarray, np.ndarray]:
+        """Number the states by their last node, descending.  ``nodes`` holds each
+        node's candidate number, and is overwritten with its state's number,
+        :data:`_BLOCK` nodes at a time.  Returns the states in that order as one
+        table, a row (``axis`` 0) or a column (1) each, and each state's last
+        node.  Every state has a node."""
+        self._intern()
+        found = np.concatenate(self.found)
+        last = np.full(self.size, -1, dtype=np.intp)
+        for lo in range(0, len(nodes), _BLOCK):
+            block = nodes[lo : lo + _BLOCK]
+            np.maximum.at(last, found[block], np.arange(lo, lo + len(block)))
+        order = np.argsort(-last)
+        number = np.empty(self.size, dtype=np.int32)
+        number[order] = np.arange(self.size)
+        for lo in range(0, len(nodes), _BLOCK):
+            block = nodes[lo : lo + _BLOCK]
+            block[:] = number[found[block]]
+        states = self.rows[: self.size]
+        if axis == 0:
+            return states.take(order, axis=0), last[order]
+        # The columns are written 64 table rows at a time, so that each block's transpose
+        # stays in cache; a take along the transposed table reads one cache line per entry.
+        table = np.empty((states.shape[1], self.size), dtype=states.dtype)
+        for lo in range(0, len(table), 64):
+            table[lo : lo + 64] = states[:, lo : lo + 64].take(order, axis=0).T
+        return table, last[order]
+
+
+def _state_keys(rows: np.ndarray) -> np.ndarray:
+    """A 64-bit key per row, equal for equal rows: the row's bytes as 16-bit
+    lanes (an odd last byte a lane of its own), summed with fixed odd 64-bit
+    weights modulo 2^64.  Two rows whose lanes differ by d_i collide only if
+    sum w_i d_i = 0 modulo 2^64, and as d_i < 2^16 each term keeps at least
+    48 bits of its weight.  Rows of Python ints are keyed by the hashes of
+    their tuples."""
+    if rows.dtype == object:
+        return np.array([hash(tuple(r)) for r in rows.tolist()], dtype=np.int64).view(np.uint64)
+    data = np.ascontiguousarray(rows).view(np.uint8)
+    lanes = data[:, : data.shape[1] & ~1].view(np.uint16)
+    weights = _key_weights(lanes.shape[1] + 1)
+    # einsum reads the strided lanes in place and widens them a buffer at a time.
+    keys = np.einsum("ij,j->i", lanes, weights[:-1], dtype=np.uint64, casting="unsafe")
+    if data.shape[1] & 1:
+        keys += data[:, -1] * weights[-1]
+    return keys
+
+
+@functools.cache
+def _key_weights(count: int) -> np.ndarray:
+    """``count`` fixed pseudo-random odd uint64 weights: the splitmix64 outputs
+    of the counter 1 .. count (numpy.random is not loaded for them)."""
+    x = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return x ^ (x >> np.uint64(31)) | np.uint64(1)
 
 
 def _bit_clear(words: np.ndarray, v: int) -> np.ndarray:
     """Whether bit v of each row of packed dead-set words (:func:`_unpack_links` order) is clear."""
     return (words.view(np.uint8)[:, v >> 3] & (0x80 >> (v & 7))) == 0
-
-
-def _bits_clear(words: np.ndarray, count: int) -> np.ndarray:
-    """Whether bit u of each row of packed dead-set words is clear, for u < count, as a
-    (count, N) array: row u tests byte u >> 3 of the words, transposed into one contiguous row."""
-    u = np.arange(count)
-    columns = np.ascontiguousarray(words.view(np.uint8).T[: -(-count // 8)])
-    return (columns[u >> 3] & (0x80 >> (u & 7)).astype(np.uint8)[:, None]) == 0
 
 
 def _spot_check_dead(m: Matroid, count: int, seed: int) -> int:

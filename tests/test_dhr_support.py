@@ -33,7 +33,7 @@ from chowmat.hodge import (
     volume_polynomial,
 )
 from chowmat.matroid import direct_sum
-from chowmat.quotients import principal_truncation, truncate_by_subset
+from chowmat.quotients import principal_truncation, truncate_along, truncate_by_subset
 
 from _scan_oracle import triple_scan
 from _volume_oracle import dhr_multisets, volume_terms
@@ -327,17 +327,110 @@ def test_storage_dtype_holds_its_bound(bound, dtype):
 
 
 def test_triple_scan_stores_small_coordinates_in_int8(monkeypatch):
-    """U(4,7)'s level-1 coordinates are at most 1, so they take one byte each."""
-    chosen = []
-    real = hodge._storage_dtype
+    """U(4,7)'s level-1 coordinates are at most 1, so its coordinate states take
+    one byte each: 57 rows of dim A^1 = 57 entries, one per flat, beside its
+    57 int8 rank tables, one per column."""
+    chosen, tables = [], []
+    real_dtype, real_numbered = hodge._storage_dtype, hodge._States.numbered
 
-    def recording(bound):
-        chosen.append(real(bound))
+    def recording_dtype(bound):
+        chosen.append(real_dtype(bound))
         return chosen[-1]
 
-    monkeypatch.setattr(hodge, "_storage_dtype", recording)
+    def recording_numbered(self, *args, **kwargs):
+        numbered = real_numbered(self, *args, **kwargs)
+        tables.append(numbered[0])
+        return numbered
+
+    monkeypatch.setattr(hodge, "_storage_dtype", recording_dtype)
+    monkeypatch.setattr(hodge._States, "numbered", recording_numbered)
     assert dhr_triple_report(uniform(4, 7), spot_checks=0).ok
-    assert chosen == [np.int8]  # level 1 = d - 2, the only level past the root that holds coordinates
+    assert chosen == [np.int8]  # level 1 = d - 2, the only level past the root that holds states
+    coords, ranks = tables
+    assert (coords.dtype, coords.shape) == (np.int8, (57, 57))
+    assert (ranks.dtype, ranks.shape) == (np.int8, (128, 57))
+
+
+def _state_counts(monkeypatch, m):
+    """The number of coordinate and rank-table states of each level the scan of m interns."""
+    counts = []
+    real = hodge._States.numbered
+
+    def counting(self, *args, **kwargs):
+        numbered = real(self, *args, **kwargs)
+        counts.append(len(numbered[1]))  # one last node per state
+        return numbered
+
+    monkeypatch.setattr(hodge._States, "numbered", counting)
+    report = dhr_triple_report(m, spot_checks=0)
+    monkeypatch.setattr(hodge._States, "numbered", real)
+    return report, counts
+
+
+@pytest.mark.parametrize("block", [2048, 3], ids=["block-2048", "block-3"])
+def test_triple_scan_is_the_same_when_every_key_collides(monkeypatch, block):
+    """With every state key 0, only the exact comparison tells states apart:
+    the reports and the number of states per level stay the same."""
+    expected = [_state_counts(monkeypatch, m) for m in _SCAN_CASES]
+    monkeypatch.setattr(hodge, "_BLOCK", block)
+    monkeypatch.setattr(hodge, "_state_keys", lambda rows: np.zeros(len(rows), dtype=np.uint64))
+    assert [_state_counts(monkeypatch, m) for m in _SCAN_CASES] == expected
+
+
+def test_triple_scan_state_counts(monkeypatch):
+    """U(6,6)'s 31,494 nodes of level d - 2 share 1,202 coordinate states and
+    1,202 rank tables; its 57 and 1,638 nodes of levels 1 and 2 have 57 and
+    627 of each."""
+    report, counts = _state_counts(monkeypatch, uniform(6, 6))
+    assert report.ok and counts == [57, 57, 627, 627, 1202, 1202]
+
+
+@pytest.mark.parametrize("block", [2048, 3], ids=["block-2048", "block-3"])
+def test_triple_scan_sees_a_corrupted_node_that_shares_its_states(monkeypatch, block):
+    """The routes are compared per node, not per state: a node of level d - 2 of
+    U(5,6) whose rank table and coordinates other nodes share gets one live
+    extension T + e_u, u <= T[0], marked dead in its dead set."""
+    m = uniform(5, 6)
+    d = m.rank_full - 1
+    flats = rank2_flats(m)
+    ring = ring_for(m)
+    levels, words = dhr_levels(m, d)
+    nodes = levels[d - 2].tolist()
+
+    def table(node):
+        return truncate_along(m.rank_table(), [flats[j] for j in node]).tobytes()
+
+    def coordinates(node):
+        z = np.ones(1, dtype=np.int64)
+        for k, j in enumerate(node):
+            z = ring.h_matrix(flats[j], k).apply(z)
+        return tuple(z.tolist())
+
+    tables = [table(node) for node in nodes]
+    coords = [coordinates(node) for node in nodes]
+    link = _unpack_links(words[d - 2], len(flats))
+    i, u = next(
+        (i, u)
+        for i in range(len(nodes))
+        if tables.count(tables[i]) > 1 and coords.count(coords[i]) > 1
+        for u in range(nodes[i][0] + 1)
+        if link[i, u]
+    )
+    monkeypatch.setattr(hodge, "_BLOCK", block)
+    real = hodge._child_dead
+    done = [0]
+
+    def corrupted(below, tight, dead, unions, flat):
+        # The dead sets of level d - 2 come out in the row order of levels[d - 2].
+        words, new = real(below, tight, dead, unions, flat)
+        if unions.shape[1] == 1 << (d - 3):
+            if 0 <= i - done[0] < len(words):
+                _mark_dead(words, i - done[0], u)
+            done[0] += len(words)
+        return words, new
+
+    monkeypatch.setattr(hodge, "_child_dead", corrupted)
+    assert not dhr_triple_report(m, spot_checks=0).ok
 
 
 @pytest.mark.parametrize("route", ["dhr", "groebner", "chain"])
@@ -356,7 +449,9 @@ def test_triple_scan_sees_a_corrupted_leaf_in_tiny_blocks(monkeypatch, m, route)
 def test_triple_scan_u66_in_a_child_process():
     """5,949,147 multisets with no coordinate block past level d - 2, int8
     coordinates, blocked products, and no DHR level built before the scan:
-    the 448,845 dead sets of level d - 1 exist one block at a time."""
+    the 448,845 dead sets of level d - 1 exist one block at a time.  Its
+    31,494 nodes of level d - 2 share 1,202 states per route; with a
+    coordinate column and a rank table per node the scan peaked at 50 MB."""
     probe = (
         "from chowmat import uniform\n"
         "from chowmat.hodge import dhr_triple_report\n"
@@ -365,7 +460,7 @@ def test_triple_scan_u66_in_a_child_process():
     )
     out, peak_mb = child_peak_mb(probe, timeout=600)
     assert out.split() == ["True", "5949147", "4614021", "1335126", "6180311"]
-    assert peak_mb < 53, f"peak RSS {peak_mb:.0f} MB"
+    assert peak_mb < 44, f"peak RSS {peak_mb:.0f} MB"
 
 
 def test_triple_scan_u412_in_a_child_process():
@@ -402,7 +497,9 @@ def test_triple_scan_u414_in_a_child_process():
 def test_triple_scan_u58_in_a_child_process():
     """25 M multisets over 256-row tables, pinned: the leaf truncates only the
     rows it reads, and its dead sets are built a block at a time; with the
-    whole level d - 1 of dead sets built first, the scan peaked at 71 MB."""
+    whole level d - 1 of dead sets built first, the scan peaked at 71 MB, and
+    with a coordinate column and a rank table per node of level d - 2 (12,062
+    nodes, 2,521 states per route), at 51 MB."""
     probe = (
         "from chowmat import uniform\n"
         "from chowmat.hodge import dhr_triple_report\n"
@@ -411,7 +508,38 @@ def test_triple_scan_u58_in_a_child_process():
     )
     out, peak_mb = child_peak_mb(probe, timeout=600)
     assert out.split() == ["True", "24992045", "24560327", "431718", "25569478"]
-    assert peak_mb < 60, f"peak RSS {peak_mb:.0f} MB"
+    assert peak_mb < 49, f"peak RSS {peak_mb:.0f} MB"
+
+
+def test_triple_scan_u67_in_a_child_process():
+    """168 M multisets, pinned: the 244,252 nodes of level d - 2 share 7,253
+    states per route.  With a coordinate column (813 int16 entries) and a rank
+    table per node, the scan peaked at 471 MB."""
+    probe = (
+        "from chowmat import uniform\n"
+        "from chowmat.hodge import dhr_triple_report\n"
+        "r = dhr_triple_report(uniform(6, 7), spot_checks=0)\n"
+        "print(r.ok, r.total_multisets, r.live_leaves, r.dead_counted, r.verified_nodes)\n"
+    )
+    out, peak_mb = child_peak_mb(probe, timeout=600)
+    assert out.split() == ["True", "167549733", "158108322", "9441411", "173100908"]
+    assert peak_mb < 120, f"peak RSS {peak_mb:.0f} MB"
+
+
+@pytest.mark.slow
+def test_triple_scan_u77_in_a_child_process():
+    """Every multiset of the Boolean matroid on seven elements, C(125, 6) of
+    them: the 8,880,880 nodes of level d - 2 keep int32 state numbers beside
+    their unions and dead sets.  It ran in 45 s and fit a 1 GB address space."""
+    probe = (
+        "from chowmat import uniform\n"
+        "from chowmat.hodge import dhr_triple_report\n"
+        "r = dhr_triple_report(uniform(7, 7), spot_checks=0)\n"
+        "print(r.ok, r.total_multisets, r.live_leaves, r.dead_counted, r.verified_nodes)\n"
+    )
+    out, peak_mb = child_peak_mb(probe, timeout=1800)
+    assert out.split() == ["True", str(math.comb(125, 6)), "4002353566", "688271934", "4811579815"]
+    assert peak_mb < 1000, f"peak RSS {peak_mb:.0f} MB"
 
 
 # -- the volume polynomial --------------------------------------------------------

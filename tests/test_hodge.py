@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chowmat import ChowElement, graphic, sample_ample, uniform
+from chowmat import ChowElement, graphic, hodge, sample_ample, uniform
 from chowmat._linalg import signature
 from chowmat.chow import convert_element, normal_form, ring_for
 from chowmat.matroid import direct_sum
@@ -192,6 +192,18 @@ def test_chain_termination_walks_tables_like_the_basis_loop():
 
     check()
     assert outcomes == {True, False}
+
+
+def test_chain_termination_ends_on_the_leaf_rule(monkeypatch):
+    """The point query's last step is the scan leaf's rule, so a fault there
+    flips a live chain; an empty chain is M itself."""
+    live = [E4, E4, 0b0011]
+    assert chain_terminates_loopless(uniform(4, 4), live)
+    assert chain_terminates_loopless(uniform(1, 3), [])
+    assert not chain_terminates_loopless(uniform(2, 3), [])
+    assert not chain_terminates_loopless(direct_sum(uniform(1, 2), uniform(0, 1)), [])
+    monkeypatch.setattr(hodge, "_lands_on_rank_one", lambda ranks: np.zeros(1, dtype=bool))
+    assert not chain_terminates_loopless(uniform(4, 4), live)
 
 
 def test_dhr_triple_report_small():
