@@ -33,8 +33,11 @@ The support S of the volume polynomial is the top level of
 :func:`lorentzian_check` read everything off these arrays (Brändén-Huh,
 arXiv 1902.03719): the M-convex exchange check runs once per T, and every
 Hessian of a derivative quadratic is a gather of link rows, so no truncated
-matroid is built outside the cross-check.  Only the Lorentzian check unpacks
-link tables (:func:`_unpack_links`), those of levels d - 2 and d - 1.
+matroid is built outside the cross-check.  The Lorentzian check stops at
+level d - 1: S is counted and sampled off its dead sets, and grown only for
+the exhaustive exchange check.  No link table is unpacked whole: the check
+unpacks (:func:`_unpack_links`) at most :data:`_BLOCK` rows of words at a
+time, or reads bit columns off them (:func:`_bit_clear`).
 """
 
 from __future__ import annotations
@@ -139,46 +142,78 @@ def dhr_levels(m: Matroid, size: int) -> tuple[list[np.ndarray], list[np.ndarray
     of indices into :func:`_flats_rank2` each.  ``words[k]``, for k < size,
     holds the dead sets of the rows T of ``levels[k]`` as packed uint64 words:
     bit j (:func:`_unpack_links` order) is clear iff T + e_j is DHR, and the
-    bits past the last flat are clear.
+    bits past the last flat are clear.  The levels are those of
+    :func:`_dhr_growth`, which grows them one at a time.
+    """
+    levels, words = zip(*_dhr_growth(m, size))
+    return list(levels), list(words[:-1])
+
+
+def _dhr_growth(m: Matroid, size: int):
+    """The levels 0 .. ``size`` of :func:`dhr_levels` as ``(rows, dead)``
+    pairs, each grown only when the one before it has been taken, so that a
+    caller that stops early never builds the rest.  The top level's dead sets
+    are None.
 
     The growth step is the triple scan's.  Each row T carries its dead set,
     and the unions of its subfamilies while its children get dead sets.
-    Level k + 1 prepends each v to the rows of its suffix T[0] >= v whose
-    bit v is clear, so the children come out sorted, and the children's dead
-    sets grow from their parents' (:func:`_child_dead`), :data:`_BLOCK`
-    children at a time.  The last level gets no dead sets.
-    """
+    Level k + 1 is :func:`_children` of level k, and the children's dead sets
+    grow from their parents' (:func:`_child_dead`), :data:`_BLOCK` children
+    at a time."""
     flats = m.lattice().masks[_first_rank2(m) :].astype(np.uint16)
     below, tight, unions, dead = _dhr_root(m, size)
     rows = np.zeros((1, 0), dtype=np.uint16)
-    levels, words = [rows], []
-    # The rows with T[0] >= v, a suffix of the sorted rows, take v.
-    starts = np.zeros(len(flats), dtype=int)
     for k in range(size):
-        words.append(dead)
-        counts = [np.count_nonzero(_bit_clear(dead[start:], v)) for v, start in enumerate(starts)]
-        children = np.empty((sum(counts), k + 1), dtype=np.uint16)
+        yield rows, dead
+        children, parents = _children(rows, dead, *_child_counts(rows, dead, len(flats)))
         linked = k + 1 < size  # the children get dead sets
         grow = k + 2 < size  # the children have children with dead sets: keep their unions
         child_dead = np.empty((len(children) if linked else 0, dead.shape[1]), dtype=np.uint64)
         child_unions = np.empty((len(children) if grow else 0, 2 * unions.shape[1]), dtype=np.uint16)
-        end = 0
-        for v, start in enumerate(starts):
-            x = np.flatnonzero(_bit_clear(dead[start:], v)) + start
-            children[end : end + len(x), 0] = v
-            children[end : end + len(x), 1:] = rows.take(x, axis=0)
-            for lo in range(0, len(x) if linked else 0, _BLOCK):
-                parents = x[lo : lo + _BLOCK]
-                live = slice(end + lo, end + lo + len(parents))
-                parent_unions = unions.take(parents, axis=0)
-                child_dead[live], new = _child_dead(below, tight, dead.take(parents, axis=0), parent_unions, flats[v])
-                if grow:
-                    child_unions[live] = np.concatenate((parent_unions, new), axis=1)
-            end += len(x)
-        starts = np.cumsum(counts, dtype=int) - counts
+        for lo in range(0, len(child_dead), _BLOCK):
+            x = parents[lo : lo + _BLOCK]
+            live = slice(lo, lo + len(x))
+            parent_unions = unions.take(x, axis=0)
+            child_dead[live], new = _child_dead(
+                below, tight, dead.take(x, axis=0), parent_unions, flats[children[live, 0], None]
+            )
+            if grow:
+                child_unions[live] = np.concatenate((parent_unions, new), axis=1)
         rows, dead, unions = children, child_dead, child_unions
-        levels.append(rows)
-    return levels, words
+        del parents  # not held while the caller reads the level
+    yield rows, None
+
+
+def _child_counts(rows: np.ndarray, dead: np.ndarray, nvars: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where the suffix of the sorted rows with T[0] >= v starts (every row has
+    no T[0] at level 0), and how many of its rows have bit v of their dead
+    sets clear: the children of v, for each v < ``nvars``."""
+    if rows.shape[1]:
+        starts = np.searchsorted(rows[:, 0], np.arange(nvars))
+    else:
+        starts = np.zeros(nvars, dtype=np.intp)
+    counts = [np.count_nonzero(_bit_clear(dead[start:], v)) for v, start in enumerate(starts.tolist())]
+    return starts, np.array(counts, dtype=np.int64)
+
+
+def _parents(dead: np.ndarray, starts: np.ndarray, v: int) -> np.ndarray:
+    """The rows of v's suffix whose bit v is clear, ascending: the parents of v's children."""
+    return np.flatnonzero(_bit_clear(dead[starts[v] :], v)) + starts[v]
+
+
+def _children(
+    rows: np.ndarray, dead: np.ndarray, starts: np.ndarray, counts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The growth step: each v prepended to its parents (:func:`_parents`), v
+    by v, so that the children of sorted rows come out sorted; also each
+    child's parent row, as int32 below 2^31 rows."""
+    children = np.empty((int(counts.sum()), rows.shape[1] + 1), dtype=np.uint16)
+    parents = np.empty(len(children), dtype=np.int32 if len(rows) < 1 << 31 else np.intp)
+    for v, (end, count) in enumerate(zip(np.cumsum(counts).tolist(), counts.tolist())):
+        x = parents[end - count : end] = _parents(dead, starts, v)
+        children[end - count : end, 0] = v
+        children[end - count : end, 1:] = rows.take(x, axis=0)
+    return children, parents
 
 
 def _dhr_root(m: Matroid, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -306,7 +341,7 @@ def volume_polynomial(m: Matroid) -> VolumePolynomial:
 def mconvex_support(v: VolumePolynomial) -> bool:
     """M-convexity of the exponent vectors of any term dict.
 
-    The exchange check of :func:`lorentzian_check`, with the link table read
+    The exchange check of :func:`lorentzian_check`, with the dead sets read
     off the terms themselves: exhaustive up to :data:`MCONVEX_EXHAUSTIVE_CAP`
     points, a seeded pair sample beyond that.
     """
@@ -315,18 +350,21 @@ def mconvex_support(v: VolumePolynomial) -> bool:
     if v.degree == 0:
         return True
     support = np.array(rows, dtype=np.uint16).reshape(len(rows), v.degree)
-    return _mconvex(support, *_support_link(support, len(index)), 0)[0]
+    return _mconvex(*_support_link(support, len(index)), len(index), 0)[0]
 
 
 def _support_link(support: np.ndarray, nvars: int) -> tuple[np.ndarray, np.ndarray]:
-    """The sorted (d-1)-multisets T below a sorted support and their link table."""
+    """The sorted (d-1)-multisets T below a sorted support, and their dead sets
+    as packed uint64 words: bit j is clear iff T + e_j is in the support.  The
+    support is then the children of the T (:func:`_children`)."""
     drops = [np.delete(support, p, axis=1) for p in range(support.shape[1])]
     tees = np.unique(np.concatenate(drops), axis=0)
     keys = _keys(tees)
-    link = np.zeros((len(tees), nvars), dtype=bool)
+    dead = np.ones((len(tees), -(-nvars // 64) * 64), dtype=bool)
+    dead[:, nvars:] = False
     for p, drop in enumerate(drops):
-        link[_index(keys, drop), support[:, p]] = True
-    return tees, link
+        dead[_index(keys, drop), support[:, p]] = False
+    return tees, np.packbits(dead, axis=1).view(np.uint64)
 
 
 def ultra_log_concave(seq: list[int]) -> bool:
@@ -987,7 +1025,8 @@ def _key_weights(count: int) -> np.ndarray:
 
 
 def _bit_clear(words: np.ndarray, v: int) -> np.ndarray:
-    """Whether bit v of each row of packed dead-set words (:func:`_unpack_links` order) is clear."""
+    """Whether bit v of each row of packed dead-set words (:func:`_unpack_links` order) is clear;
+    for an array of v, one column per v."""
     return (words.view(np.uint8)[:, v >> 3] & (0x80 >> (v & 7))) == 0
 
 
@@ -1040,8 +1079,14 @@ MCONVEX_SAMPLED_PAIRS = 20_000
 def lorentzian_check(m: Matroid, seed: int = 0) -> LorentzianReport:
     """Verify the Brändén-Huh conditions for the volume polynomial.
 
-    Everything is read off the sorted DHR support S of :func:`dhr_levels` and
-    its link table N(T) = {j : T + e_j in S} over the (d-1)-multisets T.
+    Everything is read off the DHR (d-1)-multisets T of :func:`dhr_levels`
+    and their dead sets, whose clear bits are the link N(T) = {j : T + e_j in
+    S} of the support S; the (d-2)-multisets below them give the Hessians.
+    Levels 0 .. d - 1 are grown (:func:`_dhr_growth`), and S is not: its size
+    is the count of the clear bits v <= T[0] over the T, and its points are
+    the T + e_v.  No link table is unpacked whole: the exchange check and the
+    Hessians gather the words of at most :data:`_BLOCK` rows at a time and
+    read bits off them.
 
     (a) S is M-convex: for all alpha, beta in S and i with alpha_i > beta_i
     some j with alpha_j < beta_j has alpha - e_i + e_j in S.  With
@@ -1051,8 +1096,9 @@ def lorentzian_check(m: Matroid, seed: int = 0) -> LorentzianReport:
     and conversely any T and beta with beta <= T on a nonempty N(T) give a
     violation through any i in N(T).  The check therefore runs once per T:
     no beta may stay below T on all of N(T).  It is exhaustive up to
-    :data:`MCONVEX_EXHAUSTIVE_CAP` support points, and beyond that runs on a
-    seeded sample of :data:`MCONVEX_SAMPLED_PAIRS` pairs.
+    :data:`MCONVEX_EXHAUSTIVE_CAP` support points, the only case in which S
+    is grown, and beyond that runs on a seeded sample of
+    :data:`MCONVEX_SAMPLED_PAIRS` pairs (:func:`_exchange_sampled`).
 
     (b) For every DHR (d-2)-multiset P, the Hessian 2 [P + e_a + e_b in S]
     of the derivative quadratic has one positive eigenvalue.  It is the
@@ -1061,7 +1107,7 @@ def lorentzian_check(m: Matroid, seed: int = 0) -> LorentzianReport:
     row, and flats with one closure give equal rows.  Every generator of M_P
     is a flat of M, the largest of its class, so each appears.  Row a is
     nonzero iff P + e_a is DHR (then so is P + e_a + e_E), that is iff a is in
-    P's link, read off the link table of level d - 2; and then it is the link
+    P's link, read off P's dead set at level d - 2; and then it is the link
     row of P + e_a.  The gather over those a skips exactly the zero rows.
     Deleting a zero row and column, or subtracting a duplicate row and column
     from its twin and deleting it, is a congruence that keeps both
@@ -1077,22 +1123,19 @@ def lorentzian_check(m: Matroid, seed: int = 0) -> LorentzianReport:
         raise LoopyMatroid("Lorentzian verification needs a loopless matroid")
     d = m.rank_full - 1
     nvars = len(_flats_rank2(m))
-    levels, words = dhr_levels(m, d)
-    support = levels[d]
     if d == 0:
-        mconvex, mode = True, "exhaustive"
-    else:
-        link = _unpack_links(words[d - 1], nvars)
-        mconvex, mode = _mconvex(support, levels[d - 1], link, seed)
+        return LorentzianReport(m, True, "exhaustive", 1, 0, True, 0)
+    levels, words = zip(*itertools.islice(_dhr_growth(m, d), d))
+    tees, dead = levels[d - 1], words[d - 1]
+    mconvex, mode, size = _mconvex(tees, dead, nvars, seed)
     hessians = 0
     signatures_ok = True
     crosschecked = 0
     if d >= 2:
         memo: dict[bytes, tuple[int, int, int]] = {}
-        parent_links = _unpack_links(words[d - 2], nvars)
-        for q, a, t, keep in _parent_blocks(levels[d - 2], parent_links, levels[d - 1], words[d - 1]):
+        for q, a, t, keep in _parent_blocks(levels[d - 2], words[d - 2], tees, dead, nvars):
             hessians += 1
-            block = link[np.ix_(t[keep], a[keep])]
+            block = _bit_clear(dead.take(t[keep], axis=0), a[keep])
             key = block.tobytes()
             sig = memo.get(key)
             if sig is None:
@@ -1101,89 +1144,130 @@ def lorentzian_check(m: Matroid, seed: int = 0) -> LorentzianReport:
                 signatures_ok = False
                 break
             if m.n_elements <= 5:
-                crosschecked += _crosscheck_hessian(m, levels[d - 2][q], a, link[np.ix_(t, a)])
-    return LorentzianReport(
-        m, mconvex, mode, len(support), hessians, signatures_ok, crosschecked
-    )
+                crosschecked += _crosscheck_hessian(m, levels[d - 2][q], a, _bit_clear(dead.take(t, axis=0), a))
+    return LorentzianReport(m, mconvex, mode, size, hessians, signatures_ok, crosschecked)
 
 
-def _mconvex(support: np.ndarray, tees: np.ndarray, link: np.ndarray, seed: int) -> tuple[bool, str]:
-    """The exchange check and its mode, for a sorted support with its link table."""
-    if len(support) <= MCONVEX_EXHAUSTIVE_CAP:
-        return _exchange_exhaustive(support, tees, link), "exhaustive"
-    return _exchange_sampled(support, tees, link, MCONVEX_SAMPLED_PAIRS, seed), "sampled"
+def _mconvex(tees: np.ndarray, dead: np.ndarray, nvars: int, seed: int) -> tuple[bool, str, int]:
+    """The exchange check, its mode and the support's size, for the sorted
+    (d-1)-multisets T below a support and their dead sets: the support is the
+    T + e_v with v <= T[0] and bit v clear, grown only for the exhaustive check."""
+    starts, counts = _child_counts(tees, dead, nvars)
+    size = int(counts.sum())
+    if size <= MCONVEX_EXHAUSTIVE_CAP:
+        support = _children(tees, dead, starts, counts)[0]
+        return _exchange_exhaustive(support, tees, dead, nvars), "exhaustive", size
+    return _exchange_sampled(tees, dead, starts, counts, MCONVEX_SAMPLED_PAIRS, seed), "sampled", size
 
 
-def _exchange_exhaustive(support: np.ndarray, tees: np.ndarray, link: np.ndarray) -> bool:
+def _exchange_exhaustive(support: np.ndarray, tees: np.ndarray, dead: np.ndarray, nvars: int) -> bool:
     """No beta in S with beta_j <= T_j on all of N(T), for any T.
 
     ``exceeds[(j, t)]`` is the bitset of the beta with beta_j > t; a T is
     cleared when the union of ``exceeds[(j, T_j)]`` over j in N(T) is all of S.
+    The links are unpacked for about :data:`_BLOCK` // nvars rows T at a time.
     """
     n, d = support.shape
-    exceeds = np.zeros((link.shape[1] * d, n), dtype=bool)
+    exceeds = np.zeros((nvars * d, n), dtype=bool)
     for p, copies in enumerate(_copy_index(support).T):
         exceeds[support[:, p].astype(np.intp) * d + copies, np.arange(n)] = True
     exceeds = np.packbits(exceeds, axis=1)
     everything = np.packbits(np.ones(n, dtype=bool))
-    t, j = np.nonzero(link)
-    rows = j * d + (tees[t] == j[:, None]).sum(axis=1)
-    starts = np.flatnonzero(np.diff(t, prepend=-1))
-    step = max(1, _BLOCK // link.shape[1])
-    for g in range(0, len(starts), step):
-        lo = starts[g]
-        hi = starts[g + step] if g + step < len(starts) else len(t)
-        covered = np.bitwise_or.reduceat(exceeds[rows[lo:hi]], starts[g : g + step] - lo, axis=0)
+    step = max(1, _BLOCK // nvars)
+    for lo in range(0, len(tees), step):
+        t, j = np.nonzero(_unpack_links(dead[lo : lo + step], nvars))
+        if not len(t):
+            continue
+        rows = j * d + (tees[lo + t] == j[:, None]).sum(axis=1)
+        covered = np.bitwise_or.reduceat(exceeds[rows], np.flatnonzero(np.diff(t, prepend=-1)), axis=0)
         if (covered != everything).any():
             return False
     return True
 
 
 def _exchange_sampled(
-    support: np.ndarray, tees: np.ndarray, link: np.ndarray, pairs: int, seed: int
+    tees: np.ndarray, dead: np.ndarray, starts: np.ndarray, counts: np.ndarray, pairs: int, seed: int
 ) -> bool:
     """The exchange condition on a seeded sample of ordered support pairs.
 
     For alpha_i > beta_i the exchange partners of (alpha, beta, i) are the j
     in N(alpha - e_i) with beta_j > alpha_j.
+
+    The pairs are 2 * ``pairs`` indices into the sorted support of size N:
+    little-endian 64-bit words of ``random.Random(seed).randbytes``, reduced
+    modulo N.  An index is drawn with probability floor(2^64 / N) / 2^64 or
+    ceil(2^64 / N) / 2^64, so the draw is uniform up to a relative bias below
+    N / 2^64.  ``numpy.random`` is not used: importing it costs about 5 MB of
+    resident memory, as much as the rest of the check on small matroids.
+    Each index becomes its point through the cumulative child counts
+    (:func:`_support_points`), and only the links of the alpha - e_i drawn,
+    :data:`_BLOCK` pairs at a time, are unpacked.
     """
-    n, d = support.shape
-    draw = np.random.default_rng(seed).integers(n, size=(pairs, 2))
+    d = tees.shape[1] + 1
+    nvars = len(counts)
+    draw = np.frombuffer(random.Random(seed).randbytes(16 * pairs), dtype="<u8") % np.uint64(counts.sum())
+    points = _support_points(tees, dead, starts, counts, draw.astype(np.int64)).reshape(pairs, 2, d)
     keys = _keys(tees)
     for lo in range(0, pairs, _BLOCK):
-        alpha, beta = support[draw[lo : lo + _BLOCK, 0]], support[draw[lo : lo + _BLOCK, 1]]
+        alpha, beta = points[lo : lo + _BLOCK, 0], points[lo : lo + _BLOCK, 1]
         here = np.arange(len(alpha))
-        counts = np.zeros((2, len(alpha), link.shape[1]), dtype=np.int16)
+        tally = np.zeros((2, len(alpha), nvars), dtype=np.int16)
         for side, rows in enumerate((alpha, beta)):
             for p in range(d):
-                counts[side, here, rows[:, p]] += 1
-        gain = counts[1] > counts[0]
+                tally[side, here, rows[:, p]] += 1
+        gain = tally[1] > tally[0]
         for p in range(d):
             i = alpha[:, p]
-            need = counts[0, here, i] > counts[1, here, i]
-            exchanged = (link[_index(keys, np.delete(alpha, p, axis=1))] & gain).any(axis=1)
+            need = tally[0, here, i] > tally[1, here, i]
+            t = _index(keys, np.delete(alpha, p, axis=1))
+            exchanged = (_unpack_links(dead.take(t, axis=0), nvars) & gain).any(axis=1)
             if (need & ~exchanged).any():
                 return False
     return True
 
 
-def _parent_blocks(parents: np.ndarray, links: np.ndarray, tees: np.ndarray, words: np.ndarray):
+def _support_points(
+    tees: np.ndarray, dead: np.ndarray, starts: np.ndarray, counts: np.ndarray, index: np.ndarray
+) -> np.ndarray:
+    """The points of the sorted support, the children of the rows ``tees``
+    (:func:`_children`), at the given indices, without growing the rest: index
+    i lies in the block of the v with ``cumsum(counts)[v - 1] <= i <
+    cumsum(counts)[v]``, and its parent is v's parent of that rank, found with
+    one pass over v's suffix per v drawn."""
+    ends = np.cumsum(counts)
+    v = np.searchsorted(ends, index, side="right")
+    rank = index - (ends - counts)[v]
+    points = np.empty((len(index), tees.shape[1] + 1), dtype=np.uint16)
+    points[:, 0] = v
+    order = np.argsort(v, kind="stable")
+    bounds = np.searchsorted(v[order], np.arange(len(counts) + 1))
+    for u in np.flatnonzero(np.diff(bounds)).tolist():
+        here = order[bounds[u] : bounds[u + 1]]
+        points[here, 1:] = tees.take(_parents(dead, starts, u).take(rank[here]), axis=0)
+    return points
+
+
+def _parent_blocks(parents: np.ndarray, parent_dead: np.ndarray, tees: np.ndarray, dead: np.ndarray, nvars: int):
     """For each parent P (in order): its index q, the a with P + e_a DHR
-    (ascending), read off P's row of the link table ``links``, the rows t of
+    (ascending), read off P's dead-set words ``parent_dead``, the rows t of
     the P + e_a among the sorted ``tees``, and the mask ``keep`` of the first
     a of each distinct link row.  Link rows are compared on the bytes of the
-    tees' dead-set ``words``, whose bits past the last flat are clear."""
-    index = np.int32 if max(len(parents), len(tees)) < 1 << 31 else np.intp
-    q, a = np.nonzero(links)  # row-major: ordered by (q, a)
-    q, a = q.astype(index), a.astype(np.uint16)
-    t = _index(_keys(tees), np.sort(np.column_stack((parents.take(q, axis=0), a)), axis=1)).astype(index)
-    row_id = np.unique(words.view(f"V{words.itemsize * words.shape[1]}").ravel(), return_inverse=True)[1].ravel()
-    bounds = np.searchsorted(q, np.arange(len(parents) + 1, dtype=index))
-    for p in range(len(parents)):
-        span = slice(bounds[p], bounds[p + 1])
-        keep = np.zeros(span.stop - span.start, dtype=bool)
-        keep[np.unique(row_id[t[span]], return_index=True)[1]] = True
-        yield p, a[span], t[span], keep
+    tees' dead-set words ``dead``, whose bits past the last flat are clear.
+    The parents' words are unpacked about :data:`_BLOCK` links at a time."""
+    keys = _keys(tees)
+    row = f"V{dead.itemsize * dead.shape[1]}"
+    step = max(1, _BLOCK // nvars)
+    for lo in range(0, len(parents), step):
+        block = parents[lo : lo + step]
+        q, a = np.nonzero(_unpack_links(parent_dead[lo : lo + step], nvars))  # row-major: ordered by (q, a)
+        a = a.astype(np.uint16)
+        t = _index(keys, np.sort(np.column_stack((block.take(q, axis=0), a)), axis=1))
+        bounds = np.searchsorted(q, np.arange(len(block) + 1))
+        for p in range(len(block)):
+            span = slice(bounds[p], bounds[p + 1])
+            keep = np.zeros(span.stop - span.start, dtype=bool)
+            keep[np.unique(dead.take(t[span], axis=0).view(row).ravel(), return_index=True)[1]] = True
+            yield lo + p, a[span], t[span], keep
 
 
 def truncation_hessian(current: Matroid) -> tuple[list[int], np.ndarray]:

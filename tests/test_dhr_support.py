@@ -19,10 +19,14 @@ from chowmat.errors import InvalidRank, LoopyMatroid
 from chowmat.hodge import (
     MCONVEX_EXHAUSTIVE_CAP,
     VolumePolynomial,
+    _BLOCK,
+    _bit_clear,
+    _child_counts,
     _exchange_sampled,
     _mconvex,
     _parent_blocks,
     _support_link,
+    _support_points,
     _unpack_links,
     dhr_check,
     dhr_levels,
@@ -35,6 +39,7 @@ from chowmat.hodge import (
 from chowmat.matroid import direct_sum
 from chowmat.quotients import principal_truncation, truncate_along, truncate_by_subset
 
+import _lorentzian_oracle as oracle
 from _scan_oracle import triple_scan
 from _volume_oracle import dhr_multisets, volume_terms
 from conftest import child_peak_mb, non_pappus, non_representable, small_corpus, truncated_booleans, vamos
@@ -611,11 +616,11 @@ def point_sets(draw):
 def test_exchange_check_matches_pairwise_definition(case):
     points, nvars = case
     support = as_support(points)
-    tees, link = _support_link(support, nvars)
+    tees, dead = _support_link(support, nvars)
     expected = brute_mconvex(points, nvars)
-    assert _mconvex(support, tees, link, 0) == (expected, "exhaustive")
+    assert _mconvex(tees, dead, nvars, 0) == (expected, "exhaustive", len(support))
     # Small sets: the 20,000 sampled pairs cover every ordered pair.
-    assert _exchange_sampled(support, tees, link, 20_000, 3) == expected
+    assert _exchange_sampled(tees, dead, *_child_counts(tees, dead, nvars), 20_000, 3) == expected
 
 
 def test_exchange_check_sees_both_outcomes():
@@ -627,7 +632,7 @@ def test_exchange_check_sees_both_outcomes():
         points = set(rng.sample(every, rng.randint(1, len(every))))
         expected = brute_mconvex(points, nvars)
         support = as_support(points)
-        assert _mconvex(support, *_support_link(support, nvars), 0)[0] == expected
+        assert _mconvex(*_support_link(support, nvars), nvars, 0)[0] == expected
         outcomes.append(expected)
     assert 0 < sum(outcomes) < len(outcomes)
 
@@ -638,7 +643,7 @@ def test_exchange_check_counts_multiplicities():
     points = {(0, 2, 2), (1, 1, 2), (1, 2, 2)}
     assert not brute_mconvex(points, 3)
     support = as_support(points)
-    assert _mconvex(support, *_support_link(support, 3), 0) == (False, "exhaustive")
+    assert _mconvex(*_support_link(support, 3), 3, 0) == (False, "exhaustive", 3)
 
 
 def test_wide_support_that_is_not_mconvex():
@@ -659,7 +664,7 @@ def test_wide_sampled_support_that_is_not_mconvex():
     points = [p for c in clusters for p in itertools.combinations_with_replacement(c, 2)]
     assert len(points) > MCONVEX_EXHAUSTIVE_CAP
     support = as_support(points)
-    assert _mconvex(support, *_support_link(support, 260), 0) == (False, "sampled")
+    assert _mconvex(*_support_link(support, 260), 260, 0) == (False, "sampled", len(points))
     m = uniform(4, 12)
     flats = rank2_flats(m)
     terms = {tuple(sorted((flats[a], flats[b]))): 1 for a, b in points}
@@ -676,10 +681,9 @@ def test_gathered_hessian_inertia_matches_truncation(m):
     assume(d >= 2)
     flats = rank2_flats(m)
     levels, words = dhr_levels(m, d)
-    link = _unpack_links(words[d - 1], len(flats))
-    blocks = _parent_blocks(levels[d - 2], _unpack_links(words[d - 2], len(flats)), levels[d - 1], words[d - 1])
+    blocks = _parent_blocks(levels[d - 2], words[d - 2], levels[d - 1], words[d - 1], len(flats))
     for q, a, t, keep in itertools.islice(blocks, 40):
-        gathered = signature(link[np.ix_(t[keep], a[keep])].astype(np.int64))
+        gathered = signature(_bit_clear(words[d - 1][t[keep]], a[keep]).astype(np.int64))
         current = m
         for i in levels[d - 2][q].tolist():
             current = truncate_by_subset(current, flats[i])
@@ -704,13 +708,13 @@ def test_parent_blocks_match_their_definition(m):
     row_of = {tee: i for i, tee in enumerate(map(tuple, levels[d - 1].tolist()))}
     link_rows = {}
     parents = levels[d - 2].tolist()
-    blocks = list(_parent_blocks(levels[d - 2], _unpack_links(words[d - 2], len(flats)), levels[d - 1], words[d - 1]))
+    blocks = list(_parent_blocks(levels[d - 2], words[d - 2], levels[d - 1], words[d - 1], len(flats)))
     assert [q for q, *_ in blocks] == list(range(len(parents)))
     for parent, (_, a, t, keep) in zip(parents, blocks):
         expected = [j for j in range(len(flats)) if dhr_check(m, [flats[i] for i in parent + [j]])]
         assert a.tolist() == expected
         tees = [tuple(sorted(parent + [j])) for j in expected]
-        assert t.dtype == np.int32 and t.tolist() == [row_of[tee] for tee in tees]
+        assert t.tolist() == [row_of[tee] for tee in tees]
         first = set()
         for tee, kept in zip(tees, keep.tolist()):
             if tee not in link_rows:
@@ -757,9 +761,10 @@ def test_verify_lorentzian_past_63_flats(tmp_path, r, n):
 
 def test_support_layer_unpacks_only_what_it_reads(monkeypatch):
     """The levels keep their dead sets as packed words.  The volume polynomial
-    reads no link table; the Lorentzian check unpacks those of levels d - 1
-    (the exchange check and the gathers) and d - 2 (the parents' links)."""
-    m = uniform(4, 6)
+    reads no link table, and the Lorentzian check unpacks at most a block of
+    :data:`_BLOCK` rows at a time: on U(5,6), whose level d - 1 has 22,501
+    rows, an unpack of the whole level fails."""
+    m = uniform(5, 6)
     unpacked = []
     real = hodge._unpack_links
 
@@ -771,8 +776,95 @@ def test_support_layer_unpacks_only_what_it_reads(monkeypatch):
     volume_polynomial(m)
     assert unpacked == []
     lorentzian_check(m)
-    levels, _ = dhr_levels(m, 3)
-    assert unpacked == [len(levels[2]), len(levels[1])]
+    assert len(dhr_levels(m, 3)[0][3]) == 22_501
+    assert unpacked and max(unpacked) <= _BLOCK
+
+
+@settings(max_examples=30, deadline=None)
+@given(matroids, st.integers(0, 3))
+@example(vamos(), 0)  # sampled
+@example(non_pappus(), 1)
+@example(uniform(3, 12), 0)  # 67 rank >= 2 flats: two words per dead set
+def test_lorentzian_check_matches_the_bool_table_oracle(m, seed):
+    """Every report field, and every parent's link, rows, kept mask and gathered
+    block, against the whole support and whole-level bool link tables."""
+    assert lorentzian_check(m, seed) == oracle.lorentzian_check(m, seed)
+    d = m.rank_full - 1
+    nvars = len(rank2_flats(m))
+    levels, words = dhr_levels(m, d)
+    ours = _parent_blocks(levels[d - 2], words[d - 2], levels[d - 1], words[d - 1], nvars)
+    theirs = oracle.hessian_blocks(levels, words, nvars)
+    for (q, a, t, keep), (q0, a0, t0, keep0, block) in itertools.zip_longest(ours, theirs):
+        assert (q, a.tolist(), t.tolist(), keep.tolist()) == (q0, a0.tolist(), t0.tolist(), keep0.tolist())
+        assert _bit_clear(words[d - 1].take(t[keep], axis=0), a[keep]).tolist() == block.tolist()
+
+
+@settings(max_examples=30, deadline=None)
+@given(matroids)
+@example(vamos())
+@example(uniform(3, 12))
+def test_support_points_are_the_support(m):
+    """The support's size is the count of clear bits v <= T[0] over level d - 1,
+    and mapping every index 0 .. N - 1 through the cumulative child counts,
+    in any order, gives the top level of dhr_levels row for row."""
+    d = m.rank_full - 1
+    nvars = len(rank2_flats(m))
+    levels, words = dhr_levels(m, d)
+    starts, counts = _child_counts(levels[d - 1], words[d - 1], nvars)
+    assert int(counts.sum()) == len(levels[d])
+    index = np.arange(len(levels[d]))
+    points = _support_points(levels[d - 1], words[d - 1], starts, counts, index)
+    assert points.dtype == np.uint16 and points.tolist() == levels[d].tolist()
+    random.Random(d).shuffle(index)
+    assert _support_points(levels[d - 1], words[d - 1], starts, counts, index).tolist() == levels[d][index].tolist()
+
+
+@pytest.mark.parametrize("r,n,support", [(5, 6, 283_326), (4, 8, 103_167)])
+def test_cold_verify_lorentzian_in_a_child_process(tmp_path, r, n, support):
+    """The two sampled supports of the benchmark's Lorentzian runs.  Read off
+    the packed words of level d - 1, cold ``verify --suite lorentzian`` peaked
+    at 35.0 MB on both; with the whole support, two whole-level bool link
+    tables and ``numpy.random`` for the sample, it took 44.5 MB on U(5,6) and
+    41.2 MB on U(4,8)."""
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"type": "uniform", "r": r, "n": n}))
+    probe = (
+        "import runpy, sys\n"
+        f"sys.argv = ['chowmat', 'verify', {str(spec)!r}, '--suite', 'lorentzian']\n"
+        "try:\n"
+        "    runpy.run_module('chowmat.cli', run_name='__main__')\n"
+        "except SystemExit as e:\n"
+        "    assert not e.code, e.code\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    out, peak_mb = child_peak_mb(probe, timeout=300)
+    report, loaded = out.splitlines()
+    suite = json.loads(report)["result"]["suites"]["lorentzian"]
+    assert (suite["passed"], suite["mconvex_mode"], suite["support"]) == (True, "sampled", support)
+    assert loaded == "False"
+    assert peak_mb < 38, f"peak RSS {peak_mb:.1f} MB"
+
+
+@pytest.mark.slow
+def test_cold_verify_lorentzian_u510_in_a_child_process(tmp_path):
+    """The 842,530,176 support points of U(5,10) would take 6.3 GiB as uint16
+    rows, and its level d - 1 as a bool link table 3.12 GiB; the check that
+    built them exited 3.  Read off the 8,912,496 rows of level d - 1 and
+    their packed words, it finished in 23 s at 649 MB."""
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"type": "uniform", "r": 5, "n": 10}))
+    probe = (
+        "import runpy, sys\n"
+        f"sys.argv = ['chowmat', 'verify', {str(spec)!r}, '--suite', 'lorentzian']\n"
+        "try:\n"
+        "    runpy.run_module('chowmat.cli', run_name='__main__')\n"
+        "except SystemExit as e:\n"
+        "    assert not e.code, e.code\n"
+    )
+    out, peak_mb = child_peak_mb(probe, timeout=1800)
+    suite = json.loads(out)["result"]["suites"]["lorentzian"]
+    assert (suite["passed"], suite["mconvex_mode"], suite["support"]) == (True, "sampled", 842_530_176)
+    assert peak_mb < 800, f"peak RSS {peak_mb:.0f} MB"
 
 
 def test_degenerate_hessian_fails_the_check(monkeypatch):
