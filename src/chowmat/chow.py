@@ -26,11 +26,14 @@ memo holds nonzero results only.
 Multiplication by a generator is a :class:`SparseMap` between the nested
 coordinates of two consecutive degrees: only its nonzero entries are stored,
 as (row, column, value) triples, because a Groebner normal form touches only
-the nested monomials above one chain (Feichtner-Yuzvinsky).  Products with
-vectors and blocks gather and sum those entries; a dense block is built only
-at the point of use of a GEMM, and not kept.  Every product picks float32,
-float64, int64 or Python-int arithmetic from a bound on its partial sums
-(:func:`exact_dtype`), so no fixed-width path can round or wrap.
+the nested monomials above one chain (Feichtner-Yuzvinsky).  A single
+monomial is reduced by a walk (:meth:`ChowRing._walk`) that keeps its few
+nonzero coordinates as Python ints and reads only the map columns they
+select, so it is exact at any size.  Block products gather and sum the
+entries; a dense block is built only at the point of use of a GEMM, and not
+kept.  Every block product picks float32, float64, int64 or Python-int
+arithmetic from a bound on its partial sums (:func:`exact_dtype`), so no
+fixed-width path can round or wrap.
 
 Every intersection matrix is one call, :meth:`ChowRing.pairing`: the
 functionals int(b_i * -) of the nested h-basis against the z-coordinates of
@@ -225,9 +228,10 @@ class SparseMap:
     ``rows``, ``cols`` and ``vals`` hold the entries sorted by row, and by
     column within a row: intp indices, and values as int64, or as Python ints
     when some value does not fit.  ``bound`` is the largest absolute row sum,
-    so that max |M x| <= bound * max |x|.  Products gather and sum the
+    so that max |M x| <= bound * max |x|.  Block products gather and sum the
     entries (:meth:`apply`); a dense block exists only where a caller builds
-    one for a GEMM (:meth:`dense_block`), and nothing keeps it.
+    one for a GEMM (:meth:`dense_block`), and nothing keeps it.  A product
+    with a few nonzero coordinates reads single columns (:attr:`_columns`).
     """
 
     def __init__(
@@ -301,6 +305,18 @@ class SparseMap:
         # int32 halves the cache: a position is below the entry count, far below 2^31 for any map in memory.
         return outs, ins, r, c.astype(np.int32)
 
+    @cached_property
+    def _columns(self) -> tuple[tuple[int, ...], ...]:
+        """Column c as one flat tuple ``(row, value, row, value, ...)`` of
+        Python ints, rows ascending: the entries that a product with a vector
+        supported on a few columns reads.  Built on first use and read-only."""
+        order = np.argsort(self.cols, kind="stable")
+        starts = np.searchsorted(self.cols[order], np.arange(self.shape[1] + 1)).tolist()
+        flat = np.empty(2 * len(order), dtype=self.vals.dtype)
+        flat[0::2], flat[1::2] = self.rows[order], self.vals[order]
+        flat = flat.tolist()
+        return tuple(tuple(flat[2 * a : 2 * b]) for a, b in zip(starts, starts[1:]))
+
     def dense_block(self, dtype=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(outs, ins, block)``: the ascending nonzero rows and columns and the
         dense block between them, in ``dtype`` (the entries' own by default).
@@ -312,21 +328,19 @@ class SparseMap:
         return outs, ins, block
 
     def apply(self, x: np.ndarray, xmax: int | None = None) -> np.ndarray:
-        """The exact product M @ x, for an integer vector or block x.
+        """The exact product M @ x, for an integer block x.
 
-        ``x`` is ``(shape[1],)`` or ``(shape[1], N)`` with integer entries held
-        as int64, as float32 below 2^24, as float64 below 2^53, or as Python
-        ints; ``xmax`` bounds their absolute values (read off x when omitted).
-        Each entry of M is multiplied by its gathered row of x and the
-        products are summed per row of M, so every partial sum is at most
+        ``x`` is ``(shape[1], N)`` with integer entries held as int64, as
+        float32 below 2^24, as float64 below 2^53, or as Python ints; ``xmax``
+        bounds their absolute values (read off x when omitted).  Each entry of
+        M is multiplied by its gathered row of x and the products are summed
+        per row of M with ``np.add.reduceat``, so every partial sum is at most
         bound * xmax: the product runs in float32 when that is below 2^24, in
         float64 below 2^53, in int64 below 2^62 and on Python ints otherwise
-        (:func:`exact_dtype`).  A vector on the float paths is one
-        ``np.bincount``, in float64; every other product sums with
-        ``np.add.reduceat``, and a block is taken a few columns at a time, so
+        (:func:`exact_dtype`).  The block is taken a few columns at a time, so
         that no gathered temporary exceeds :data:`_CHUNK` elements.  A float x
-        gives a float product on the float paths (float64 for a vector);
-        every other product is int64 or Python ints.
+        gives a float product on the float paths; every other product is int64
+        or Python ints.
         """
         if xmax is None:
             xmax = absmax(x)
@@ -335,13 +349,6 @@ class SparseMap:
         if floats and path not in _FLOATS or x.dtype == object and path in _FLOATS:
             # Floats reach the integer paths, and Python ints the float paths, as int64.
             x = x.astype(np.int64)
-        if x.ndim == 1 and path in _FLOATS:
-            # Every product and partial sum is an integer below 2^53: exact in
-            # bincount's float64 (int64 when M has no entries).
-            prod = np.bincount(self.rows, self.vals * x[self.cols], self.shape[0])
-            return prod.astype(np.float64 if floats else np.int64, copy=False)
-        if x.ndim == 1:
-            return self.apply(x[:, None], xmax)[:, 0]
         out = np.zeros((self.shape[0], x.shape[1]), dtype=path if floats or path not in _FLOATS else np.int64)
         outs, first = self._segments
         if not len(first):
@@ -635,27 +642,35 @@ class ChowRing:
 
     # -- element-level operations ---------------------------------------------
 
-    def _walk(self, maps, flats: Sequence[int]) -> np.ndarray:
-        """Nested z-coordinates of a product of generators: 1 pushed through
-        ``maps(cl(flats[0]), 0)``, ``maps(cl(flats[1]), 1)``, ... by
-        :meth:`SparseMap.apply`, in the dtype (:func:`exact_dtype`) of the
-        running product of the maps' largest absolute row sums, which bounds
-        every partial sum so far.  The walk stops at the first zero vector, so
-        no later map (or closure) is built."""
-        vec, bound = np.array([1.0]), 1
+    def _walk(self, maps, flats: Sequence[int]) -> dict[int, int]:
+        """Nested z-coordinates of a product of generators, as {index: Python
+        int} over the nonzero ones: 1 pushed through ``maps(cl(flats[0]), 0)``,
+        ``maps(cl(flats[1]), 1)``, ....  A step reads only the columns
+        (:attr:`SparseMap._columns`) of the nonzero coordinates, which are few
+        because a normal form touches only the nested monomials above one
+        chain (Feichtner-Yuzvinsky); Python ints keep every step exact.  The
+        walk stops at the first zero vector, so no later map (or closure) is
+        built."""
+        vec = {0: 1}
         for deg, f in enumerate(flats):
-            if not np.count_nonzero(vec):
-                return np.zeros(len(self.nested[len(flats)]))
-            step = maps(f if f in self.flat_rank else self.matroid.closure(f), deg)
-            vec = step.apply(vec, bound)
-            bound *= step.bound
+            if not vec:
+                break
+            columns = maps(f if f in self.flat_rank else self.matroid.closure(f), deg)._columns
+            out: dict[int, int] = {}
+            for col, x in vec.items():
+                entries = columns[col]
+                for i in range(0, len(entries), 2):
+                    row = entries[i]
+                    out[row] = out.get(row, 0) + x * entries[i + 1]
+            vec = {row: v for row, v in out.items() if v}
         return vec
 
     def zcoords(self, e: ChowElement) -> tuple[int, list[Fraction]]:
         """(degree, nested z-coordinates) of a homogeneous element, none above
         the top degree: the sum of its terms' walks (:meth:`_walk`) through
-        the h-maps in the h alphabet and the z-maps otherwise (x_F = z_F).
-        Every variable must be a nonempty flat, and not E in the x alphabet."""
+        the h-maps in the h alphabet and the z-maps otherwise (x_F = z_F),
+        each walk's nonzero coordinates times the term's coefficient.  Every
+        variable must be a nonempty flat, and not E in the x alphabet."""
         for mask, _ in itertools.chain.from_iterable(e.terms):
             if mask not in self.flat_rank or e.alphabet == "x" and mask == self.matroid.full_mask:
                 raise NotAFlat(f"variable {sorted(bits(mask))} not available in the {e.alphabet} alphabet")
@@ -665,9 +680,8 @@ class ChowRing:
         maps = self.h_matrix if e.alphabet == "h" else self.z_matrix
         out = [Fraction(0)] * len(self.nested[grade])
         for mono, coeff in e.terms.items():
-            vec = self._walk(maps, [mask for mask, exp in mono for _ in range(exp)])
-            for i in np.flatnonzero(vec).tolist():
-                out[i] += coeff * int(vec[i])
+            for i, v in self._walk(maps, [mask for mask, exp in mono for _ in range(exp)]).items():
+                out[i] += coeff * v
         return grade, out
 
     def normal_form(self, e: ChowElement) -> ChowElement:
@@ -694,12 +708,13 @@ class ChowRing:
     def h_monomial_degree(self, flats: Iterable[int]) -> Fraction:
         """Degree of a product of simplicial generators h_{A_1} ... h_{A_d}, A_i
         nonempty subsets of E: the one coordinate of the walk (:meth:`_walk`)
-        through the h-maps of the closures cl(A_i)."""
+        through the h-maps of the closures cl(A_i), 0 when the walk ends
+        empty."""
         flats = list(flats)
         if len(flats) != self.d:
             raise WrongGrade(f"need {self.d} factors, got {len(flats)}")
         self.matroid.check_members(flats)
-        return Fraction(int(self._walk(self.h_matrix, flats)[0]) * (-1) ** self.d)
+        return Fraction(self._walk(self.h_matrix, flats).get(0, 0) * (-1) ** self.d)
 
     def poincare_pairing(self, k: int) -> list[list[Fraction]]:
         """Matrix of int(b_i * b_j) over nested degrees k and d-k (h basis)."""

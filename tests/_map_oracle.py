@@ -5,8 +5,10 @@ The library stores each multiplication map compressed to its nonzero rows and
 columns (``chowmat.chow.SparseMap``) and skips the products it knows to be
 zero; these are the plain dense matrices it must equal, with Python-int
 entries, from a recursion that skips nothing.  The library reduces elements
-through those maps; :func:`zcoords_by_expansion` reduces them the other way,
-by expanding every term into z-monomials first.
+through those maps, one column per nonzero coordinate;
+:func:`zcoords_by_expansion` reduces them the other way, by expanding every
+term into z-monomials first, and :func:`walk_by_apply` through the same maps as
+whole block products.
 """
 
 from __future__ import annotations
@@ -87,6 +89,53 @@ def zcoords_by_expansion(ring: ChowRing, e: ChowElement) -> tuple[int, list[Frac
     out = [Fraction(0)] * len(ring.nested[grade])
     for mono, coeff in convert_element(ring, e, "z").terms.items():
         for idx, v in nf_by_recursion(ring, mono).items():
+            out[idx] += coeff * v
+    return grade, out
+
+
+def walk_by_apply(ring: ChowRing, maps, members) -> dict[int, int]:
+    """Nested z-coordinates of a product of generators, as {index: int} over
+    the nonzero ones: the 1 x 1 block of 1 pushed through
+    ``maps(cl(members[k]), k)`` for every k by ``SparseMap.apply``, without
+    stopping at a zero block."""
+    block = np.ones((1, 1), dtype=np.int64)
+    for deg, member in enumerate(members):
+        block = maps(ring.matroid.closure(member), deg).apply(block)
+    return _nonzero(block)
+
+
+def walks_by_apply(ring: ChowRing, maps, members, size: int):
+    """``(multiset, walk_by_apply(ring, maps, multiset))`` for every
+    ``size``-multiset of ``members``, in ``combinations_with_replacement``
+    order; the block of a prefix that several multisets share is pushed
+    through the maps once."""
+
+    def grow(prefix: tuple, start: int, block: np.ndarray):
+        if len(prefix) == size:
+            yield prefix, _nonzero(block)
+            return
+        for i in range(start, len(members)):
+            step = maps(ring.matroid.closure(members[i]), len(prefix))
+            yield from grow(prefix + (members[i],), i, step.apply(block))
+
+    yield from grow((), 0, np.ones((1, 1), dtype=np.int64))
+
+
+def _nonzero(block: np.ndarray) -> dict[int, int]:
+    return {i: int(v) for i, v in enumerate(block[:, 0].tolist()) if v}
+
+
+def zcoords_by_apply(ring: ChowRing, e: ChowElement) -> tuple[int, list[Fraction]]:
+    """(degree, nested z-coordinates) of a homogeneous element with flat
+    variables: each term's :func:`walk_by_apply`, through the h-maps in the h
+    alphabet and the z-maps otherwise, times its coefficient."""
+    grade = e.grade() or 0
+    if grade > ring.d:
+        return grade, []
+    maps = ring.h_matrix if e.alphabet == "h" else ring.z_matrix
+    out = [Fraction(0)] * len(ring.nested[grade])
+    for mono, coeff in e.terms.items():
+        for idx, v in walk_by_apply(ring, maps, [f for f, exp in mono for _ in range(exp)]).items():
             out[idx] += coeff * v
     return grade, out
 

@@ -24,6 +24,7 @@ from chowmat.errors import InhomogeneousElement, InvariantViolation, LoopyMatroi
 from chowmat.matroid import popcount
 from chowmat.quotients import enumerate_relative_nested
 
+from _map_oracle import walks_by_apply
 from _quotient_oracle import relative_nested_quotients
 from conftest import k4, random_truncation_corpus, small_corpus
 
@@ -292,16 +293,14 @@ def test_groebner_degree_equals_dhr_small():
 
 @pytest.mark.parametrize("dtype", [np.float64, np.int64, object])
 def test_groebner_degree_is_the_same_on_wider_products(monkeypatch, dtype):
-    """Every degree-d multiset of nonempty flats of the small corpus, with the
-    Groebner route's one dtype forced off float32."""
-    cases = []
+    """Every degree-d multiset of nonempty flats of the small corpus: the walk
+    equals the same product as block products, with the block products' one
+    dtype forced off float32."""
+    monkeypatch.setattr(chow, "exact_dtype", lambda bound: dtype)
     for _, m in small_corpus():
         ring = ring_for(m)
-        multisets = list(itertools.combinations_with_replacement([f for f in m.lattice().flats if f], ring.d))
-        cases.append((ring, multisets, [ring.h_monomial_degree(ms) for ms in multisets]))
-    monkeypatch.setattr(chow, "exact_dtype", lambda bound: dtype)
-    for ring, multisets, expected in cases:
-        assert [ring.h_monomial_degree(ms) for ms in multisets] == expected
+        for multiset, expected in walks_by_apply(ring, ring.h_matrix, [f for f in m.lattice().flats if f], ring.d):
+            assert ring._walk(ring.h_matrix, multiset) == expected, multiset
 
 
 def test_groebner_degree_stays_exact_past_int64(monkeypatch):

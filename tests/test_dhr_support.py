@@ -406,10 +406,10 @@ def test_triple_scan_sees_a_corrupted_node_that_shares_its_states(monkeypatch, b
         return truncate_along(m.rank_table(), [flats[j] for j in node]).tobytes()
 
     def coordinates(node):
-        z = np.ones(1, dtype=np.int64)
+        z = np.ones((1, 1), dtype=np.int64)
         for k, j in enumerate(node):
             z = ring.h_matrix(flats[j], k).apply(z)
-        return tuple(z.tolist())
+        return tuple(z[:, 0].tolist())
 
     tables = [table(node) for node in nodes]
     coords = [coordinates(node) for node in nodes]
