@@ -118,11 +118,33 @@ def matroid_summary(m: Matroid) -> dict:
     }
 
 
-def emit(doc: dict, pretty: bool) -> None:
-    if pretty:
-        click.echo(json.dumps(doc, indent=2))
-    else:
-        click.echo(json.dumps(doc, separators=(",", ":")))
+#: Stands in the document for each value that is written separately.
+_HOLE = "\x00"
+
+
+def emit(doc: dict, pretty: bool, items=None) -> None:
+    """Write ``doc`` as JSON, compact or indented by 2.
+
+    With ``items``, the list ``[_HOLE]`` in ``doc`` is written a block at a
+    time, so that no string holds the whole document: ``items(dumps)`` yields
+    the blocks as lists of encoded items.  ``dumps(value, pad)`` encodes a
+    value that starts on a line indented by ``pad``, by default an item's."""
+
+    def dumps(value, pad: str = "") -> str:
+        if pretty:
+            return json.dumps(value, indent=2).replace("\n", "\n" + pad)
+        return json.dumps(value, separators=(",", ":"))
+
+    text = dumps(doc)
+    if items is None:
+        click.echo(text)
+        return
+    head, tail = text.split(dumps(_HOLE))
+    sep = "," + head[len(head.rstrip()) :]  # a comma, then the line break and indent of an item
+    click.echo(head, nl=False)
+    for i, block in enumerate(items(lambda value, pad=sep[2:]: dumps(value, pad))):
+        click.echo((sep if i else "") + sep.join(block), nl=False)
+    click.echo(tail)
 
 
 def _max_ground_option(f):
@@ -153,7 +175,7 @@ def _run(command: str, spec_file: str, max_ground: int | None, pretty: bool, wor
         click.echo(json.dumps({"error": type(exc).__name__, "message": str(exc)}), err=True)
         sys.exit(2)
     try:
-        payload, ok = worker(m)
+        payload, ok, *items = worker(m)
     except Exception as exc:
         # Free the failed work that the frames of the exception chain hold; exit 3 (or 2) even if
         # the report cannot be built.
@@ -170,7 +192,7 @@ def _run(command: str, spec_file: str, max_ground: int | None, pretty: bool, wor
         finally:
             sys.exit(3 if internal else 2)
     doc = {"command": command, "matroid": matroid_summary(m), "result": payload}
-    emit(doc, pretty)
+    emit(doc, pretty, *items)
     sys.exit(0 if ok else 1)
 
 
@@ -233,16 +255,28 @@ def degree(spec_file: str, flats_arg: str, pretty: bool, max_ground: int | None)
 @click.argument("spec_file")
 @_max_ground_option
 def volume(spec_file: str, pretty: bool, max_ground: int | None) -> None:
-    """The volume polynomial as a sorted multinomial term list."""
+    """The volume polynomial as a sorted multinomial term list, written a block of terms at a time."""
 
     def worker(m: Matroid):
-        vp = hodge.volume_polynomial(m)
-        names = {f: _subset(f) for f in m.lattice().flats}
-        terms = [
-            {"flats": [names[f] for f in mono], "coeff": coeff}
-            for mono, coeff in sorted(vp.terms.items())
-        ]
-        return {"degree": vp.degree, "terms": terms}, True
+        import numpy as np
+
+        flats, rows, coeffs = hodge.volume_arrays(m)
+        # The terms in the order of their tuples of flat masks (positions in mask order).
+        order = np.lexsort(rows.T[::-1]) if rows.shape[1] else np.arange(len(rows))
+        names = [_subset(f) for f in flats]
+
+        def items(dumps):
+            term = dumps({"flats": [_HOLE] * rows.shape[1], "coeff": _HOLE})
+            hole = dumps(_HOLE)
+            before = term.split(hole)[0]
+            pad = before[len(before.rstrip(" ")) :]  # the line indent of a flat
+            flat = np.array([dumps(name, pad) for name in names], dtype=object)
+            form = term.replace("{", "{{").replace("}", "}}").replace(hole, "{}")
+            for lo in range(0, len(order), hodge._BLOCK):
+                x = order[lo : lo + hodge._BLOCK]
+                yield [form.format(*f, c) for f, c in zip(flat[rows[x]].tolist(), coeffs[x].tolist())]
+
+        return {"degree": rows.shape[1], "terms": [_HOLE]}, True, items
 
     _run("volume", spec_file, max_ground, pretty, worker)
 

@@ -29,8 +29,10 @@ under further intersections, and zero stays zero under multiplication), so
 dead subtrees are counted instead of walked.
 
 The support S of the volume polynomial is the top level of
-:func:`dhr_levels`.  :func:`volume_polynomial`, :func:`mconvex_support` and
-:func:`lorentzian_check` read everything off these arrays (Brändén-Huh,
+:func:`dhr_levels`.  :func:`volume_arrays` weights it (the CLI writes its
+terms from these arrays, :func:`volume_polynomial` builds a dict), and
+:func:`mconvex_support` and :func:`lorentzian_check` read everything off
+these arrays (Brändén-Huh,
 arXiv 1902.03719): the M-convex exchange check runs once per T, and every
 Hessian of a derivative quadratic is a gather of link rows, so no truncated
 matroid is built outside the cross-check.  The Lorentzian check stops at
@@ -285,11 +287,20 @@ def _index(keys: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 
 def _copy_index(rows: np.ndarray) -> np.ndarray:
-    """For each entry of the nondecreasing rows, how many equal entries precede it."""
-    occ = np.zeros(rows.shape, dtype=np.intp)
+    """For each entry of the nondecreasing rows, how many equal entries precede
+    it, as int8: rows have at most 15 entries."""
+    occ = np.zeros(rows.shape, dtype=np.int8)
     for p in range(1, rows.shape[1]):
         occ[:, p] = np.where(rows[:, p] == rows[:, p - 1], occ[:, p - 1] + 1, 0)
     return occ
+
+
+def _multinomials(rows: np.ndarray) -> np.ndarray:
+    """d! / prod c_F! for each nondecreasing row of d entries, as int64.
+
+    prod c_F! is the product over the entries of (number of equal entries
+    before it + 1), taken in int64 so that d! <= 15! cannot overflow."""
+    return math.factorial(rows.shape[1]) // (_copy_index(rows) + 1).prod(axis=1, dtype=np.int64)
 
 
 # -- volume polynomial ----------------------------------------------------------
@@ -317,25 +328,36 @@ class VolumePolynomial:
         ]
 
 
-def volume_polynomial(m: Matroid) -> VolumePolynomial:
-    """The DHR multisets of rank >= 2 flats with multinomial weights d! / prod c_F!."""
+def volume_arrays(m: Matroid) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """The volume polynomial as arrays: the DHR multisets of rank >= 2 flats
+    with multinomial weights d! / prod c_F!.
+
+    Returns ``(flats, rows, coeffs)``: the rank >= 2 flats in mask order; one
+    nondecreasing uint16 row of positions in ``flats`` per term, in the order
+    of :func:`dhr_levels`' top level; and the terms' int64 coefficients."""
     if not m.is_loopless():
         raise LoopyMatroid("volume polynomials are defined for loopless matroids")
     d = m.rank_full - 1
-    support = dhr_levels(m, d)[0][d]
-    # prod c_F! is the product over the entries of (number of equal entries before it + 1).
-    coeffs = math.factorial(d) // (_copy_index(support) + 1).prod(axis=1)
+    rows = dhr_levels(m, d)[0][d]
     flats = _flats_rank2(m)
     order = np.argsort(flats)
-    place = np.empty_like(order)
+    place = np.empty(len(flats), dtype=np.uint16)
     place[order] = np.arange(len(flats))
-    by_mask = np.array(flats, dtype=object)[order]
+    for lo in range(0, len(rows), _BLOCK):  # in place, a block at a time
+        rows[lo : lo + _BLOCK] = np.sort(place[rows[lo : lo + _BLOCK]], axis=1)
+    return sorted(flats), rows, _multinomials(rows)
+
+
+def volume_polynomial(m: Matroid) -> VolumePolynomial:
+    """The DHR multisets of rank >= 2 flats with multinomial weights d! / prod c_F!."""
+    flats, rows, coeffs = volume_arrays(m)
     # Keys hold the flats' own int objects in mask order, built a block at a time.
+    by_mask = np.array(flats, dtype=object)
     terms = {}
-    for lo in range(0, len(support), _BLOCK):
-        keys = by_mask[np.sort(place[support[lo : lo + _BLOCK]], axis=1)]
+    for lo in range(0, len(rows), _BLOCK):
+        keys = by_mask[rows[lo : lo + _BLOCK]]
         terms.update(zip(map(tuple, keys.tolist()), coeffs[lo : lo + _BLOCK].tolist()))
-    return VolumePolynomial(m, d, terms)
+    return VolumePolynomial(m, m.rank_full - 1, terms)
 
 
 def mconvex_support(v: VolumePolynomial) -> bool:

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import os
 import random
 import resource
 import subprocess
 import sys
+import tempfile
+import threading
+from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
@@ -133,15 +137,40 @@ def small_corpus(max_elements: int = 5) -> list[tuple[str, Matroid]]:
     return [(name, m) for name, m in full_corpus() if m.n_elements <= max_elements]
 
 
-_PEAK_PROBE = """
-import resource, sys
-try:
-    with open('/proc/self/status') as fh:
-        peak_kb = next(int(line.split()[1]) for line in fh if line.startswith('VmHWM:'))
-except (OSError, StopIteration):
-    peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-print(peak_kb, file=sys.stderr)
+_PEAK_KB = """
+def _peak_kb():
+    try:
+        with open('/proc/self/status') as fh:
+            return next(int(line.split()[1]) for line in fh if line.startswith('VmHWM:'))
+    except (OSError, StopIteration):
+        import resource
+        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 """
+
+_PEAK_PROBE = _PEAK_KB + """
+import sys
+print(_peak_kb(), file=sys.stderr)
+"""
+
+# Runs the CLI on its arguments and writes its peak to stderr after the CLI's own lines.
+_CLI_PROBE = _PEAK_KB + """
+import sys
+from chowmat import cli
+try:
+    cli.main(sys.argv[1:])
+finally:
+    print('peak_kb', _peak_kb(), file=sys.stderr)
+"""
+
+
+def _child_env() -> dict[str, str]:
+    src = str(Path(chowmat.__file__).parents[1])
+    paths = [src, os.environ.get("PYTHONPATH")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+
+
+def _limit_memory():  # a regression fails here instead of exhausting the host
+    resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
 
 
 def child_peak_mb(probe: str, timeout: float) -> tuple[str, float]:
@@ -153,22 +182,58 @@ def child_peak_mb(probe: str, timeout: float) -> tuple[str, float]:
     keeps the peak of the process it was forked from across exec, so it reads
     at least the RSS of the test session itself.
     """
-    src = str(Path(chowmat.__file__).parents[1])
-    paths = [src, os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
-
-    def limit_memory():  # a regression fails here instead of exhausting the host
-        resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
-
     done = subprocess.run(
         [sys.executable, "-c", probe + _PEAK_PROBE],
         capture_output=True,
-        env=env,
+        env=_child_env(),
         timeout=timeout,
-        preexec_fn=limit_memory,
+        preexec_fn=_limit_memory,
     )
     assert done.returncode == 0, done.stderr.decode()[-2000:]
     return done.stdout.decode(), int(done.stderr.decode().split()[-1]) / 1024
+
+
+@dataclass
+class ChildRun:
+    """What :func:`run_cli_child` saw of one CLI run."""
+
+    code: int
+    sha256: str  # of stdout
+    size: int  # stdout bytes
+    peak_mb: float | None  # VmHWM (:func:`child_peak_mb`); None if the child died before reading it
+    stderr: str  # without the peak line
+
+
+def run_cli_child(args: list[str], timeout: float) -> ChildRun:
+    """Run the CLI on ``args`` in a fresh interpreter under a 3 GB
+    address-space limit.  Stdout is hashed as it is read, so that a large
+    document is never held in the test process."""
+    digest, size = hashlib.sha256(), 0
+    with tempfile.TemporaryFile() as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-c", _CLI_PROBE, *args],
+            stdout=subprocess.PIPE,
+            stderr=err,
+            env=_child_env(),
+            preexec_fn=_limit_memory,
+        )
+        timer = threading.Timer(timeout, proc.kill)  # a child past its time reads as killed
+        timer.start()
+        try:
+            with proc.stdout:
+                while chunk := proc.stdout.read(1 << 20):
+                    digest.update(chunk)
+                    size += len(chunk)
+            code = proc.wait()
+        finally:
+            timer.cancel()
+            proc.kill()
+            proc.wait()
+        err.seek(0)
+        lines = err.read().decode().splitlines()
+    peaks = [i for i, line in enumerate(lines) if line.startswith("peak_kb ")]
+    peak_mb = int(lines.pop(peaks[-1]).split()[1]) / 1024 if peaks else None
+    return ChildRun(code, digest.hexdigest(), size, peak_mb, "\n".join(lines))
 
 
 def pytest_addoption(parser):

@@ -5,13 +5,18 @@ import os
 import resource
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
 
 import chowmat
-from chowmat import chow, cli, quotients
-from chowmat.matroid import Matroid, uniform
+from chowmat import chow, cli, hodge, quotients
+from chowmat.matroid import Matroid, bits, uniform
+
+from conftest import full_corpus, non_representable, run_cli_child, truncated_booleans
 
 
 @pytest.fixture()
@@ -251,6 +256,102 @@ def test_volume_rank_one_constant(runner, tmp_path):
     result = invoke(runner, ["volume", spec])
     doc = json.loads(result.output)
     assert doc["result"]["terms"] == [{"flats": [], "coeff": 1}]
+
+
+def volume_document(m: Matroid, pretty: bool) -> bytes:
+    """The ``volume`` document rendered whole from ``volume_polynomial``'s
+    terms dict: the reference for the CLI, which writes it a block at a time."""
+    vp = hodge.volume_polynomial(m)
+    names = {f: sorted(bits(f)) for f in m.lattice().flats}
+    terms = [{"flats": [names[f] for f in mono], "coeff": coeff} for mono, coeff in sorted(vp.terms.items())]
+    doc = {"command": "volume", "matroid": cli.matroid_summary(m), "result": {"degree": vp.degree, "terms": terms}}
+    text = json.dumps(doc, indent=2) if pretty else json.dumps(doc, separators=(",", ":"))
+    return (text + "\n").encode()
+
+
+def assert_volume_bytes(spec: str) -> None:
+    m = cli.load_matroid(spec, 16)
+    runner = CliRunner()
+    for flag in ([], ["--pretty"]):
+        result = invoke(runner, ["volume", spec, *flag])
+        assert result.exit_code == 0
+        assert result.stdout_bytes == volume_document(m, bool(flag)), (spec, flag)
+
+
+def bases_spec(tmp_path, name: str, m: Matroid) -> str:
+    bases = [sorted(bits(b)) for b in m.bases]
+    return write_spec(tmp_path, name, {"type": "bases", "ground": m.n_elements, "bases": bases})
+
+
+@pytest.mark.parametrize("r,n", [(1, 3), (2, 3), (3, 3), (4, 8)])
+def test_volume_bytes_match_the_whole_document(tmp_path, r, n):
+    """U(1,3) has degree 0 (``"flats": []``), U(2,3) a single flat per term;
+    U(4,8) writes 45 blocks of terms."""
+    assert_volume_bytes(write_spec(tmp_path, "u.json", {"type": "uniform", "r": r, "n": n}))
+
+
+def test_volume_bytes_match_the_whole_document_on_the_corpus(tmp_path):
+    """Up to 57,182 terms (V8); the whole documents of U(5,6) (283,326 terms)
+    and U(6,6) (4,614,021) are left to the cold digests."""
+    for name, m in full_corpus() + non_representable():
+        if m.is_loopless() and name not in ("U(5,6)", "U(6,6)"):
+            assert_volume_bytes(bases_spec(tmp_path, f"{name}.json", m))
+
+
+@settings(max_examples=25, deadline=None)
+@given(truncated_booleans())
+def test_volume_bytes_match_the_whole_document_on_truncations(m):
+    with tempfile.TemporaryDirectory() as tmp:
+        assert_volume_bytes(bases_spec(Path(tmp), "m.json", m))
+
+
+def test_volume_out_of_memory_writes_nothing(runner, u34_spec, monkeypatch):
+    """A failure while the terms are built exits 3 before any byte of the document."""
+
+    def no_memory(m):
+        raise MemoryError
+
+    monkeypatch.setattr(cli.hodge, "volume_arrays", no_memory)
+    result = runner.invoke(cli.main, ["volume", u34_spec])
+    assert result.exit_code == 3
+    assert result.stdout == ""
+    assert json.loads(result.stderr)["error"] == "MemoryError"
+
+
+def test_volume_of_a_loopy_matroid_writes_nothing(runner, tmp_path):
+    spec = write_spec(tmp_path, "loopy.json", {"type": "bases", "ground": 3, "bases": [[0, 1]]})
+    result = runner.invoke(cli.main, ["volume", spec])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert json.loads(result.stderr)["error"] == "LoopyMatroid"
+
+
+def test_volume_u410_memory(tmp_path):
+    """Cold U(4,10) ``volume`` writes 34 MB of JSON from its support arrays:
+    about 63 MB at the peak, where building the document whole took 407 MB."""
+    spec = write_spec(tmp_path, "u410.json", {"type": "uniform", "r": 4, "n": 10})
+    run = run_cli_child(["volume", spec], timeout=300)
+    assert run.code == 0, run.stderr[-2000:]
+    assert (run.sha256, run.size) == ("f6eaa9606708d6a18c713483f2a884c6fcaa569a1db82442d696ca535aee3396", 34288342)
+    assert run.peak_mb < 150, f"peak RSS {run.peak_mb:.0f} MB"
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "r,n,digest,size",
+    [
+        (4, 12, "8bde66b1d8c12237946bbe3431189a62f5062890e136f84adba1d6a3a10526b5", 183083206),
+        (6, 6, "390fb04ad85e791f64574c0b1e718bddda3311904a08e52472b5127f284bec74", 311258482),
+    ],
+)
+def test_volume_digest(tmp_path, r, n, digest, size):
+    """The bytes of the whole-document writer, which took 31 s and 1.8 GB on
+    cold U(4,12) and 49 s and 2.4 GB on U(6,6), in under 400 MB."""
+    spec = write_spec(tmp_path, "u.json", {"type": "uniform", "r": r, "n": n})
+    run = run_cli_child(["volume", spec], timeout=600)
+    assert run.code == 0, run.stderr[-2000:]
+    assert (run.sha256, run.size) == (digest, size)
+    assert run.peak_mb < 400, f"peak RSS {run.peak_mb:.0f} MB"
 
 
 def test_charpoly(runner, u34_spec, tmp_path):

@@ -301,6 +301,17 @@ def test_volume_coefficient_is_multinomial():
         assert coeff == expected
 
 
+def test_multinomials_of_fifteen_entries():
+    """Rows of d = 15 entries, the most a rank-16 matroid gives: distinct
+    entries weigh 15!, equal ones 1.  The copy counts are int8, and their
+    product is taken in int64, where 15! fits."""
+    rows = np.array([range(15), [3] * 15, [0] * 7 + [1] * 8], dtype=np.uint16)
+    assert hodge._copy_index(rows).dtype == np.int8
+    multinomials = hodge._multinomials(rows)
+    assert multinomials.dtype == np.int64
+    assert multinomials.tolist() == [math.factorial(15), 1, math.comb(15, 7)]
+
+
 def test_volume_total_equals_ordered_tuples():
     """Sum of multinomials equals the number of ordered DHR tuples."""
     m = U34
