@@ -5,8 +5,9 @@ rationals appear as {"num": ..., "den": ...}.  Exit codes: 0 ok, 1
 verification failure, 2 input error, 3 internal error.  Errors go to stderr
 as {"error": <exception type>, "message": ...}; an internal error is an
 ``InvariantViolation`` (a failed consistency check of a result) or any
-exception other than a ``ChowmatError`` raised while computing, so a crash
-never reads as a verdict, and its document also carries the traceback.
+exception other than a ``ChowmatError`` raised while computing or writing the
+output, a closed or full stdout included, so a crash never reads as a
+verdict, and its document also carries the traceback.
 """
 
 from __future__ import annotations
@@ -171,12 +172,17 @@ def _resolve_cap(max_ground: int | None) -> int:
 def _run(command: str, spec_file: str, max_ground: int | None, pretty: bool, worker) -> None:
     try:
         m = load_matroid(spec_file, _resolve_cap(max_ground))
-    except ChowmatError as exc:
-        click.echo(json.dumps({"error": type(exc).__name__, "message": str(exc)}), err=True)
-        sys.exit(2)
-    try:
         payload, ok, *items = worker(m)
+        emit({"command": command, "matroid": matroid_summary(m), "result": payload}, pretty, *items)
     except Exception as exc:
+        # One report for the input, the work and the output: an error while the document is
+        # encoded or written is internal too.  A closed pipe points stdout at os.devnull, as the
+        # notes on SIGPIPE in the docs of ``signal`` do, so the last flush at exit cannot meet it.
+        if isinstance(exc, BrokenPipeError):
+            try:
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            except OSError:  # a stdout without a file descriptor, as under a test runner
+                pass
         # Free the failed work that the frames of the exception chain hold; exit 3 (or 2) even if
         # the report cannot be built.
         chained = exc
@@ -191,8 +197,6 @@ def _run(command: str, spec_file: str, max_ground: int | None, pretty: bool, wor
             click.echo(json.dumps(report), err=True)
         finally:
             sys.exit(3 if internal else 2)
-    doc = {"command": command, "matroid": matroid_summary(m), "result": payload}
-    emit(doc, pretty, *items)
     sys.exit(0 if ok else 1)
 
 

@@ -10,17 +10,18 @@ simplicial generators.  Three independent routes compute such a product:
 * the chain of matroid intersections with corank-one matroids, which must
   terminate at the rank-one loopless matroid exactly in the nonzero case.
 
-Every DHR multiset comes from one level-batched enumerator,
-:func:`dhr_levels`: lexicographically sorted uint16 rows of flat indices per
-level, each row with its dead set, the complement of N(T) = {j : T + e_j is
-DHR}, as packed uint64 words that each child grows from its parent's by the
-triple scan's step (:func:`_child_dead`).
+Every DHR multiset comes from one level-batched growth.  A multiset T carries
+its dead set, the complement of N(T) = {j : T + e_j is DHR}, as packed uint64
+words, and level k + 1 is each v prepended to the T with T[0] >= v and bit v
+clear (:func:`_child_counts`, :func:`_parents`), with dead sets and subfamily
+unions from one step (:func:`_step`).  :func:`dhr_levels` keeps the levels as
+sorted uint16 rows of flat indices; the triple scan keeps no rows.
 
 :func:`dhr_triple_report` verifies all three routes agree on every degree-d
-multiset of rank >= 2 flats.  Its nodes carry their own dead sets, grown by
-the same step, as the DHR route.  For the chain route (rank tables, truncated
-by :func:`~chowmat.quotients.truncated_ranks`) and the Groebner route
-(nested z-coordinates) they share states, interned by content per level, so
+multiset of rank >= 2 flats.  Its nodes' dead sets are the DHR route.  For
+the chain route (rank tables, truncated by
+:func:`~chowmat.quotients.truncated_ranks`) and the Groebner route (nested
+z-coordinates) they share states, interned by content per level, so
 every candidate extension is pushed through those routes once per distinct
 state and compared with the DHR route node by node.  Once a candidate dies
 in all three routes at once, every extension dies in all three for
@@ -147,55 +148,52 @@ def dhr_levels(m: Matroid, size: int) -> tuple[list[np.ndarray], list[np.ndarray
     bits past the last flat are clear.  The levels are those of
     :func:`_dhr_growth`, which grows them one at a time.
     """
-    levels, words = zip(*_dhr_growth(m, size))
+    levels, words, _ = zip(*_dhr_growth(m, size))
     return list(levels), list(words[:-1])
 
 
 def _dhr_growth(m: Matroid, size: int):
-    """The levels 0 .. ``size`` of :func:`dhr_levels` as ``(rows, dead)``
-    pairs, each grown only when the one before it has been taken, so that a
-    caller that stops early never builds the rest.  The top level's dead sets
-    are None.
+    """The levels 0 .. ``size`` of :func:`dhr_levels` as ``(rows, dead,
+    starts)``, each grown only when the one before it has been taken, so that
+    a caller that stops early never builds the rest.  The top level's dead
+    sets are None; ``starts[v]`` is where the rows with T[0] >= v start.
 
-    The growth step is the triple scan's.  Each row T carries its dead set,
-    and the unions of its subfamilies while its children get dead sets.
-    Level k + 1 is :func:`_children` of level k, and the children's dead sets
-    grow from their parents' (:func:`_child_dead`), :data:`_BLOCK` children
-    at a time."""
+    Level k + 1 comes out of level k v by v: v prepended to its parents
+    (:func:`_parents`), so that the children of sorted rows come out sorted,
+    and their dead sets and unions grown by :func:`_step`, :data:`_BLOCK`
+    parents at a time.  The triple scan grows its nodes with the same
+    counts and the same step."""
     flats = m.lattice().masks[_first_rank2(m) :].astype(np.uint16)
     below, tight, unions, dead = _dhr_root(m, size)
     rows = np.zeros((1, 0), dtype=np.uint16)
+    starts = np.zeros(len(flats), dtype=np.intp)
     for k in range(size):
-        yield rows, dead
-        children, parents = _children(rows, dead, *_child_counts(rows, dead, len(flats)))
+        yield rows, dead, starts
+        counts = _child_counts(dead, starts)
+        first = np.cumsum(counts) - counts  # where the children of each v start
         linked = k + 1 < size  # the children get dead sets
         grow = k + 2 < size  # the children have children with dead sets: keep their unions
+        children = np.empty((int(counts.sum()), k + 1), dtype=np.uint16)
         child_dead = np.empty((len(children) if linked else 0, dead.shape[1]), dtype=np.uint64)
         child_unions = np.empty((len(children) if grow else 0, 2 * unions.shape[1]), dtype=np.uint16)
-        for lo in range(0, len(child_dead), _BLOCK):
-            x = parents[lo : lo + _BLOCK]
-            live = slice(lo, lo + len(x))
-            parent_unions = unions.take(x, axis=0)
-            child_dead[live], new = _child_dead(
-                below, tight, dead.take(x, axis=0), parent_unions, flats[children[live, 0], None]
-            )
-            if grow:
-                child_unions[live] = np.concatenate((parent_unions, new), axis=1)
-        rows, dead, unions = children, child_dead, child_unions
-        del parents  # not held while the caller reads the level
-    yield rows, None
+        for v, flat in enumerate(flats):
+            parents = _parents(dead, starts, v)
+            for lo in range(0, len(parents), _BLOCK):
+                x = parents[lo : lo + _BLOCK]
+                live = slice(first[v] + lo, first[v] + lo + len(x))
+                children[live, 0] = v
+                children[live, 1:] = rows.take(x, axis=0)
+                if linked:
+                    child_dead[live] = _step(below, tight, dead, unions, x, flat, child_unions[live] if grow else None)
+        rows, dead, unions, starts = children, child_dead, child_unions, first
+    yield rows, None, starts
 
 
-def _child_counts(rows: np.ndarray, dead: np.ndarray, nvars: int) -> tuple[np.ndarray, np.ndarray]:
-    """Where the suffix of the sorted rows with T[0] >= v starts (every row has
-    no T[0] at level 0), and how many of its rows have bit v of their dead
-    sets clear: the children of v, for each v < ``nvars``."""
-    if rows.shape[1]:
-        starts = np.searchsorted(rows[:, 0], np.arange(nvars))
-    else:
-        starts = np.zeros(nvars, dtype=np.intp)
+def _child_counts(dead: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """How many rows of each v's suffix, from ``starts[v]`` on, have bit v of
+    their dead sets clear: the number of children of v, for each v."""
     counts = [np.count_nonzero(_bit_clear(dead[start:], v)) for v, start in enumerate(starts.tolist())]
-    return starts, np.array(counts, dtype=np.int64)
+    return np.array(counts, dtype=np.int64)
 
 
 def _parents(dead: np.ndarray, starts: np.ndarray, v: int) -> np.ndarray:
@@ -203,19 +201,16 @@ def _parents(dead: np.ndarray, starts: np.ndarray, v: int) -> np.ndarray:
     return np.flatnonzero(_bit_clear(dead[starts[v] :], v)) + starts[v]
 
 
-def _children(
-    rows: np.ndarray, dead: np.ndarray, starts: np.ndarray, counts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The growth step: each v prepended to its parents (:func:`_parents`), v
-    by v, so that the children of sorted rows come out sorted; also each
-    child's parent row, as int32 below 2^31 rows."""
-    children = np.empty((int(counts.sum()), rows.shape[1] + 1), dtype=np.uint16)
-    parents = np.empty(len(children), dtype=np.int32 if len(rows) < 1 << 31 else np.intp)
-    for v, (end, count) in enumerate(zip(np.cumsum(counts).tolist(), counts.tolist())):
-        x = parents[end - count : end] = _parents(dead, starts, v)
-        children[end - count : end, 0] = v
-        children[end - count : end, 1:] = rows.take(x, axis=0)
-    return children, parents
+def _step(below: np.ndarray, tight: np.ndarray, dead: np.ndarray, unions: np.ndarray, x: np.ndarray, flat, out=None):
+    """The growth step on a block of parent rows ``x`` and F_v's mask ``flat``:
+    the dead sets of the children T + e_v (:func:`_child_dead`).  The unions
+    of the children's subfamilies, those of T and then those with F_v, are
+    written to ``out`` if it is given."""
+    parent_unions = unions.take(x, axis=0)
+    child_dead, new = _child_dead(below, tight, dead.take(x, axis=0), parent_unions, flat)
+    if out is not None:
+        np.concatenate((parent_unions, new), axis=1, out=out)
+    return child_dead
 
 
 def _dhr_root(m: Matroid, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -372,13 +367,14 @@ def mconvex_support(v: VolumePolynomial) -> bool:
     if v.degree == 0:
         return True
     support = np.array(rows, dtype=np.uint16).reshape(len(rows), v.degree)
-    return _mconvex(*_support_link(support, len(index)), len(index), 0)[0]
+    return _mconvex(*_support_link(support, len(index)), lambda: support, 0)[0]
 
 
-def _support_link(support: np.ndarray, nvars: int) -> tuple[np.ndarray, np.ndarray]:
-    """The sorted (d-1)-multisets T below a sorted support, and their dead sets
-    as packed uint64 words: bit j is clear iff T + e_j is in the support.  The
-    support is then the children of the T (:func:`_children`)."""
+def _support_link(support: np.ndarray, nvars: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The sorted (d-1)-multisets T below a sorted support, their dead sets
+    as packed uint64 words (bit j is clear iff T + e_j is in the support), and
+    where the T with T[0] >= v start, for each v < ``nvars``: the support is
+    then the children of the T, as :func:`_dhr_growth` grows them."""
     drops = [np.delete(support, p, axis=1) for p in range(support.shape[1])]
     tees = np.unique(np.concatenate(drops), axis=0)
     keys = _keys(tees)
@@ -386,7 +382,8 @@ def _support_link(support: np.ndarray, nvars: int) -> tuple[np.ndarray, np.ndarr
     dead[:, nvars:] = False
     for p, drop in enumerate(drops):
         dead[_index(keys, drop), support[:, p]] = False
-    return tees, np.packbits(dead, axis=1).view(np.uint64)
+    starts = np.searchsorted(tees[:, 0], np.arange(nvars)) if tees.shape[1] else np.zeros(nvars, dtype=np.intp)
+    return tees, np.packbits(dead, axis=1).view(np.uint64), starts
 
 
 def ultra_log_concave(seq: list[int]) -> bool:
@@ -713,8 +710,10 @@ def _triple_scan(m: Matroid) -> TripleScanReport:
     The states are interned by their exact content (:class:`_States`) and
     numbered by their last node, descending, so that the suffix of nodes a
     flat reads holds exactly a prefix of each table.  The routes are compared
-    per node, its dead-set bit against its two states' tests, and the live
-    children's dead sets (:func:`_child_dead`) are built once they agree.
+    per node, its dead-set bit against its two states' tests, and once they
+    agree the live children come out as in :func:`_dhr_growth`: the same
+    counts, parents and step (:func:`_step`), with no rows, and each child's
+    state numbers are its parent's mapped through the flat's candidates.
     The products are GEMMs: each flat's h-map is densified once per level
     (:meth:`~chowmat.chow.SparseMap.dense_block`), into the block between its
     nonzero rows and columns in the level's product dtype, and dropped when
@@ -735,7 +734,7 @@ def _triple_scan(m: Matroid) -> TripleScanReport:
     gathers are cast to its :func:`exact_dtype`, and the product stays in
     that dtype until it is queued for the level below.  Both live in one
     buffer each per level.  Products run over :data:`_BLOCK` states at a time
-    and the nodes' steps over :data:`_BLOCK` nodes, which bounds the gathered
+    and the steps over :data:`_BLOCK` parents, which bounds the gathered
     coordinates, the products and the leaf's dead sets."""
     ring = ring_for(m)
     d = ring.d
@@ -804,7 +803,7 @@ def _triple_scan(m: Matroid) -> TripleScanReport:
         return TripleScanReport(m, total, live_leaves, dead, verified, ok)
 
     # The nodes with T[0] >= v, a suffix of the v-blocked nodes, take v.
-    starts = np.zeros(nvars, dtype=int)
+    starts = np.zeros(nvars, dtype=np.intp)
     for k in range(d - 1):
         fused = k + 2 == d
         hmaps = [ring.h_matrix(f, k) for f in flats]
@@ -818,13 +817,8 @@ def _triple_scan(m: Matroid) -> TripleScanReport:
             # Each flat's leaf bits of the degrees, one row of bytes per state.
             degree_bytes = np.empty((len(coords), -(-nvars // 8)), dtype=np.uint8)
         else:
-            # The children of v, in v-blocked order: the nodes of its suffix, those with
-            # T[0] >= v, whose bit v is clear.  Counted over blocks of nodes, for every v at once.
-            firsts = np.searchsorted(starts, np.arange(len(words)), side="right") - 1
-            counts = np.zeros(nvars, dtype=int)
-            for lo in range(0, len(words), _BLOCK):
-                takes = firsts[lo : lo + _BLOCK, None] >= np.arange(nvars)
-                counts += (_unpack_links(words[lo : lo + _BLOCK], nvars) & takes).sum(axis=0)
+            counts = _child_counts(words, starts)
+            first = np.cumsum(counts) - counts  # where the children of each v start
             size = int(counts.sum())
             # Each child's candidate numbers, turned into its state numbers once the level is
             # done: int32 on a level of more than _BLOCK nodes, where they take the most memory,
@@ -849,7 +843,6 @@ def _triple_scan(m: Matroid) -> TripleScanReport:
         # of each table.
         gcounts = (len(glast) - np.searchsorted(glast[::-1], starts)).tolist()
         ccounts = (len(clast) - np.searchsorted(clast[::-1], starts)).tolist()
-        end = 0
         for v, (start, gcount, ccount) in enumerate(zip(starts.tolist(), gcounts, ccounts)):
             outs, ins, block = hmaps[v].dense_block(dtype)
             nf_ok = nf_oks[:gcount]
@@ -880,7 +873,8 @@ def _triple_scan(m: Matroid) -> TripleScanReport:
             verified += len(dhr_ok)
             if not ((chain_ok.take(cstate[start:]) == dhr_ok) & (nf_ok.take(gstate[start:]) == dhr_ok)).all():
                 return TripleScanReport(m, total, live_leaves, dead, verified, False)
-            dead += (len(dhr_ok) - int(np.count_nonzero(dhr_ok))) * math.comb(v + d - k - 1, v)
+            parents = np.flatnonzero(dhr_ok) + start  # those of _parents, off the bit column read above
+            dead += (len(dhr_ok) - len(parents)) * math.comb(v + d - k - 1, v)
             # The chain states of the live nodes, truncated along F_v once each.
             if fused:
                 chain_bits = chain_leaves(truncated_ranks(tables[:, :ccount], flats[v], rows[: n + v + 2]), chain_ok)
@@ -891,22 +885,19 @@ def _triple_scan(m: Matroid) -> TripleScanReport:
                 for lo in range(0, len(x), _BLOCK):
                     part = x[lo : lo + _BLOCK]
                     cchild[part] = next_tables.add(truncated_ranks(tables[:, part], flats[v]).T)
-            for lo in range(0, len(dhr_ok), _BLOCK):
-                x = dhr_ok[lo : lo + _BLOCK].nonzero()[0] + (start + lo)
-                parent_unions = unions.take(x, axis=0)
-                child_dead, new = _child_dead(below, tight, words.take(x, axis=0), parent_unions, flats[v])
+            for lo in range(0, len(parents), _BLOCK):
+                x = parents[lo : lo + _BLOCK]
                 if fused:
+                    child_dead = _step(below, tight, words, unions, x, flats[v])
                     if not leaves(child_dead, chain_bits.take(cstate.take(x), axis=0), degree_bits.take(gstate.take(x), axis=0), v + 1):
                         return TripleScanReport(m, total, live_leaves, dead, verified, False)
                 else:
-                    live = slice(end, end + len(x))
+                    live = slice(first[v] + lo, first[v] + lo + len(x))
+                    child_words[live] = _step(below, tight, words, unions, x, flats[v], child_unions[live])
                     child_gstate[live] = gchild.take(gstate.take(x))
                     child_cstate[live] = cchild.take(cstate.take(x))
-                    child_unions[live] = np.concatenate((parent_unions, new), axis=1)
-                    child_words[live] = child_dead
-                    end += len(x)
         if not fused:
-            starts = np.cumsum(counts) - counts
+            starts = first
             coords, glast = next_coords.numbered(child_gstate)
             tables, clast = next_tables.numbered(child_cstate, axis=1)
             gstate, cstate = child_gstate, child_cstate
@@ -1167,9 +1158,10 @@ def lorentzian_check(m: Matroid, seed: int = 0) -> LorentzianReport:
     nvars = len(_flats_rank2(m))
     if d == 0:
         return LorentzianReport(m, True, "exhaustive", 1, 0, True, 0)
-    levels, words = zip(*itertools.islice(_dhr_growth(m, d), d))
+    growth = _dhr_growth(m, d)
+    levels, words, starts = zip(*itertools.islice(growth, d))
     tees, dead = levels[d - 1], words[d - 1]
-    mconvex, mode, size = _mconvex(tees, dead, nvars, seed)
+    mconvex, mode, size = _mconvex(tees, dead, starts[d - 1], lambda: next(growth)[0], seed)
     hessians = 0
     signatures_ok = True
     crosschecked = 0
@@ -1190,15 +1182,16 @@ def lorentzian_check(m: Matroid, seed: int = 0) -> LorentzianReport:
     return LorentzianReport(m, mconvex, mode, size, hessians, signatures_ok, crosschecked)
 
 
-def _mconvex(tees: np.ndarray, dead: np.ndarray, nvars: int, seed: int) -> tuple[bool, str, int]:
+def _mconvex(tees: np.ndarray, dead: np.ndarray, starts: np.ndarray, support, seed: int) -> tuple[bool, str, int]:
     """The exchange check, its mode and the support's size, for the sorted
-    (d-1)-multisets T below a support and their dead sets: the support is the
-    T + e_v with v <= T[0] and bit v clear, grown only for the exhaustive check."""
-    starts, counts = _child_counts(tees, dead, nvars)
+    (d-1)-multisets T below a support, their dead sets and where the T with
+    T[0] >= v start, for each v: the support is the T + e_v with v <= T[0]
+    and bit v clear.  ``support()`` returns it sorted, and is called only for
+    the exhaustive check."""
+    counts = _child_counts(dead, starts)
     size = int(counts.sum())
     if size <= MCONVEX_EXHAUSTIVE_CAP:
-        support = _children(tees, dead, starts, counts)[0]
-        return _exchange_exhaustive(support, tees, dead, nvars), "exhaustive", size
+        return _exchange_exhaustive(support(), tees, dead, len(starts)), "exhaustive", size
     return _exchange_sampled(tees, dead, starts, counts, MCONVEX_SAMPLED_PAIRS, seed), "sampled", size
 
 
@@ -1272,7 +1265,7 @@ def _support_points(
     tees: np.ndarray, dead: np.ndarray, starts: np.ndarray, counts: np.ndarray, index: np.ndarray
 ) -> np.ndarray:
     """The points of the sorted support, the children of the rows ``tees``
-    (:func:`_children`), at the given indices, without growing the rest: index
+    (:func:`_dhr_growth`), at the given indices, without growing the rest: index
     i lies in the block of the v with ``cumsum(counts)[v - 1] <= i <
     cumsum(counts)[v]``, and its parent is v's parent of that rank, found with
     one pass over v's suffix per v drawn."""

@@ -236,6 +236,30 @@ def run_cli_child(args: list[str], timeout: float) -> ChildRun:
     return ChildRun(code, digest.hexdigest(), size, peak_mb, "\n".join(lines))
 
 
+def run_cli_unwritable(args: list[str], stdout: str, optimize: bool = False, timeout: float = 120) -> tuple[int, str]:
+    """Run the CLI on ``args`` in a fresh interpreter (with ``-O`` if
+    ``optimize``) whose stdout cannot be written: ``"full"`` points it at
+    /dev/full, ``"closed"`` at a pipe whose read end is already closed.
+    Returns the exit code and stderr."""
+    if stdout == "full":
+        fd = os.open("/dev/full", os.O_WRONLY)
+    else:
+        read, fd = os.pipe()
+        os.close(read)
+    try:
+        done = subprocess.run(
+            [sys.executable, *(["-O"] if optimize else []), "-m", "chowmat.cli", *args],
+            stdout=fd,
+            stderr=subprocess.PIPE,
+            env=_child_env(),
+            timeout=timeout,
+            preexec_fn=_limit_memory,
+        )
+    finally:
+        os.close(fd)
+    return done.returncode, done.stderr.decode()
+
+
 def pytest_addoption(parser):
     parser.addoption("--run-slow", action="store_true", help="also run the tests marked slow")
 

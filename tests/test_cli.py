@@ -16,7 +16,7 @@ import chowmat
 from chowmat import chow, cli, hodge, quotients
 from chowmat.matroid import Matroid, bits, uniform
 
-from conftest import full_corpus, non_representable, run_cli_child, truncated_booleans
+from conftest import full_corpus, non_representable, run_cli_child, run_cli_unwritable, truncated_booleans
 
 
 @pytest.fixture()
@@ -460,6 +460,31 @@ def test_internal_error_exits_3_when_its_report_fails(runner, u34_spec, monkeypa
     result = runner.invoke(cli.main, ["verify", u34_spec, "--suite", "balance"])
     assert result.exit_code == 3
     assert result.stdout == ""
+
+
+_EVERY_COMMAND = {
+    "info": [],
+    "charpoly": [],
+    "volume": [],
+    "nested": ["--corank", "1"],
+    "degree": ["--flats", "0,1;0,2"],
+    "verify": ["--suite", "nested"],
+}
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("optimize", [False, True], ids=["plain", "-O"])
+@pytest.mark.parametrize("stdout", ["full", "closed"])
+@pytest.mark.parametrize("command", sorted(_EVERY_COMMAND))
+def test_unwritable_stdout_exits_3(u34_spec, command, stdout, optimize):
+    """A document that cannot be written, to a full device or a closed pipe, is
+    an internal error with a JSON report, not a failed verification (exit 1)."""
+    code, err = run_cli_unwritable([command, u34_spec, *_EVERY_COMMAND[command]], stdout, optimize)
+    assert code == 3, err[-2000:]
+    report = json.loads(err)
+    expected = ("OSError", "No space left on device") if stdout == "full" else ("BrokenPipeError", "Broken pipe")
+    assert report["error"] == expected[0] and expected[1] in report["message"]
+    assert "emit" in "".join(report["traceback"])
 
 
 def test_out_of_memory_exits_3_with_a_report(tmp_path):

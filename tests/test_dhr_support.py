@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -131,6 +132,23 @@ def test_levels_are_the_same_in_small_blocks(monkeypatch):
         small_levels, small_words = hodge.dhr_levels(m, m.rank_full - 1)
         assert [a.tolist() for a in small_levels] == [a.tolist() for a in levels]
         assert [a.tolist() for a in small_words] == [a.tolist() for a in words]
+
+
+def test_growth_keeps_no_parent_index():
+    """U(6,6) grown to its 4,614,021-row support, every level kept.  The
+    children of each v are written a block of parents at a time, with no
+    parent index for a whole level (18 MB of int32 at the top); with that
+    index the traced peak was 78.2 MiB."""
+    m = uniform(6, 6)
+    m.lattice(), m.closure_table()
+    tracemalloc.start()
+    try:
+        levels = list(hodge._dhr_growth(m, 5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(levels[5][0]) == 4_614_021
+    assert peak < 66 << 20, f"traced peak {peak / 2**20:.1f} MiB"
 
 
 def test_enumerator_matches_recursive_walk():
@@ -616,11 +634,11 @@ def point_sets(draw):
 def test_exchange_check_matches_pairwise_definition(case):
     points, nvars = case
     support = as_support(points)
-    tees, dead = _support_link(support, nvars)
+    tees, dead, starts = _support_link(support, nvars)
     expected = brute_mconvex(points, nvars)
-    assert _mconvex(tees, dead, nvars, 0) == (expected, "exhaustive", len(support))
+    assert _mconvex(tees, dead, starts, lambda: support, 0) == (expected, "exhaustive", len(support))
     # Small sets: the 20,000 sampled pairs cover every ordered pair.
-    assert _exchange_sampled(tees, dead, *_child_counts(tees, dead, nvars), 20_000, 3) == expected
+    assert _exchange_sampled(tees, dead, starts, _child_counts(dead, starts), 20_000, 3) == expected
 
 
 def test_exchange_check_sees_both_outcomes():
@@ -632,7 +650,7 @@ def test_exchange_check_sees_both_outcomes():
         points = set(rng.sample(every, rng.randint(1, len(every))))
         expected = brute_mconvex(points, nvars)
         support = as_support(points)
-        assert _mconvex(*_support_link(support, nvars), nvars, 0)[0] == expected
+        assert _mconvex(*_support_link(support, nvars), lambda: support, 0)[0] == expected
         outcomes.append(expected)
     assert 0 < sum(outcomes) < len(outcomes)
 
@@ -643,7 +661,7 @@ def test_exchange_check_counts_multiplicities():
     points = {(0, 2, 2), (1, 1, 2), (1, 2, 2)}
     assert not brute_mconvex(points, 3)
     support = as_support(points)
-    assert _mconvex(*_support_link(support, 3), 3, 0) == (False, "exhaustive", 3)
+    assert _mconvex(*_support_link(support, 3), lambda: support, 0) == (False, "exhaustive", 3)
 
 
 def test_wide_support_that_is_not_mconvex():
@@ -664,7 +682,7 @@ def test_wide_sampled_support_that_is_not_mconvex():
     points = [p for c in clusters for p in itertools.combinations_with_replacement(c, 2)]
     assert len(points) > MCONVEX_EXHAUSTIVE_CAP
     support = as_support(points)
-    assert _mconvex(*_support_link(support, 260), 260, 0) == (False, "sampled", len(points))
+    assert _mconvex(*_support_link(support, 260), lambda: support, 0) == (False, "sampled", len(points))
     m = uniform(4, 12)
     flats = rank2_flats(m)
     terms = {tuple(sorted((flats[a], flats[b]))): 1 for a, b in points}
@@ -806,11 +824,15 @@ def test_lorentzian_check_matches_the_bool_table_oracle(m, seed):
 def test_support_points_are_the_support(m):
     """The support's size is the count of clear bits v <= T[0] over level d - 1,
     and mapping every index 0 .. N - 1 through the cumulative child counts,
-    in any order, gives the top level of dhr_levels row for row."""
+    in any order, gives the top level of dhr_levels row for row.  The growth's
+    ``starts`` are where each level's rows with T[0] >= v start."""
     d = m.rank_full - 1
     nvars = len(rank2_flats(m))
-    levels, words = dhr_levels(m, d)
-    starts, counts = _child_counts(levels[d - 1], words[d - 1], nvars)
+    levels, words, starts = zip(*hodge._dhr_growth(m, d))
+    for rows, first in zip(levels[1:], starts[1:]):
+        assert first.tolist() == np.searchsorted(rows[:, 0], np.arange(nvars)).tolist()
+    starts = starts[d - 1]
+    counts = _child_counts(words[d - 1], starts)
     assert int(counts.sum()) == len(levels[d])
     index = np.arange(len(levels[d]))
     points = _support_points(levels[d - 1], words[d - 1], starts, counts, index)
