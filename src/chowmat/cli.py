@@ -81,6 +81,8 @@ def load_matroid(path: str, max_ground: int) -> Matroid:
         raise ParseError(f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     except ValueError as exc:  # bytes that are not UTF-8, or an integer literal too long to convert
         raise ParseError(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:  # arrays or objects nested past the interpreter's recursion limit
+        raise ParseError(f"invalid JSON: nested too deeply ({exc})") from exc
     if not isinstance(doc, dict) or "type" not in doc:
         raise ParseError('spec must be an object with a "type" field')
     kind = doc["type"]

@@ -18,16 +18,16 @@ unions from one step (:func:`_step`).  :func:`dhr_levels` keeps the levels as
 sorted uint16 rows of flat indices; the triple scan keeps no rows.
 
 :func:`dhr_triple_report` verifies all three routes agree on every degree-d
-multiset of rank >= 2 flats.  Its nodes' dead sets are the DHR route.  For
-the chain route (rank tables, truncated by
-:func:`~chowmat.quotients.truncated_ranks`) and the Groebner route (nested
-z-coordinates) they share states, interned by content per level, so
-every candidate extension is pushed through those routes once per distinct
-state and compared with the DHR route node by node.  Once a candidate dies
-in all three routes at once, every extension dies in all three for
-route-internal reasons (a failing subfamily stays failing, loops persist
-under further intersections, and zero stays zero under multiplication), so
-dead subtrees are counted instead of walked.
+multiset of rank >= 2 flats.  Its nodes' dead sets are the DHR route.  Each
+node has one state, the pair of its rank table (the chain route, truncated by
+:func:`~chowmat.quotients.truncated_ranks`) and its nested z-coordinates (the
+Groebner route), interned by the content of both per level.  So every
+candidate extension is pushed through those routes once per distinct state,
+which compares them, and each node compares its state with the DHR route.
+Once a candidate dies in all three routes at once, every extension dies in
+all three for route-internal reasons (a failing subfamily stays failing,
+loops persist under further intersections, and zero stays zero under
+multiplication), so dead subtrees are counted instead of walked.
 
 The support S of the volume polynomial is the top level of
 :func:`dhr_levels`.  :func:`volume_arrays` weights it (the CLI writes its
@@ -700,41 +700,41 @@ def _rank_one_rows(n: int) -> np.ndarray:
 def _triple_scan(m: Matroid) -> TripleScanReport:
     """Level-batched scan over interned states.  Each node of levels 0 .. d - 2
     carries its subfamily unions and dead set for the DHR route (T + e_v is DHR
-    iff bit v is clear), and two state numbers.  The chain state is one of the
-    level's distinct int8 rank tables, the columns of a (2^n, S) block: the
-    test is r(F_v) >= 2, and a live child's table is :func:`truncated_ranks`
-    of its parent's along F_v.  The Groebner state is one of its distinct rows
-    of nested z-coordinates, put through the sparse h-maps.  Nodes share
-    states (the 31,494 nodes of level d - 2 of U(6,6) have 1,202 of each), so
-    each flat multiplies, tests and truncates each state once, not each node.
-    The states are interned by their exact content (:class:`_States`) and
-    numbered by their last node, descending, so that the suffix of nodes a
-    flat reads holds exactly a prefix of each table.  The routes are compared
-    per node, its dead-set bit against its two states' tests, and once they
-    agree the live children come out as in :func:`_dhr_growth`: the same
-    counts, parents and step (:func:`_step`), with no rows, and each child's
-    state numbers are its parent's mapped through the flat's candidates.
-    The products are GEMMs: each flat's h-map is densified once per level
+    iff bit v is clear), and one state: the pair of its int8 rank table, of M
+    truncated along T's flats, for the chain route (the test is r(F_v) >= 2, and
+    a live child's table is :func:`truncated_ranks` of its parent's along F_v),
+    and its row of nested z-coordinates, put through the sparse h-maps, for the
+    Groebner route.  Nodes share states (the 31,494 nodes of level d - 2 of
+    U(6,6) have 1,202), so each flat multiplies, tests and truncates each state
+    once, not each node.  The pairs are interned by the exact content of both
+    parts (:class:`_States`), so neither route's state is read off the other's,
+    and numbered by their last node, descending, so that the suffix of nodes a
+    flat reads holds a prefix of the states, each with a node there.  So the
+    chain and Groebner tests are compared per state over that prefix, and each
+    node's dead-set bit with its state's test.  The live children then come out
+    as in :func:`_dhr_growth`: the same counts, parents and step
+    (:func:`_step`), with no rows, and each child's state is its parent's mapped
+    through the flat's candidates, queued as the products come out.  The
+    products are GEMMs: each flat's h-map is densified once per level
     (:meth:`~chowmat.chow.SparseMap.dense_block`), into the block between its
-    nonzero rows and columns in the level's product dtype, and dropped when
-    the flat's states are done.
+    nonzero rows and columns in the level's product dtype.
 
     Level d - 1 comes out of level d - 2 in blocks T[0] = v, checked with
     every u <= v and dropped.  Its leaves are read per state: the children's
     coordinates times the first v + 1 rows of the top-degree h-maps, times
-    (-1)^d, give their degrees, which must be 0 or 1; the chain tables,
-    truncated along F_v only at E, the singletons and the first v + 1 flats,
-    give r(F_u) >= 2, and each table that lives to level d - 1, of rank 2
-    without loops, must land on U(1,E) (:func:`_lands_on_rank_one`).  Both
-    sets of leaf bits are packed like the dead sets, and each node's first
-    v + 1 bits of its child's dead set, cleared, must equal its two states'.
+    (-1)^d, give their degrees, which must be 0 or 1; the tables, truncated
+    along F_v only at E, the singletons and the first v + 1 flats, give
+    r(F_u) >= 2, and each table that lives to level d - 1 must land on U(1,E)
+    (:func:`_lands_on_rank_one`).  Both sets of leaf bits, packed like the dead
+    sets, must be equal on each state whose child lives (a dead child's table
+    still has bits, its degrees are 0), and each node's first v + 1 bits of its
+    child's dead set, cleared, must equal its state's.
 
     Each level stores its coordinates in the narrowest integer dtype of
     :func:`_storage_dtype` that holds them; only the entries a product
-    gathers are cast to its :func:`exact_dtype`, and the product stays in
-    that dtype until it is queued for the level below.  Both live in one
-    buffer each per level.  Products run over :data:`_BLOCK` states at a time
-    and the steps over :data:`_BLOCK` parents, which bounds the gathered
+    gathers are cast to its :func:`exact_dtype`, in one buffer per level, as
+    are the products.  Products run over :data:`_BLOCK` states at a time and
+    the steps over :data:`_BLOCK` parents, which bounds the gathered
     coordinates, the products and the leaf's dead sets."""
     ring = ring_for(m)
     d = ring.d
@@ -748,13 +748,12 @@ def _triple_scan(m: Matroid) -> TripleScanReport:
     width = words.shape[1]
     # The rows the leaf reads: E, the singletons, F_0 .. F_{nvars - 1}.
     rows = np.concatenate((_rank_one_rows(n), flats))
-    # (2^n, S_k): the distinct rank tables of M truncated along the flats of the nodes, one per column.
-    tables = m.rank_table()[:, None]
-    # (S_k, dim A^k): the distinct nested z-coordinates of the products of the nodes.
+    # The states of the level: (S_k, dim A^k) nested z-coordinates of the products of the nodes,
+    # one row each, and (2^n, S_k) rank tables of M truncated along their flats, one column each.
     coords = np.ones((1, 1), dtype=np.int64)
-    # Each node's chain and Groebner state, and each state's last node.
-    cstate = gstate = np.zeros(1, dtype=np.intp)
-    clast = glast = np.zeros(1, dtype=np.intp)
+    tables = m.rank_table()[:, None]
+    # Each node's state, and each state's last node.
+    state = last = np.zeros(1, dtype=np.intp)
     # A^d has one coordinate: the entries of h_{F_u}: A^(d-1) -> A^d, times (-1)^d, are row u of
     # one functional, so a nonzero degree-d product reads 1.
     tops = [ring.h_matrix(f, d - 1) for f in flats]
@@ -767,38 +766,37 @@ def _triple_scan(m: Matroid) -> TripleScanReport:
     leading = np.packbits(np.tri(nvars, dtype=bool), axis=1)
 
     def chain_leaves(ranks: np.ndarray, usable: np.ndarray) -> np.ndarray | None:
-        """The leaf bits r(F_u) >= 2, u < count, of the chain states whose tables a
+        """The leaf bits r(F_u) >= 2, u < count, of the states whose tables a
         ``(n + 1 + count, S)`` stack gives at E, the singletons and the first count
-        flats, packed like the dead sets (one row of bytes per state); None if a
-        ``usable`` state, one whose chain lives to level d - 1, misses U(1,E).  Such
-        a chain has rank 2 and no loop, so each usable state must land, whether or
-        not some leaf of it lives."""
+        flats, packed like the dead sets (a row of bytes per state); None if a
+        ``usable`` state, whose chain lives to level d - 1 with rank 2 and no loop,
+        misses U(1,E), whether or not some leaf of it lives."""
         if not _lands_on_rank_one(ranks[: n + 1])[usable].all():
             return None
         return np.packbits(np.ascontiguousarray(ranks[n + 1 :].T) >= 2, axis=1)
 
-    def leaves(dead_words: np.ndarray, chain_bits: np.ndarray, degree_bits: np.ndarray, count: int) -> bool:
+    def leaves(dead_words: np.ndarray, bits: np.ndarray, count: int) -> bool:
         """Checks the T + e_u, u < count, for a block of nodes T of level d - 1: the
-        cleared bits u < count of their dead sets must be the packed bits of their chain
-        and degree states, given one row each."""
+        cleared bits u < count of their dead sets must be the packed leaf bits of
+        their states, given one row each."""
         nonlocal live_leaves, dead, verified
-        nbytes = chain_bits.shape[1]
-        live = ~dead_words.view(np.uint8)[:, :nbytes] & leading[count - 1, :nbytes]
+        live = ~dead_words.view(np.uint8)[:, : bits.shape[1]] & leading[count - 1, : bits.shape[1]]
         alive = int(np.bitwise_count(live).sum())
         size = count * len(live)
         verified += size
         live_leaves += alive
         dead += size - alive
-        return bool(((live == chain_bits) & (live == degree_bits)).all())
+        return bool((live == bits).all())
 
-    if d == 1:  # the root
+    if d == 1:  # the root, a state whose child lives
         degree = (functional @ coords).T
         one = degree == 1
-        chain_bits = chain_leaves(tables[rows], np.ones(1, dtype=bool))
+        bits = chain_leaves(tables[rows], np.ones(1, dtype=bool))
         ok = (
-            chain_bits is not None
+            bits is not None
             and np.count_nonzero(degree) == np.count_nonzero(one)
-            and leaves(words, chain_bits, np.packbits(one, axis=1), nvars)
+            and np.array_equal(bits, np.packbits(one, axis=1))
+            and leaves(words, bits, nvars)
         )
         return TripleScanReport(m, total, live_leaves, dead, verified, ok)
 
@@ -820,40 +818,32 @@ def _triple_scan(m: Matroid) -> TripleScanReport:
             counts = _child_counts(words, starts)
             first = np.cumsum(counts) - counts  # where the children of each v start
             size = int(counts.sum())
-            # Each child's candidate numbers, turned into its state numbers once the level is
-            # done: int32 on a level of more than _BLOCK nodes, where they take the most memory,
-            # and intp, which numpy gathers by without a cast, on a smaller one.
-            index = np.int32 if size > _BLOCK else np.intp
-            child_gstate = np.empty(size, dtype=index)
-            child_cstate = np.empty(size, dtype=index)
+            # Each child's candidate number, turned into its state number once the level is done:
+            # int32 on a level of more than _BLOCK nodes, where they take the most memory, and
+            # intp, which numpy gathers by without a cast, on a smaller one.
+            child_state = np.empty(size, dtype=np.int32 if size > _BLOCK else np.intp)
             child_unions = np.empty((size, 2 * unions.shape[1]), dtype=np.uint16)
             child_words = np.empty((size, width), dtype=np.uint64)
-            next_coords = _States(hmaps[0].shape[0], _storage_dtype(bound), size)
-            next_tables = _States(len(tables), tables.dtype, size)
+            states = _States(hmaps[0].shape[0], _storage_dtype(bound), len(tables), size)
             # Each flat's candidate number of each state's child.
-            gchildren = np.empty(len(coords), dtype=np.int32)
-            cchildren = np.empty(tables.shape[1], dtype=np.int32)
+            children = np.empty(len(coords), dtype=np.int32)
         # One buffer each for the gathered coordinates and the products of every (v, block),
         # so that their pages are faulted in once per level, not once per new largest size.
         cols = min(_BLOCK, len(coords))
         gathered = np.empty(cols * hmaps[0].shape[1], dtype=dtype)
         products = np.empty(cols * hmaps[0].shape[0], dtype=dtype)
         nf_oks = np.empty(len(coords), dtype=bool)
-        # The states of the nodes from starts[v] on, whose last node is there or later: a prefix
-        # of each table.
-        gcounts = (len(glast) - np.searchsorted(glast[::-1], starts)).tolist()
-        ccounts = (len(clast) - np.searchsorted(clast[::-1], starts)).tolist()
-        for v, (start, gcount, ccount) in enumerate(zip(starts.tolist(), gcounts, ccounts)):
+        # The states of the nodes from starts[v] on, whose last node is there or later: a prefix.
+        shared = (len(last) - np.searchsorted(last[::-1], starts)).tolist()
+        for v, (start, count) in enumerate(zip(starts.tolist(), shared)):
             outs, ins, block = hmaps[v].dense_block(dtype)
-            nf_ok = nf_oks[:gcount]
+            nf_ok = nf_oks[:count]
             if fused:
                 # The children's leaves' degrees times (-1)^d, one row per child.
                 leaf = top[: v + 1, outs].T
-                degree_bits = degree_bytes[:gcount, : (v >> 3) + 1]
-            else:
-                gchild, cchild = gchildren[:gcount], cchildren[:ccount]
-            for lo in range(0, gcount, _BLOCK):
-                part = slice(lo, min(lo + _BLOCK, gcount))
+                degree_bits = degree_bytes[:count, : (v >> 3) + 1]
+            for lo in range(0, count, _BLOCK):
+                part = slice(lo, min(lo + _BLOCK, count))
                 factor = gathered[: (part.stop - lo) * len(ins)].reshape(-1, len(ins))
                 np.copyto(factor, coords[part, ins], casting="unsafe")
                 # One row per state: its child's coordinates at outs.
@@ -867,77 +857,71 @@ def _triple_scan(m: Matroid) -> TripleScanReport:
                     degree_bits[part] = np.packbits(one, axis=1)
                 else:
                     x = ok.nonzero()[0]
-                    gchild[lo + x] = next_coords.add(product[x], outs)
-            chain_ok = tables[flats[v], :ccount] >= 2
+                    children[lo + x] = states.add(product[x], outs, truncated_ranks(tables[:, lo + x], flats[v]).T)
+            chain_ok = tables[flats[v], :count] >= 2
             dhr_ok = _bit_clear(words[start:], v)
             verified += len(dhr_ok)
-            if not ((chain_ok.take(cstate[start:]) == dhr_ok) & (nf_ok.take(gstate[start:]) == dhr_ok)).all():
+            if not (np.array_equal(chain_ok, nf_ok) and (chain_ok.take(state[start:]) == dhr_ok).all()):
                 return TripleScanReport(m, total, live_leaves, dead, verified, False)
             parents = np.flatnonzero(dhr_ok) + start  # those of _parents, off the bit column read above
             dead += (len(dhr_ok) - len(parents)) * math.comb(v + d - k - 1, v)
-            # The chain states of the live nodes, truncated along F_v once each.
             if fused:
-                chain_bits = chain_leaves(truncated_ranks(tables[:, :ccount], flats[v], rows[: n + v + 2]), chain_ok)
-                if chain_bits is None:
+                # Each state's table, truncated along F_v once, at the rows the leaf reads.
+                bits = chain_leaves(truncated_ranks(tables[:, :count], flats[v], rows[: n + v + 2]), chain_ok)
+                if bits is None or not (bits[chain_ok] == degree_bits[chain_ok]).all():
                     return TripleScanReport(m, total, live_leaves, dead, verified, False)
-            else:
-                x = chain_ok.nonzero()[0]
-                for lo in range(0, len(x), _BLOCK):
-                    part = x[lo : lo + _BLOCK]
-                    cchild[part] = next_tables.add(truncated_ranks(tables[:, part], flats[v]).T)
             for lo in range(0, len(parents), _BLOCK):
                 x = parents[lo : lo + _BLOCK]
                 if fused:
                     child_dead = _step(below, tight, words, unions, x, flats[v])
-                    if not leaves(child_dead, chain_bits.take(cstate.take(x), axis=0), degree_bits.take(gstate.take(x), axis=0), v + 1):
+                    if not leaves(child_dead, bits.take(state.take(x), axis=0), v + 1):
                         return TripleScanReport(m, total, live_leaves, dead, verified, False)
                 else:
                     live = slice(first[v] + lo, first[v] + lo + len(x))
                     child_words[live] = _step(below, tight, words, unions, x, flats[v], child_unions[live])
-                    child_gstate[live] = gchild.take(gstate.take(x))
-                    child_cstate[live] = cchild.take(cstate.take(x))
+                    child_state[live] = children.take(state.take(x))
         if not fused:
             starts = first
-            coords, glast = next_coords.numbered(child_gstate)
-            tables, clast = next_tables.numbered(child_cstate, axis=1)
-            gstate, cstate = child_gstate, child_cstate
-            unions, words = child_unions, child_words
-            del next_coords, next_tables
+            coords, tables, last = states.numbered(child_state)
+            state, unions, words = child_state, child_unions, child_words
+            del states
     return TripleScanReport(m, total, live_leaves, dead, verified, True)
 
 
 class _States:
-    """The distinct states of one route at one level, one row each, interned by
-    their exact content.
+    """The distinct states of one level, pairs of a row of nested z-coordinates
+    and an int8 rank table, interned by the exact content of both.
 
-    Candidate rows are queued behind the states and interned :data:`_BLOCK` at
-    a time, so that a level pays a few interning passes, not one per flat.  A
-    row's 64-bit key (:func:`_state_keys`) names the state it most likely
-    equals, and an exact comparison decides; a row unlike that state is
-    compared with every state of its key, so that a colliding key costs time,
-    never a wrong state."""
+    Candidates are queued behind the states and interned :data:`_BLOCK` at a
+    time, so that a level pays a few interning passes, not one per flat.  A
+    candidate's 64-bit key, from the :func:`_state_keys` of its parts, names
+    the state it most likely equals, and an exact comparison decides; a
+    candidate unlike that state is compared with every state of its key, so
+    that a colliding key costs time, never a wrong state."""
 
-    def __init__(self, width: int, dtype, nodes: int) -> None:
+    def __init__(self, width: int, dtype, size: int, nodes: int) -> None:
         # There are at most as many states as nodes.
-        self.rows = np.empty((min(nodes, _BLOCK), width), dtype=dtype)
+        rows = min(nodes, _BLOCK)
+        self.parts = [np.empty((rows, width), dtype=dtype), np.empty((rows, size), dtype=np.int8)]
         self.size = self.queued = self.added = 0
         self.found: list[np.ndarray] = []  # the state of each interned candidate, a queue at a time
         self.first: dict[int, int] = {}  # key -> its first state
         self.more: dict[int, list[int]] = {}  # key -> its later states, if any
 
-    def add(self, values: np.ndarray, columns: np.ndarray | None = None) -> range:
-        """Queue candidate rows, ``values`` at ``columns`` (all by default) and zero
-        elsewhere; their candidate numbers, counted in the order added."""
+    def add(self, values: np.ndarray, columns: np.ndarray, tables: np.ndarray) -> range:
+        """Queue candidates: coordinates, ``values`` at ``columns`` and zero elsewhere,
+        and rank tables, a row each; their candidate numbers, counted in the order added."""
         end = self.size + self.queued + len(values)
-        if end > len(self.rows):
-            grown = np.empty((max(end, 2 * len(self.rows)), self.rows.shape[1]), dtype=self.rows.dtype)
-            grown[: end - len(values)] = self.rows[: end - len(values)]
-            self.rows = grown
-        if columns is None:
-            self.rows[end - len(values) : end] = values
-        else:
-            self.rows[end - len(values) : end] = 0
-            self.rows[end - len(values) : end, columns] = values
+        start = end - len(values)
+        if end > len(self.parts[0]):
+            grown = [np.empty((max(end, 2 * len(part)), part.shape[1]), dtype=part.dtype) for part in self.parts]
+            for new, part in zip(grown, self.parts):
+                new[:start] = part[:start]
+            self.parts = grown
+        coords, table = (part[start:end] for part in self.parts)
+        coords[:] = 0
+        coords[:, columns] = values
+        table[:] = tables
         numbers = range(self.added, self.added + len(values))
         self.added += len(values)
         self.queued += len(values)
@@ -946,45 +930,50 @@ class _States:
         return numbers
 
     def _intern(self) -> None:
-        """Give each queued row its state; the rows of new states move down to the queue's start."""
+        """Give each queued candidate its state; the candidates of new states move down to the queue's start."""
         base = self.size
-        queue = self.rows[base : base + self.queued]
-        keys = _state_keys(queue).tolist()
-        # Each row takes its key's first state, and the first row j of a new key gives it
-        # base + j; the new states are then numbered on from base in row order.
+        queues = [part[base : base + self.queued] for part in self.parts]
+        # An odd factor keeps a difference in one part from cancelling one in the other.
+        keys = (_state_keys(queues[0]) * np.uint64(0x9E3779B97F4A7C15) + _state_keys(queues[1])).tolist()
+        # Each candidate takes its key's first state, and the first candidate j of a new key gives
+        # it base + j; the new states are then numbered on from base in queue order.
         state = np.fromiter(map(self.first.setdefault, keys, itertools.count(base)), dtype=np.int32, count=len(keys))
-        keep = (state == base + np.arange(len(keys))).nonzero()[0]  # keep[i]: the queued row of state base + i
+        keep = (state == base + np.arange(len(keys))).nonzero()[0]  # keep[i]: the candidate of state base + i
         fresh = state >= base
         number = np.empty(len(keys), dtype=np.int32)
         number[keep] = base + np.arange(len(keep))
         state[fresh] = number[state[fresh] - base]
         self.first.update(zip([keys[j] for j in keep.tolist()], range(base, base + len(keep))))
-        # The rows that took a state by their key alone, held before the new states move down.
+        # The candidates that took a state by their key alone, held before the new states move down.
         taken = np.ones(len(state), dtype=bool)
         taken[keep] = False
         taken = taken.nonzero()[0]
-        held = queue[taken]
+        held = [queue[taken] for queue in queues]
         if (keep != np.arange(len(keep))).any():
-            self.rows[base : base + len(keep)] = queue[keep]
+            for part, queue in zip(self.parts, queues):
+                part[base : base + len(keep)] = queue[keep]
         self.size += len(keep)
-        # A held row unlike its state collided: it is compared with every state of its key.
-        unlike = (held != self.rows[state[taken]]).any(axis=1)
-        for j, row in zip(taken[unlike].tolist(), held[unlike]):
+        # A held candidate unlike its state in either part collided: it is compared with every
+        # state of its key.
+        unlike = np.any([(rows != part[state[taken]]).any(axis=1) for part, rows in zip(self.parts, held)], axis=0)
+        for j, *pair in zip(taken[unlike].tolist(), *(rows[unlike] for rows in held)):
             bucket = [state[j], *self.more.get(keys[j], ())]
-            state[j] = next((s for s in bucket if np.array_equal(self.rows[s], row)), self.size)
+            equal = (s for s in bucket if all(map(np.array_equal, (part[s] for part in self.parts), pair)))
+            state[j] = next(equal, self.size)
             if state[j] == self.size:
-                self.rows[self.size] = row
+                for part, row in zip(self.parts, pair):
+                    part[self.size] = row
                 self.size += 1
                 self.more.setdefault(keys[j], []).append(int(state[j]))
         self.queued = 0
         self.found.append(state)
 
-    def numbered(self, nodes: np.ndarray, axis: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    def numbered(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Number the states by their last node, descending.  ``nodes`` holds each
         node's candidate number, and is overwritten with its state's number,
-        :data:`_BLOCK` nodes at a time.  Returns the states in that order as one
-        table, a row (``axis`` 0) or a column (1) each, and each state's last
-        node.  Every state has a node."""
+        :data:`_BLOCK` nodes at a time.  Returns the states in that order, their
+        coordinates as rows and their rank tables as columns, and each state's
+        last node.  Every state has a node."""
         self._intern()
         found = np.concatenate(self.found)
         last = np.full(self.size, -1, dtype=np.intp)
@@ -997,15 +986,13 @@ class _States:
         for lo in range(0, len(nodes), _BLOCK):
             block = nodes[lo : lo + _BLOCK]
             block[:] = number[found[block]]
-        states = self.rows[: self.size]
-        if axis == 0:
-            return states.take(order, axis=0), last[order]
+        coords, tables = (part[: self.size] for part in self.parts)
         # The columns are written 64 table rows at a time, so that each block's transpose
         # stays in cache; a take along the transposed table reads one cache line per entry.
-        table = np.empty((states.shape[1], self.size), dtype=states.dtype)
-        for lo in range(0, len(table), 64):
-            table[lo : lo + 64] = states[:, lo : lo + 64].take(order, axis=0).T
-        return table, last[order]
+        columns = np.empty((tables.shape[1], self.size), dtype=tables.dtype)
+        for lo in range(0, len(columns), 64):
+            columns[lo : lo + 64] = tables[:, lo : lo + 64].take(order, axis=0).T
+        return coords.take(order, axis=0), columns, last[order]
 
 
 def _state_keys(rows: np.ndarray) -> np.ndarray:

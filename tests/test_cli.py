@@ -203,6 +203,18 @@ def test_json_that_cannot_be_decoded_is_an_input_error(runner, tmp_path, text):
     assert json.loads(result.stderr)["error"] == "ParseError"
 
 
+@pytest.mark.parametrize("head, tail", [("", ""), ('{"type": "uniform", "n": 4, "r": ', "}")], ids=["document", "field"])
+def test_deeply_nested_json_is_an_input_error(runner, tmp_path, head, tail):
+    """100,000 nested arrays, as the whole document or as a field's value, take
+    the JSON reader past the recursion limit: exit 2 with a ParseError, no traceback."""
+    path = tmp_path / "deep.json"
+    path.write_text(head + "[" * 100_000 + "]" * 100_000 + tail)
+    result = runner.invoke(cli.main, ["info", str(path)])
+    assert result.exit_code == 2
+    err = json.loads(result.stderr)
+    assert err["error"] == "ParseError" and "traceback" not in err
+
+
 def test_degree_examples(runner, u33_spec):
     result = invoke(runner, ["degree", u33_spec, "--flats", "0,1;0,2"])
     doc = json.loads(result.output)

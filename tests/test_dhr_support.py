@@ -350,10 +350,10 @@ def test_storage_dtype_holds_its_bound(bound, dtype):
 
 
 def test_triple_scan_stores_small_coordinates_in_int8(monkeypatch):
-    """U(4,7)'s level-1 coordinates are at most 1, so its coordinate states take
-    one byte each: 57 rows of dim A^1 = 57 entries, one per flat, beside its
-    57 int8 rank tables, one per column."""
-    chosen, tables = [], []
+    """U(4,7)'s level-1 coordinates are at most 1, so its states' coordinates
+    take one byte each: 57 rows of dim A^1 = 57 entries, one per flat, beside
+    their 57 int8 rank tables, one per column."""
+    chosen, states = [], []
     real_dtype, real_numbered = hodge._storage_dtype, hodge._States.numbered
 
     def recording_dtype(bound):
@@ -362,26 +362,26 @@ def test_triple_scan_stores_small_coordinates_in_int8(monkeypatch):
 
     def recording_numbered(self, *args, **kwargs):
         numbered = real_numbered(self, *args, **kwargs)
-        tables.append(numbered[0])
+        states.append(numbered)
         return numbered
 
     monkeypatch.setattr(hodge, "_storage_dtype", recording_dtype)
     monkeypatch.setattr(hodge._States, "numbered", recording_numbered)
     assert dhr_triple_report(uniform(4, 7), spot_checks=0).ok
     assert chosen == [np.int8]  # level 1 = d - 2, the only level past the root that holds states
-    coords, ranks = tables
+    [(coords, ranks, _)] = states  # one numbering per level
     assert (coords.dtype, coords.shape) == (np.int8, (57, 57))
     assert (ranks.dtype, ranks.shape) == (np.int8, (128, 57))
 
 
 def _state_counts(monkeypatch, m):
-    """The number of coordinate and rank-table states of each level the scan of m interns."""
+    """The number of states of each level the scan of m interns."""
     counts = []
     real = hodge._States.numbered
 
     def counting(self, *args, **kwargs):
         numbered = real(self, *args, **kwargs)
-        counts.append(len(numbered[1]))  # one last node per state
+        counts.append(len(numbered[-1]))  # one last node per state
         return numbered
 
     monkeypatch.setattr(hodge._States, "numbered", counting)
@@ -401,11 +401,43 @@ def test_triple_scan_is_the_same_when_every_key_collides(monkeypatch, block):
 
 
 def test_triple_scan_state_counts(monkeypatch):
-    """U(6,6)'s 31,494 nodes of level d - 2 share 1,202 coordinate states and
-    1,202 rank tables; its 57 and 1,638 nodes of levels 1 and 2 have 57 and
-    627 of each."""
+    """U(6,6)'s 31,494 nodes of level d - 2 share 1,202 states, pairs of a rank
+    table and a coordinate row; its 57 and 1,638 nodes of levels 1 and 2 have
+    57 and 627."""
     report, counts = _state_counts(monkeypatch, uniform(6, 6))
-    assert report.ok and counts == [57, 57, 627, 627, 1202, 1202]
+    assert report.ok and counts == [57, 627, 1202]
+
+
+@pytest.mark.parametrize(
+    "m",
+    [uniform(5, 6), uniform(5, 7), direct_sum(uniform(2, 3), uniform(3, 4))],
+    ids=["U(5,6)", "U(5,7)", "U(2,3)+U(3,4)"],
+)
+def test_rank_tables_and_coordinates_split_the_nodes_alike(monkeypatch, m):
+    """The fact one state per node rests on: on each level k = 1 .. d - 2 the
+    DHR multisets T with equal truncated rank tables are those with equal
+    nested coordinates of their products, so the distinct tables, the distinct
+    coordinate rows and the distinct pairs are equally many: the scan's states.
+    Each T's table and row come from its parent's, T[1:], by one truncation and
+    one h-map."""
+    d = m.rank_full - 1
+    flats = rank2_flats(m)
+    ring = ring_for(m)
+    levels, _ = dhr_levels(m, d - 2)
+    states = {(): (m.rank_table(), np.ones((1, 1), dtype=np.int64))}
+    counts = []
+    for k in range(1, d - 1):
+        pairs = []
+        for node in map(tuple, levels[k].tolist()):
+            table, z = states[node[1:]]
+            states[node] = table, z = truncate_along(table, [flats[node[0]]]), ring.h_matrix(flats[node[0]], k - 1).apply(z)
+            pairs.append((table.tobytes(), tuple(z[:, 0].tolist())))
+        tables, coords = zip(*pairs)
+        counts.append(len(set(pairs)))
+        assert len(set(tables)) == len(set(coords)) == counts[-1]
+    assert counts[-1] < len(levels[d - 2])  # nodes share states
+    report, scanned = _state_counts(monkeypatch, m)
+    assert report.ok and scanned == counts
 
 
 @pytest.mark.parametrize("block", [2048, 3], ids=["block-2048", "block-3"])
@@ -473,7 +505,7 @@ def test_triple_scan_u66_in_a_child_process():
     """5,949,147 multisets with no coordinate block past level d - 2, int8
     coordinates, blocked products, and no DHR level built before the scan:
     the 448,845 dead sets of level d - 1 exist one block at a time.  Its
-    31,494 nodes of level d - 2 share 1,202 states per route; with a
+    31,494 nodes of level d - 2 share 1,202 states; with a
     coordinate column and a rank table per node the scan peaked at 50 MB."""
     probe = (
         "from chowmat import uniform\n"
@@ -522,7 +554,7 @@ def test_triple_scan_u58_in_a_child_process():
     rows it reads, and its dead sets are built a block at a time; with the
     whole level d - 1 of dead sets built first, the scan peaked at 71 MB, and
     with a coordinate column and a rank table per node of level d - 2 (12,062
-    nodes, 2,521 states per route), at 51 MB."""
+    nodes, 2,521 states), at 51 MB."""
     probe = (
         "from chowmat import uniform\n"
         "from chowmat.hodge import dhr_triple_report\n"
@@ -536,7 +568,7 @@ def test_triple_scan_u58_in_a_child_process():
 
 def test_triple_scan_u67_in_a_child_process():
     """168 M multisets, pinned: the 244,252 nodes of level d - 2 share 7,253
-    states per route.  With a coordinate column (813 int16 entries) and a rank
+    states.  With a coordinate column (813 int16 entries) and a rank
     table per node, the scan peaked at 471 MB."""
     probe = (
         "from chowmat import uniform\n"
